@@ -73,17 +73,28 @@ _CONFIG_TYPES = {
 }
 
 
-def _resolve(args, keys):
-    """Merge config-file values under explicit flags; flags win."""
+def _resolve(parser, args, keys):
+    """Merge config-file values under explicit flags; flags win.
+
+    An unknown key or a value of the wrong type in the file is a usage
+    error, like the same mistake on the command line.
+    """
     file_vals = {}
     if getattr(args, "config", None):
         file_vals = load_config_file(args.config)
+        unknown = sorted(set(file_vals) - set(_CONFIG_TYPES))
+        if unknown:
+            parser.error(f"{args.config}: unknown config key {unknown[0]!r}")
     resolved = {}
     for key in keys:
         v = getattr(args, key, None)
         if v is None and key in file_vals:
-            caster = _CONFIG_TYPES.get(key, str)
-            v = caster(file_vals[key])
+            caster = _CONFIG_TYPES[key]
+            try:
+                v = caster(file_vals[key])
+            except ValueError:
+                parser.error(f"{args.config}: {key} = {file_vals[key]!r} is "
+                             f"not a valid {caster.__name__}")
         resolved[key] = v
     return resolved
 
@@ -98,7 +109,7 @@ def _require(parser, resolved, *keys):
 
 
 def cmd_thresholds(parser, args):
-    cfg = _resolve(args, ["max_L", "out"])
+    cfg = _resolve(parser, args, ["max_L", "out"])
     _require(parser, cfg, "max_L")
     rows = [(L, alpha_threshold(L)) for L in range(1, cfg["max_L"] + 1)]
     _emit_csv(
@@ -112,7 +123,7 @@ def cmd_linsys(parser, args):
     from . import linsys
     from .errors import Infeasible, RegimeError
 
-    cfg = _resolve(args, ["alpha", "K", "lk2", "scan_to", "out"])
+    cfg = _resolve(parser, args, ["alpha", "K", "lk2", "scan_to", "out"])
     _require(parser, cfg, "alpha")
     if cfg["scan_to"] is not None:
         rows = [(r.K, r.d0_sign, r.dK1_sign, r.feasible)
@@ -142,8 +153,8 @@ def cmd_linsys(parser, args):
 
 
 def cmd_simulate(parser, args):
-    cfg = _resolve(args, ["alpha", "beta", "steps", "seed", "engine",
-                          "snapshot_every", "ty_out", "out"])
+    cfg = _resolve(parser, args, ["alpha", "beta", "steps", "seed", "engine",
+                                  "snapshot_every", "ty_out", "out"])
     _require(parser, cfg, "alpha", "beta", "steps", "seed")
     engine = cfg["engine"] or "direct"
     params = Params.make(cfg["alpha"], cfg["beta"])
@@ -177,14 +188,28 @@ def cmd_simulate(parser, args):
 
 
 def _read_trajectory_csv(path, params, seed=None):
+    """Positions from a `step,position` CSV; rejects anything but a walk
+    that starts at 0 and moves by +-1."""
     positions = []
     with open(path) as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#") or line.startswith("step"):
                 continue
-            _, _, p = line.partition(",")
-            positions.append(int(p))
+            try:
+                _, p = map(int, line.split(","))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: expected step,position "
+                                 f"integers, got {line!r}") from None
+            if not positions and p != 0:
+                raise ValueError(f"{path}:{lineno}: trajectory must start "
+                                 f"at 0, got {p}")
+            if positions and abs(p - positions[-1]) != 1:
+                raise ValueError(f"{path}:{lineno}: step from "
+                                 f"{positions[-1]} to {p} is not +-1")
+            positions.append(p)
+    if not positions:
+        raise ValueError(f"{path}: no trajectory rows")
     return Trajectory(positions=positions, seed=seed, params=params)
 
 
@@ -192,7 +217,7 @@ def cmd_analyze(parser, args):
     from .analysis import compare_profile, detect_localization
     from .errors import NoTheory
 
-    cfg = _resolve(args, ["infile", "alpha", "beta", "tail", "out"])
+    cfg = _resolve(parser, args, ["infile", "alpha", "beta", "tail", "out"])
     _require(parser, cfg, "infile", "alpha", "beta")
     tail = cfg["tail"] if cfg["tail"] is not None else 0.5
     params = Params.make(cfg["alpha"], cfg["beta"])
@@ -213,8 +238,8 @@ def cmd_analyze(parser, args):
 def cmd_batch(parser, args):
     from .mc import BatchConfig, run_batch
 
-    cfg = _resolve(args, ["alpha", "beta", "steps", "runs", "seed",
-                          "workers", "engine", "tail", "out"])
+    cfg = _resolve(parser, args, ["alpha", "beta", "steps", "runs", "seed",
+                                  "workers", "engine", "tail", "out"])
     _require(parser, cfg, "alpha", "beta", "steps", "runs", "seed")
     params = Params.make(cfg["alpha"], cfg["beta"])
     bc = BatchConfig(params=params, runs=cfg["runs"], steps=cfg["steps"],
@@ -261,17 +286,21 @@ def _verify_linsys(report):
 
 
 def _verify_walk(report, seed):
-    import numpy as np
-
     from .walk import exact_path_law, recount_local_times
 
     params = Params.make(2.0, 1.0)
     law = exact_path_law(params, 8)
     total_err = abs(sum(law.values()) - 1.0)
-    traj = simulate(params, 5000, seed)
+    steps = 5000
+    traj = simulate(params, steps, seed)
     lt = recount_local_times(traj.positions)
-    # every edge local time parity must match endpoint displacement
-    ok = all(v >= 0 for v in lt.values())
+    # edge {j-1, j} is crossed an odd number of times exactly when it
+    # separates the start 0 from the endpoint X_n
+    x = traj.positions[-1]
+    lo, hi = min(0, x), max(0, x)
+    ok = (sum(lt.values()) == steps
+          and all((lt.get(j, 0) % 2 == 1) == (lo < j <= hi)
+                  for j in set(lt) | set(range(lo + 1, hi + 1))))
     report["walk_law_total_error"] = total_err
     report["walk_local_times_ok"] = ok
     return total_err < 1e-12 and ok
@@ -305,7 +334,7 @@ def _verify_coupling(report, seed):
 
 
 def cmd_verify(parser, args):
-    cfg = _resolve(args, ["suite", "horizon", "runs", "seed", "out"])
+    cfg = _resolve(parser, args, ["suite", "horizon", "runs", "seed", "out"])
     _require(parser, cfg, "suite")
     suite = cfg["suite"]
     known = ("linsys", "walk", "rubin", "coupling", "all")

@@ -15,6 +15,7 @@ from numpy.random import Generator, Philox
 
 PRNG_ID = "philox4x64(numpy) + splitmix64 key mix"
 
+BLOCK = 1 << 14  # uniforms drawn per Philox call by the walk engines
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -68,7 +69,7 @@ class UniformBlocks:
     ``Generator.random()`` calls, but amortizes the call overhead.
     """
 
-    def __init__(self, seed: int, block: int = 1 << 14):
+    def __init__(self, seed: int, block: int = BLOCK):
         self._gen = philox(seed)
         self._block = block
         self._buf = []

@@ -5,17 +5,20 @@ Delta(j) = -alpha l(j-1) + l(j) - l(j+1) + alpha l(j+2), where l(j) is the
 local time on the non-oriented edge {j-1, j}, and steps right with
 probability 1 / (1 + exp(-2 beta Delta)).
 
-Two engines produce bit-identical trajectories from the same seed: a tight
-array-based loop used by ``simulate`` and a bookkeeping-complete
-``WalkState`` stepper kept as the reference (and for the exact
-small-horizon path-law oracle).
+Two engines produce bit-identical trajectories from the same seed: a
+compiled step kernel used by ``simulate`` (see ``_kernel``) and a
+bookkeeping-complete ``WalkState`` stepper kept as the reference, as the
+fallback where no kernel can be built, and for the exact small-horizon
+path-law oracle.
 """
 
 from dataclasses import dataclass, field
 from math import exp
 
+import numpy as np
+
 from .errors import CapacityError
-from .rng import UniformBlocks
+from .rng import BLOCK, UniformBlocks, philox
 from .spectrum import Params
 
 _SAT = 40.0  # |2 beta Delta| beyond which the logistic saturates in double
@@ -96,75 +99,89 @@ class Trajectory:
         return len(self.positions) - 1
 
 
-def _simulate_fast(params, steps, seed, snapshot_every):
-    alpha, beta = params.alpha, params.beta
+def _snapshot(step_no, pos, lo, hi, counts):
+    """Snapshot record; ``counts`` are the local times of edges lo..hi+1."""
+    return {
+        "step": step_no,
+        "pos": pos,
+        "edge_local_times": {str(j): c
+                             for j, c in zip(range(lo, hi + 2), counts) if c},
+        "range": [lo, hi],
+    }
+
+
+def _simulate_kernel(kernel, params, steps, seed, snapshot_every):
+    """Drive the compiled kernel over Philox blocks, split at snapshots."""
     off = steps + 2
-    lt = [0] * (2 * steps + 5)
-    pos = 0
-    lo = hi = 0
-    positions = [0] * (steps + 1)
+    lt = np.zeros(2 * steps + 5, dtype=np.int64)
+    out = np.zeros(steps + 1, dtype=np.int64)
+    state = np.zeros(3, dtype=np.int64)  # pos, lo, hi
+    lt_origin = lt.ctypes.data + 8 * off
+    out_addr = out.ctypes.data
+    state_addr = state.ctypes.data
+    alpha, tb = params.alpha, 2.0 * params.beta
+    gen = philox(seed)
     snapshots = []
-    tb = 2.0 * beta
-    draws = UniformBlocks(seed)
-    nxt = draws.next
-    for k in range(steps):
-        j = pos + off
-        delta = -alpha * lt[j - 1] + lt[j] - lt[j + 1] + alpha * lt[j + 2]
-        x = tb * delta
-        if x > _SAT:
-            p = 1.0
-        elif x < -_SAT:
-            p = 0.0
-        else:
-            p = 1.0 / (1.0 + exp(-x))
-        if nxt() < p:
-            lt[j + 1] += 1
-            pos += 1
-            if pos > hi:
-                hi = pos
-        else:
-            lt[j] += 1
-            pos -= 1
-            if pos < lo:
-                lo = pos
-        positions[k + 1] = pos
-        if snapshot_every and (k + 1) % snapshot_every == 0:
-            snapshots.append({
-                "step": k + 1,
-                "pos": pos,
-                "edge_local_times": {str(j2): lt[j2 + off]
-                                     for j2 in range(lo, hi + 2)
-                                     if lt[j2 + off]},
-                "range": [lo, hi],
-            })
-    return positions, snapshots
+    done = 0
+    while done < steps:
+        # the stream prefix of random(n) does not depend on n, so the last
+        # block is drawn short
+        u = gen.random(min(BLOCK, steps - done))
+        i = 0
+        while i < len(u):
+            n = len(u) - i
+            if snapshot_every:
+                n = min(n, snapshot_every - (done + i) % snapshot_every)
+            kernel(alpha, tb, lt_origin, u.ctypes.data + 8 * i, n,
+                   state_addr, out_addr + 8 * (done + i + 1))
+            i += n
+            if snapshot_every and (done + i) % snapshot_every == 0:
+                pos, lo, hi = state.tolist()
+                snapshots.append(_snapshot(done + i, pos, lo, hi,
+                                           lt[lo + off:hi + off + 2].tolist()))
+        done += len(u)
+    return out.tolist(), snapshots
 
 
-def _simulate_reference(params, steps, seed):
+def _simulate_reference(params, steps, seed, snapshot_every):
     state = WalkState(alpha=params.alpha, beta=params.beta)
     draws = UniformBlocks(seed)
     positions = [0]
-    for _ in range(steps):
+    snapshots = []
+    for k in range(1, steps + 1):
         step(state, draws.next())
         positions.append(state.pos)
-    return positions
+        if snapshot_every and k % snapshot_every == 0:
+            lo, hi = state.min_site, state.max_site
+            counts = [state.lt(j) for j in range(lo, hi + 2)]
+            snapshots.append(_snapshot(k, state.pos, lo, hi, counts))
+    return positions, snapshots
 
 
 def simulate(params: Params, steps: int, seed: int,
              snapshot_every: int = 0, engine: str = "fast") -> Trajectory:
     """Run one trajectory, deterministic in (params, steps, seed).
 
-    ``engine="reference"`` uses the WalkState stepper; both engines consume
-    the same Philox stream and produce identical paths.
+    ``engine="fast"`` runs the compiled kernel of ``_kernel`` and falls
+    back to the WalkState stepper (``engine="reference"``) when no kernel
+    can be built; both consume the same Philox stream and produce
+    identical paths and snapshots.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    if engine == "fast":
-        positions, snapshots = _simulate_fast(params, steps, seed, snapshot_every)
-    elif engine == "reference":
-        positions, snapshots = _simulate_reference(params, steps, seed), []
-    else:
+    if snapshot_every < 0:
+        raise ValueError(f"snapshot_every must be >= 0, got {snapshot_every}")
+    if engine not in ("fast", "reference"):
         raise ValueError(f"unknown walk engine {engine!r}")
+    from . import _kernel  # here, so that importing walk loads no kernel
+
+    kernel = _kernel.load() if engine == "fast" else None
+    if kernel is not None:
+        positions, snapshots = _simulate_kernel(kernel, params, steps, seed,
+                                                snapshot_every)
+    else:
+        positions, snapshots = _simulate_reference(params, steps, seed,
+                                                   snapshot_every)
     return Trajectory(positions=positions, seed=seed, params=params,
                       snapshots=snapshots)
 

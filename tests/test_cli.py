@@ -156,3 +156,51 @@ def test_rubin_simulate_with_ty_out(tmp_path):
     assert rc == 0
     ty = json.loads(ty_path.read_text())["ty"]
     assert all("tail_fraction" in rec for rec in ty.values())
+
+
+def test_verify_walk_suite(tmp_path, capsys):
+    out = tmp_path / "v.json"
+    rc = run(["verify", "--suite", "walk", "--seed", "3", "--out", str(out)])
+    assert rc == 0
+    assert "walk: PASS" in capsys.readouterr().out
+    assert json.loads(out.read_text())["walk_local_times_ok"] is True
+
+
+@pytest.mark.parametrize("command, text, named", [
+    ("linsys", "alpha = 2\nalpah = 2\nK = 1\n", "unknown config key 'alpah'"),
+    ("linsys", "alpha = 2\nK = 1.5\n", "K = '1.5' is not a valid int"),
+    ("simulate", "alpha = 2\nbeta = 1\nsteps = 1e5\nseed = 1\n",
+     "steps = '1e5' is not a valid int"),
+])
+def test_config_file_bad_key_or_value_is_usage_error(tmp_path, capsys,
+                                                     command, text, named):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(text)
+    assert run([command, "--config", str(cfg)]) == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows, lineno", [
+    ("0,1\n1,2\n", 2),           # does not start at 0
+    ("0,0\n1,1\n2,3\n", 4),      # a step of +2
+    ("0,0\n1,1\n2,1\n", 4),      # a step of 0
+    ("0,0\n1,x\n", 3),           # unparsable position
+    ("0,0\n1,1,0\n", 3),         # extra field
+    ("0,0\n1\n", 3),             # missing field
+])
+def test_analyze_rejects_malformed_trajectory(tmp_path, capsys, rows, lineno):
+    path = tmp_path / "bad.csv"
+    path.write_text("step,position\n" + rows)
+    rc = run(["analyze", "--in", str(path), "--alpha", "2", "--beta", "1"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{path}:{lineno}:" in captured.err
+
+
+def test_analyze_rejects_empty_trajectory(tmp_path, capsys):
+    path = tmp_path / "empty.csv"
+    path.write_text("# comment\nstep,position\n")
+    assert run(["analyze", "--in", str(path), "--alpha", "2",
+                "--beta", "1"]) == 1
+    assert "no trajectory rows" in capsys.readouterr().err

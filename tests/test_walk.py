@@ -1,9 +1,17 @@
+import ctypes
 import math
+import os
+import shutil
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stuckwalk import walk
+import stuckwalk
+from stuckwalk import _kernel, walk
+from stuckwalk.cli import parse_and_dispatch
 from stuckwalk.errors import CapacityError
 from stuckwalk.spectrum import Params
 
@@ -74,6 +82,13 @@ def test_simulate_zero_steps():
     assert traj.positions == [0]
 
 
+def test_simulate_rejects_negative_arguments():
+    with pytest.raises(ValueError):
+        walk.simulate(P21, -1, seed=1)
+    with pytest.raises(ValueError):
+        walk.simulate(P21, 10, seed=1, snapshot_every=-5)
+
+
 def test_simulate_deterministic():
     a = walk.simulate(P21, 10, seed=12345)
     b = walk.simulate(P21, 10, seed=12345)
@@ -84,6 +99,136 @@ def test_engines_agree():
     a = walk.simulate(P21, 3000, seed=99, engine="fast")
     b = walk.simulate(P21, 3000, seed=99, engine="reference")
     assert a.positions == b.positions
+
+
+@given(alpha=st.sampled_from([2.0, 0.8, 0.45, 0.36]),
+       beta=st.floats(min_value=0.01, max_value=30.0),
+       steps=st.sampled_from([1, 4999, 16383, 16384, 16385, 40001])
+       | st.integers(min_value=0, max_value=3000),
+       seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
+       period=st.sampled_from([0, 977, 16384, None]))
+@settings(max_examples=40, deadline=None)
+def test_kernel_matches_reference(alpha, beta, steps, seed, period):
+    # None: about 50 snapshots, one per step on short walks
+    snapshot_every = max(1, steps // 50) if period is None else period
+    params = Params.make(alpha, beta)
+    a = walk.simulate(params, steps, seed, snapshot_every=snapshot_every,
+                      engine="fast")
+    b = walk.simulate(params, steps, seed, snapshot_every=snapshot_every,
+                      engine="reference")
+    assert a.positions == b.positions
+    assert a.snapshots == b.snapshots
+
+
+# ------------------------------------------------------------ kernel build
+
+needs_cc = pytest.mark.skipif(shutil.which(_kernel.COMPILER) is None,
+                              reason="no C compiler on PATH")
+
+
+@needs_cc
+@given(alpha=st.sampled_from([2.0, 0.8, 0.45, 0.36])
+       | st.floats(min_value=0.34, max_value=3.0),
+       beta=st.floats(min_value=0.01, max_value=30.0),
+       lts=st.lists(st.integers(min_value=0, max_value=10 ** 6),
+                    min_size=4, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_kernel_step_probability_is_bit_identical(alpha, beta, lts):
+    # u == p must step left and the next double below p must step right,
+    # which pins the kernel's p to the last bit of step_prob_right
+    state = walk.WalkState(alpha=alpha, beta=beta,
+                           edge_lt=dict(zip((-1, 0, 1, 2), lts)))
+    p = walk.step_prob_right(state)
+    kernel = _kernel.load()
+    lt = np.array([0, 0, *lts, 0, 0], dtype=np.int64)
+    for u, expected in ((p, -1), (math.nextafter(p, -1.0), 1)):
+        if u < 0.0:
+            continue
+        draws = np.array([u])
+        pos = np.zeros(3, dtype=np.int64)
+        out = np.zeros(1, dtype=np.int64)
+        kernel(alpha, 2.0 * beta, lt.ctypes.data + 8 * 3, draws.ctypes.data,
+               1, pos.ctypes.data, out.ctypes.data)
+        assert out[0] == expected, (p, u)
+
+
+@pytest.fixture
+def empty_cache(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    _kernel.load.cache_clear()
+    yield tmp_path / "stuckwalk"
+    _kernel.load.cache_clear()
+
+
+@needs_cc
+def test_kernel_builds_and_loads(empty_cache):
+    # a broken build would otherwise only show as the fallback's slowdown
+    assert _kernel.load() is not None
+    assert [p.suffix for p in empty_cache.iterdir()] == [".so"]
+
+
+def test_failed_build_warns_and_falls_back(empty_cache, tmp_path,
+                                           monkeypatch):
+    fake = tmp_path / "bin" / _kernel.COMPILER
+    fake.parent.mkdir()
+    fake.write_text("#!/bin/sh\necho broken >&2\nexit 1\n")
+    fake.chmod(0o755)
+    monkeypatch.setenv("PATH", str(fake.parent))
+    with pytest.warns(RuntimeWarning, match="walk kernel"):
+        assert _kernel.load() is None
+    assert list(empty_cache.iterdir()) == []
+
+
+def _cli_bytes(tmp_path, tag):
+    out = tmp_path / f"{tag}.csv"
+    agg = tmp_path / f"{tag}.json"
+    assert parse_and_dispatch([
+        "simulate", "--alpha", "0.8", "--beta", "1", "--steps", "20000",
+        "--seed", "5", "--snapshot-every", "7000", "--out", str(out)]) == 0
+    assert parse_and_dispatch([
+        "batch", "--alpha", "2", "--beta", "1", "--steps", "2000",
+        "--runs", "3", "--seed", "5", "--out", str(agg)]) == 0
+    return [p.read_bytes() for p in
+            (out, tmp_path / f"{tag}.csv.snapshots.json", agg)]
+
+
+def test_fallback_gives_same_bytes(tmp_path, monkeypatch):
+    compiled = _cli_bytes(tmp_path, "kernel")
+    monkeypatch.setattr(_kernel, "load", lambda: None)
+    assert _cli_bytes(tmp_path, "fallback") == compiled
+
+
+def _env_with_src(**extra):
+    src = os.path.dirname(os.path.dirname(stuckwalk.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+def test_import_builds_no_kernel(tmp_path):
+    code = ("import sys, stuckwalk.cli, stuckwalk.mc\n"
+            "assert 'stuckwalk._kernel' not in sys.modules\n")
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
+                   env=_env_with_src(XDG_CACHE_HOME=str(tmp_path)))
+    assert list(tmp_path.iterdir()) == []
+
+
+@needs_cc
+def test_concurrent_cold_builds(tmp_path):
+    env = _env_with_src(XDG_CACHE_HOME=str(tmp_path))
+    code = ("from stuckwalk import _kernel, walk, spectrum\n"
+            "assert _kernel.load() is not None\n"
+            "p = spectrum.Params.make(2.0, 1.0)\n"
+            "print(walk.simulate(p, 3000, 99).positions[-1])\n")
+    procs = [subprocess.Popen([sys.executable, "-c", code], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+             for _ in range(2)]
+    results = [p.communicate(timeout=120) for p in procs]
+    assert [p.returncode for p in procs] == [0, 0], results
+    expected = walk.simulate(P21, 3000, 99, engine="reference").positions[-1]
+    assert [int(out) for out, _ in results] == [expected, expected]
+    files = list((tmp_path / "stuckwalk").iterdir())
+    assert len(files) == 1 and files[0].suffix == ".so"
+    assert ctypes.CDLL(str(files[0])).stuck_walk_steps
 
 
 def test_simulate_range_stays_small():
