@@ -24,15 +24,23 @@ SOURCE = r"""
 
 #define SAT 40.0
 
-/* Advance the walk n steps.  lt points at edge 0 of the local-time
-   array (lt[j] is the local time of edge {j-1, j}; the caller sizes it
-   so that every index reached is in bounds).  state = {pos, lo, hi} is
-   read and written back; out[k] receives the position after step k. */
-void stuck_walk_steps(double alpha, double tb, int64_t *lt, const double *u,
-                      int64_t n, int64_t *state, int64_t *out)
+/* Advance the walk up to n steps and return the number taken.  lt
+   points at edge 0 of the local-time array (lt[j] is the local time of
+   edge {j-1, j}).  state = {pos, lo, hi, first, last}: the position and
+   the visited range, read and written back, and the lowest and highest
+   edge index the array holds, read only.  A step reads edges pos-1 to
+   pos+2, so the caller keeps first <= lo-1 and hi+2 <= last; the walk
+   stops early, right after the step that sets a new lo or hi which
+   breaks that, and the caller widens the array.  out[k] receives the
+   position after step k unless out is NULL. */
+int64_t stuck_walk_steps(double alpha, double tb, int64_t *lt,
+                         const double *u, int64_t n, int64_t *state,
+                         int64_t *out)
 {
     int64_t pos = state[0], lo = state[1], hi = state[2];
-    for (int64_t k = 0; k < n; k++) {
+    const int64_t first = state[3], last = state[4];
+    int64_t k;
+    for (k = 0; k < n; k++) {
         int64_t *l = lt + pos;
         double delta = ((-alpha * (double)l[-1] + (double)l[0])
                         - (double)l[1]) + alpha * (double)l[2];
@@ -47,19 +55,27 @@ void stuck_walk_steps(double alpha, double tb, int64_t *lt, const double *u,
         if (u[k] < p) {
             l[1] += 1;
             pos += 1;
-            if (pos > hi)
+            if (pos > hi) {
                 hi = pos;
+                if (hi + 2 > last)
+                    n = k + 1;
+            }
         } else {
             l[0] += 1;
             pos -= 1;
-            if (pos < lo)
+            if (pos < lo) {
                 lo = pos;
+                if (lo - 1 < first)
+                    n = k + 1;
+            }
         }
-        out[k] = pos;
+        if (out)
+            out[k] = pos;
     }
     state[0] = pos;
     state[1] = lo;
     state[2] = hi;
+    return k;
 }
 """
 
@@ -126,5 +142,5 @@ def load():
     fn.argtypes = [ctypes.c_double, ctypes.c_double, ctypes.c_void_p,
                    ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
                    ctypes.c_void_p]
-    fn.restype = None
+    fn.restype = ctypes.c_int64
     return fn

@@ -7,6 +7,7 @@ with the closed-form candidate profile of matching window size.
 """
 
 from dataclasses import dataclass
+import functools
 import math
 
 import numpy as np
@@ -52,71 +53,75 @@ class RunSummary:
         }
 
 
-def _edge_counts(positions, start, stop):
-    """Crossing counts per edge index j (edge {j-1, j}) over steps
-    start..stop-1 of the position sequence."""
-    pos = np.asarray(positions[start:stop + 1], dtype=np.int64)
-    edges = np.maximum(pos[:-1], pos[1:])
-    counts = {}
-    for j, c in zip(*np.unique(edges, return_counts=True)):
-        counts[int(j)] = int(c)
-    return counts
+def _stream(lt, i, alpha):
+    """Delta(j) from a list of edge local times in which lt[i] is the
+    local time of edge {j-1, j}; the arithmetic of ``walk.local_stream``."""
+    return -alpha * lt[i - 1] + lt[i] - lt[i + 1] + alpha * lt[i + 2]
 
 
-def _total_edge_lt(positions):
-    return _edge_counts(positions, 0, len(positions) - 1)
-
-
-def _stream(lt, j, alpha):
-    g = lt.get
-    return -alpha * g(j - 1, 0) + g(j, 0) - g(j + 1, 0) + alpha * g(j + 2, 0)
+def tail_start(steps: int, tail_fraction: float) -> int:
+    """First step count of the tail that ``detect_localization`` reads."""
+    if not 0.0 < tail_fraction < 1.0:
+        raise ValueError(f"tail_fraction must be in (0,1), got {tail_fraction}")
+    return steps - int(steps * tail_fraction)
 
 
 def detect_localization(traj: Trajectory, tail_fraction: float = 0.5) -> RunSummary:
     """Estimate the localization window from the final tail of a run.
 
     The window is the set of sites visited during the last ``tail_fraction``
-    of the steps; the run counts as localized when that set is an interval
-    each of whose sites is visited at least tail_len/(10*size) times.  The
-    profile is built from edge local-time increments over the tail only.
+    of the steps; the run counts as localized when each of its sites is
+    visited at least tail_len/(10*size) times.  The profile is built from
+    edge local-time increments over the tail only.
+
+    Everything comes from the Stops at the tail start t0 and at the end:
+    with e(j) the tail crossings of edge {j-1, j}, site j is visited
+    (e(j) + e(j+1) + 1{X_t0 = j} + 1{X_end = j}) / 2 times in the tail.
+    A path-free trajectory must have recorded both Stops.
     """
     steps = traj.steps
     if steps < MIN_TRAJECTORY:
         raise TooShort(
             f"need >= {MIN_TRAJECTORY} steps, got {steps}")
-    if not 0.0 < tail_fraction < 1.0:
-        raise ValueError(f"tail_fraction must be in (0,1), got {tail_fraction}")
-    pos = traj.positions
-    t0 = steps - int(steps * tail_fraction)
-    tail = np.asarray(pos[t0:], dtype=np.int64)
-    tail_len = len(tail) - 1
-    visited = np.unique(tail)
-    a, b = int(visited[0]), int(visited[-1])
+    t0 = tail_start(steps, tail_fraction)
+    start, end = traj.stops_at([t0, steps])
+    lo, hi = end.lo, end.hi
+    crossings = end.lt - start.lt_over(lo, hi + 1)      # edges lo..hi+1
+    twice = crossings[:-1] + crossings[1:]              # sites lo..hi
+    twice[start.pos - lo] += 1
+    twice[end.pos - lo] += 1
+    visits = twice // 2
+    seen = np.flatnonzero(visits)
+    a, b = lo + int(seen[0]), lo + int(seen[-1])
     size = b - a + 1
-    threshold = tail_len / (SUSTAIN_DIVISOR * size)
-    is_interval = len(visited) == size
-    localized = is_interval
-    if is_interval:
-        counts = np.bincount(tail - a, minlength=size)
-        localized = bool(np.all(counts >= threshold))
+    threshold = (steps - t0) / (SUSTAIN_DIVISOR * size)
+    localized = bool(np.all(visits[a - lo:b - lo + 1] >= threshold))
 
-    edge_tail = _edge_counts(pos, t0, steps)
-    inner = [edge_tail.get(j, 0) for j in range(a + 1, b + 1)]
+    inner = crossings[a + 1 - lo:b + 1 - lo].tolist()   # edges a+1..b
     total = sum(inner)
     profile = [c / total for c in inner] if total else [0.0] * len(inner)
 
-    lt_final = _total_edge_lt(pos)
-    alpha = traj.params.alpha if traj.params else None
     stream_rate = {}
-    if alpha is not None:
+    if traj.params is not None:
+        lt_final = end.lt.tolist()
         for j in range(a + 1, b):
-            stream_rate[j] = abs(_stream(lt_final, j, alpha)) / steps
+            stream_rate[j] = abs(_stream(lt_final, j - lo,
+                                         traj.params.alpha)) / steps
 
     return RunSummary(
         window=(a, b), size=size, localized=localized,
         profile=profile, deviation=float("nan"), stream_rate=stream_rate,
-        range_final=(min(pos), max(pos)), seed=traj.seed,
+        range_final=(lo, hi), seed=traj.seed,
         tail_fraction=tail_fraction, sustain_threshold=threshold)
+
+
+@functools.lru_cache(maxsize=64)
+def _closed_profile(K: int, alpha: float) -> np.ndarray:
+    """Interior edges of the closed-form profile; read-only, shared by
+    every run of a batch."""
+    target = np.asarray(solve_closed(K, alpha).l[1:K + 2])
+    target.setflags(write=False)
+    return target
 
 
 def compare_profile(summary: RunSummary, params: Params) -> RunSummary:
@@ -133,7 +138,7 @@ def compare_profile(summary: RunSummary, params: Params) -> RunSummary:
             "no closed-form profile")
     if K < 0:
         raise NoTheory(f"window size {summary.size} too small to compare")
-    target = solve_closed(K, params.alpha).l[1:K + 2]
+    target = _closed_profile(K, params.alpha)
     prof = np.asarray(summary.profile)
     if len(prof) != len(target):
         raise NoTheory(
@@ -145,28 +150,22 @@ def compare_profile(summary: RunSummary, params: Params) -> RunSummary:
 def stream_decay(traj: Trajectory, checkpoints) -> dict:
     """|Delta_k(j)|/k at the given step counts, for each interior site of
     the detected window (all visited sites if detection is not possible)."""
-    pos = traj.positions
     steps = traj.steps
     cps = sorted({int(c) for c in checkpoints if 1 <= int(c) <= steps})
     try:
-        summ = detect_localization(traj)
-        a, b = summ.window
-        sites = list(range(a + 1, b))
+        a, b = detect_localization(traj).window
     except TooShort:
-        sites = list(range(min(pos) + 1, max(pos)))
-    if not sites:
-        sites = [0]
+        end, = traj.stops_at([steps])
+        a, b = end.lo, end.hi
+    sites = list(range(a + 1, b)) or [0]
+    first = sites[0] - 1
     series = {j: [] for j in sites}
-    lt = {}
-    prev = 0
-    for k in cps:
-        for m in range(prev, k):
-            j = max(pos[m], pos[m + 1])
-            lt[j] = lt.get(j, 0) + 1
-        prev = k
-        alpha = traj.params.alpha
+    for stop in traj.stops_at(cps):
+        lt = stop.lt_over(first, sites[-1] + 2).tolist()
         for j in sites:
-            series[j].append((k, abs(_stream(lt, j, alpha)) / k))
+            series[j].append((stop.step, abs(_stream(lt, j - first,
+                                                     traj.params.alpha))
+                              / stop.step))
     return series
 
 

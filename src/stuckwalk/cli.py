@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 runtime error, 2 usage error.
 
 import argparse
 import json
+import math
 import sys
 
 from . import __version__
@@ -26,8 +27,21 @@ def _metadata(config: dict) -> dict:
             "config": config}
 
 
+def _finite_or_null(value):
+    """``value`` with every non-finite float (NaN, inf) replaced by None,
+    which JSON writes as null; bare NaN or Infinity is not valid JSON."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def _emit_json(payload: dict, out_path):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(_finite_or_null(payload), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)

@@ -10,7 +10,8 @@ order-sensitive floating-point accumulation.
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .analysis import batch_stats, compare_profile, detect_localization
+from .analysis import (batch_stats, compare_profile, detect_localization,
+                       tail_start)
 from .errors import StuckWalkError
 from .rng import derive_seed
 from .spectrum import Params
@@ -50,18 +51,24 @@ class BatchResult:
 
 
 def _run_one(config: BatchConfig, index: int):
-    """Simulate + analyze a single run.  Top-level so it pickles."""
+    """Simulate + analyze a single run.  Top-level so it pickles.
+
+    A direct run keeps no path: it stops after step 1, at the tail start
+    and at the end, which is all the analysis reads.
+    """
     seed = derive_seed(config.master_seed, index)
     try:
         if config.engine == "rubin":
             from .rubin import simulate_rubin
             traj, _bank = simulate_rubin(config.params, config.steps, seed)
         else:
-            traj = simulate(config.params, config.steps, seed)
+            t0 = tail_start(config.steps, config.tail_fraction)
+            traj = simulate(config.params, config.steps, seed,
+                            stops=(1, t0, config.steps), keep_path=False)
         summary = detect_localization(traj, config.tail_fraction)
         if summary.localized and 0 <= summary.size - 2 <= config.params.L + 1:
             compare_profile(summary, config.params)
-        first_right = 1 if traj.positions[1] == 1 else 0
+        first_right = 1 if traj.stops_at([1])[0].pos == 1 else 0
         return index, seed, summary, first_right, None
     except StuckWalkError as exc:
         return index, seed, None, 0, f"{type(exc).__name__}: {exc}"
@@ -102,28 +109,6 @@ def run_batch(config: BatchConfig) -> BatchResult:
                        first_step_right=first_right)
 
 
-def _range_prefix(positions, checkpoints):
-    """Visited range (min, max) after each checkpoint step count."""
-    out = []
-    lo = hi = 0
-    it = iter(sorted(checkpoints))
-    nxt = next(it)
-    for k, p in enumerate(positions):
-        if p < lo:
-            lo = p
-        elif p > hi:
-            hi = p
-        while k == nxt:
-            out.append((lo, hi))
-            nxt = next(it, None)
-            if nxt is None:
-                return out
-    while nxt is not None:
-        out.append((lo, hi))
-        nxt = next(it, None)
-    return out
-
-
 def range_saturation(config: BatchConfig, checkpoints) -> dict:
     """Fraction of runs whose visited range stops growing between the last
     two checkpoints."""
@@ -135,8 +120,9 @@ def range_saturation(config: BatchConfig, checkpoints) -> dict:
     per_run = []
     for i in range(config.runs):
         seed = derive_seed(config.master_seed, i)
-        traj = simulate(config.params, max(cps[-1], 1000), seed)
-        ranges = _range_prefix(traj.positions, cps)
+        traj = simulate(config.params, cps[-1], seed, stops=cps,
+                        keep_path=False)
+        ranges = [(s.lo, s.hi) for s in traj.stops_at(cps)]
         is_frozen = ranges[-1] == ranges[-2]
         frozen += is_frozen
         total += 1

@@ -61,24 +61,3 @@ def keyed_std_exponential(seed: int, *words: int) -> float:
     """Standard exponential via inverse CDF of the keyed uniform."""
     return -log(keyed_uniform(seed, *words))
 
-
-class UniformBlocks:
-    """Sequential uniform(0,1) draws from Philox, fetched in blocks.
-
-    Consumes the generator stream exactly like repeated scalar
-    ``Generator.random()`` calls, but amortizes the call overhead.
-    """
-
-    def __init__(self, seed: int, block: int = BLOCK):
-        self._gen = philox(seed)
-        self._block = block
-        self._buf = []
-        self._i = 0
-
-    def next(self) -> float:
-        if self._i == len(self._buf):
-            self._buf = self._gen.random(self._block).tolist()
-            self._i = 0
-        u = self._buf[self._i]
-        self._i += 1
-        return u

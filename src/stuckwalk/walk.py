@@ -18,7 +18,7 @@ from math import exp
 import numpy as np
 
 from .errors import CapacityError
-from .rng import BLOCK, UniformBlocks, philox
+from .rng import BLOCK, philox
 from .spectrum import Params
 
 _SAT = 40.0  # |2 beta Delta| beyond which the logistic saturates in double
@@ -88,102 +88,225 @@ def step(state: WalkState, u: float) -> WalkState:
 
 
 @dataclass
+class Stop:
+    """The walk after ``step`` steps: its position, its visited range
+    [lo, hi] and the local times ``lt`` of edges lo..hi+1 (int64 array)."""
+
+    step: int
+    pos: int
+    lo: int
+    hi: int
+    lt: np.ndarray
+
+    def lt_over(self, first: int, last: int) -> np.ndarray:
+        """Local times of edges first..last; edges outside lo..hi+1 are 0."""
+        out = np.zeros(last - first + 1, dtype=np.int64)
+        a, b = max(first, self.lo), min(last, self.hi + 1)
+        if a <= b:
+            out[a - first:b - first + 1] = self.lt[a - self.lo:b - self.lo + 1]
+        return out
+
+    def snapshot(self) -> dict:
+        return {
+            "step": self.step,
+            "pos": self.pos,
+            "edge_local_times": {
+                str(j): c for j, c in zip(range(self.lo, self.hi + 2),
+                                          self.lt.tolist()) if c},
+            "range": [self.lo, self.hi],
+        }
+
+
+@dataclass
 class Trajectory:
+    """One run.  ``positions`` is the path X_0..X_n, or None when the run
+    kept no path; ``stops`` maps step counts to the Stops recorded during
+    the run."""
+
     positions: list
     seed: int
     params: Params
     snapshots: list = field(default_factory=list)
+    stops: dict = field(default_factory=dict)
+    steps: int = None
 
-    @property
-    def steps(self) -> int:
-        return len(self.positions) - 1
+    def __post_init__(self):
+        if self.steps is None:
+            self.steps = len(self.positions) - 1
+
+    def stops_at(self, ks) -> list:
+        """The Stops after each step count in ``ks``: recorded ones, or
+        computed from the path when the run kept it."""
+        if any(not 0 <= k <= self.steps for k in ks):
+            raise ValueError(f"stops must lie in [0, {self.steps}], got {ks}")
+        if self.positions is not None:
+            return stops_from_path(self.positions, ks)
+        missing = [k for k in ks if k not in self.stops]
+        if missing:
+            raise ValueError(f"the run kept no path and recorded no stop at "
+                             f"step {missing[0]}")
+        return [self.stops[k] for k in ks]
 
 
-def _snapshot(step_no, pos, lo, hi, counts):
-    """Snapshot record; ``counts`` are the local times of edges lo..hi+1."""
-    return {
-        "step": step_no,
-        "pos": pos,
-        "edge_local_times": {str(j): c
-                             for j, c in zip(range(lo, hi + 2), counts) if c},
-        "range": [lo, hi],
-    }
+def stops_from_path(positions, ks) -> list:
+    """The Stops after each step count in ``ks`` (each within the path),
+    with the local times of all of them from one ``np.bincount``."""
+    marks = sorted(set(ks))
+    if not marks:
+        return []
+    pos = np.asarray(positions[:marks[-1] + 1], dtype=np.int64)
+    lows = np.minimum.accumulate(pos)[marks].tolist()
+    highs = np.maximum.accumulate(pos)[marks].tolist()
+    lo, hi = lows[-1], highs[-1]
+    width = hi - lo + 2                     # edges lo..hi+1
+    # step m+1 crosses edge max(X_m, X_m+1) and counts from the first
+    # mark at or after it on
+    segment = np.repeat(np.arange(len(marks)), np.diff(marks, prepend=0))
+    edges = np.maximum(pos[:-1], pos[1:]) - lo + width * segment
+    lt = np.bincount(edges, minlength=width * len(marks)).reshape(
+        len(marks), width).cumsum(axis=0)
+    by_step = {k: Stop(k, int(pos[k]), a, b, lt[i, a - lo:b - lo + 2])
+               for i, (k, a, b) in enumerate(zip(marks, lows, highs))}
+    return [by_step[k] for k in ks]
 
 
-def _simulate_kernel(kernel, params, steps, seed, snapshot_every):
-    """Drive the compiled kernel over Philox blocks, split at snapshots."""
-    off = steps + 2
-    lt = np.zeros(2 * steps + 5, dtype=np.int64)
-    out = np.zeros(steps + 1, dtype=np.int64)
-    state = np.zeros(3, dtype=np.int64)  # pos, lo, hi
-    lt_origin = lt.ctypes.data + 8 * off
-    out_addr = out.ctypes.data
-    state_addr = state.ctypes.data
-    alpha, tb = params.alpha, 2.0 * params.beta
+_WINDOW0 = 64  # edges in the kernel's first local-time array
+
+
+class _KernelWalk:
+    """The compiled kernel with a local-time array over a window of edges
+    that doubles, recentred on the visited range, whenever the walker
+    reaches its edge; memory grows with the range, not the step count."""
+
+    def __init__(self, kernel, params, steps, keep_path):
+        self.kernel = kernel
+        self.alpha, self.tb = params.alpha, 2.0 * params.beta
+        self.state = np.array([0, 0, 0, 0, 1], dtype=np.int64)
+        self.state_addr = self.state.ctypes.data
+        self.lt = np.zeros(2, dtype=np.int64)   # edges lo..hi+1 = 0..1
+        self._resize(_WINDOW0)
+        self.out = np.zeros(steps + 1, dtype=np.int64) if keep_path else None
+        self.done = 0
+
+    def _resize(self, size):
+        _, lo, hi, first, _ = self.state.tolist()
+        need = hi - lo + 4                      # edges lo-1..hi+2
+        while size < need:
+            size *= 2
+        new_first = lo - 1 - (size - need) // 2
+        lt = np.zeros(size, dtype=np.int64)
+        lt[lo - new_first:hi + 2 - new_first] = \
+            self.lt[lo - first:hi + 2 - first]
+        self.lt = lt
+        self.state[3:] = new_first, new_first + size - 1
+        self.origin = lt.ctypes.data - 8 * new_first   # address of edge 0
+
+    def advance(self, u, i, n):
+        u_addr = u.ctypes.data
+        while n:
+            out = (None if self.out is None
+                   else self.out.ctypes.data + 8 * (self.done + 1))
+            k = self.kernel(self.alpha, self.tb, self.origin, u_addr + 8 * i,
+                            n, self.state_addr, out)
+            i += k
+            n -= k
+            self.done += k
+            _, lo, hi, first, last = self.state.tolist()
+            if lo - 1 < first or hi + 2 > last:
+                self._resize(2 * len(self.lt))
+
+    def record(self, step_no):
+        pos, lo, hi, first, _ = self.state.tolist()
+        return Stop(step_no, pos, lo, hi,
+                    self.lt[lo - first:hi + 2 - first].copy())
+
+    def path(self):
+        return None if self.out is None else self.out.tolist()
+
+
+class _ReferenceWalk:
+    """The WalkState stepper behind the same interface."""
+
+    def __init__(self, params, keep_path):
+        self.state = WalkState(alpha=params.alpha, beta=params.beta)
+        self.positions = [0] if keep_path else None
+
+    def advance(self, u, i, n):
+        state = self.state
+        for x in u[i:i + n].tolist():
+            step(state, x)
+            if self.positions is not None:
+                self.positions.append(state.pos)
+
+    def record(self, step_no):
+        s = self.state
+        lo, hi = s.min_site, s.max_site
+        return Stop(step_no, s.pos, lo, hi,
+                    np.array([s.lt(j) for j in range(lo, hi + 2)],
+                             dtype=np.int64))
+
+    def path(self):
+        return self.positions
+
+
+def _drive(walker, steps, seed, marks):
+    """Walk ``steps`` steps on the Philox stream of ``seed``, in segments
+    that end at each step count of ``marks`` (sorted, within 0..steps),
+    and return the Stops recorded there by step count."""
     gen = philox(seed)
-    snapshots = []
-    done = 0
-    while done < steps:
-        # the stream prefix of random(n) does not depend on n, so the last
-        # block is drawn short
-        u = gen.random(min(BLOCK, steps - done))
-        i = 0
-        while i < len(u):
-            n = len(u) - i
-            if snapshot_every:
-                n = min(n, snapshot_every - (done + i) % snapshot_every)
-            kernel(alpha, tb, lt_origin, u.ctypes.data + 8 * i, n,
-                   state_addr, out_addr + 8 * (done + i + 1))
+    u, i, done = np.empty(0), 0, 0
+    records = {}
+    for j, target in enumerate([*marks, steps]):
+        while done < target:
+            if i == len(u):
+                # the stream prefix of random(n) does not depend on n, so
+                # the last block is drawn short
+                u, i = gen.random(min(BLOCK, steps - done)), 0
+            n = min(len(u) - i, target - done)
+            walker.advance(u, i, n)
             i += n
-            if snapshot_every and (done + i) % snapshot_every == 0:
-                pos, lo, hi = state.tolist()
-                snapshots.append(_snapshot(done + i, pos, lo, hi,
-                                           lt[lo + off:hi + off + 2].tolist()))
-        done += len(u)
-    return out.tolist(), snapshots
-
-
-def _simulate_reference(params, steps, seed, snapshot_every):
-    state = WalkState(alpha=params.alpha, beta=params.beta)
-    draws = UniformBlocks(seed)
-    positions = [0]
-    snapshots = []
-    for k in range(1, steps + 1):
-        step(state, draws.next())
-        positions.append(state.pos)
-        if snapshot_every and k % snapshot_every == 0:
-            lo, hi = state.min_site, state.max_site
-            counts = [state.lt(j) for j in range(lo, hi + 2)]
-            snapshots.append(_snapshot(k, state.pos, lo, hi, counts))
-    return positions, snapshots
+            done += n
+        if j < len(marks):
+            records[target] = walker.record(target)
+    return records
 
 
 def simulate(params: Params, steps: int, seed: int,
-             snapshot_every: int = 0, engine: str = "fast") -> Trajectory:
+             snapshot_every: int = 0, engine: str = "fast", stops=(),
+             keep_path: bool = True) -> Trajectory:
     """Run one trajectory, deterministic in (params, steps, seed).
+
+    The walk records a Stop after each step count in ``stops`` (kept in
+    ``Trajectory.stops``) and a snapshot after each multiple of
+    ``snapshot_every``.  With ``keep_path=False`` the trajectory has no
+    position path and the run's memory grows with the visited range only.
 
     ``engine="fast"`` runs the compiled kernel of ``_kernel`` and falls
     back to the WalkState stepper (``engine="reference"``) when no kernel
     can be built; both consume the same Philox stream and produce
-    identical paths and snapshots.
+    identical paths, stops and snapshots.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     if snapshot_every < 0:
         raise ValueError(f"snapshot_every must be >= 0, got {snapshot_every}")
+    if any(not 0 <= k <= steps for k in stops):
+        raise ValueError(f"stops must lie in [0, {steps}], got {stops}")
     if engine not in ("fast", "reference"):
         raise ValueError(f"unknown walk engine {engine!r}")
     from . import _kernel  # here, so that importing walk loads no kernel
 
     kernel = _kernel.load() if engine == "fast" else None
     if kernel is not None:
-        positions, snapshots = _simulate_kernel(kernel, params, steps, seed,
-                                                snapshot_every)
+        walker = _KernelWalk(kernel, params, steps, keep_path)
     else:
-        positions, snapshots = _simulate_reference(params, steps, seed,
-                                                   snapshot_every)
-    return Trajectory(positions=positions, seed=seed, params=params,
-                      snapshots=snapshots)
+        walker = _ReferenceWalk(params, keep_path)
+    snap_steps = range(snapshot_every, steps + 1, snapshot_every) \
+        if snapshot_every else range(0)
+    records = _drive(walker, steps, seed, sorted({*stops, *snap_steps}))
+    return Trajectory(positions=walker.path(), seed=seed, params=params,
+                      snapshots=[records[k].snapshot() for k in snap_steps],
+                      stops={k: records[k] for k in stops}, steps=steps)
 
 
 MAX_EXACT_HORIZON = 14

@@ -204,3 +204,22 @@ def test_analyze_rejects_empty_trajectory(tmp_path, capsys):
     assert run(["analyze", "--in", str(path), "--alpha", "2",
                 "--beta", "1"]) == 1
     assert "no trajectory rows" in capsys.readouterr().err
+
+
+def _reject_constant(name):
+    raise ValueError(f"bare {name} is not JSON")
+
+
+def test_analyze_non_localized_output_is_strict_json(tmp_path):
+    # 1900 steps rocking on {0, 1}, then a ramp out to 10: the ramp's
+    # sites get one tail visit each, below the sustain threshold of 9
+    positions = [i % 2 for i in range(1900)] + list(range(2, 11))
+    csv = tmp_path / "walk.csv"
+    csv.write_text("step,position\n" + "".join(
+        f"{k},{p}\n" for k, p in enumerate(positions)))
+    out = tmp_path / "summary.json"
+    assert run(["analyze", "--in", str(csv), "--alpha", "2", "--beta", "1",
+                "--out", str(out)]) == 0
+    payload = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert payload["localized"] is False
+    assert payload["deviation"] is None

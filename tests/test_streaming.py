@@ -1,0 +1,188 @@
+"""Path-free runs: kernel stops, the growing local-time window, and the
+summaries built from stops instead of the position path."""
+
+import json
+import shutil
+import tracemalloc
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from stuckwalk import _kernel, analysis, mc, walk
+from stuckwalk.rng import BLOCK
+from stuckwalk.spectrum import Params
+
+P21 = Params.make(2.0, 1.0)
+
+needs_cc = pytest.mark.skipif(shutil.which(_kernel.COMPILER) is None,
+                              reason="no C compiler on PATH")
+
+
+def summary_from_path(traj, tail_fraction):
+    """The tail summary straight from the positions, without stops."""
+    pos = np.asarray(traj.positions)
+    steps = len(pos) - 1
+    t0 = steps - int(steps * tail_fraction)
+    tail = pos[t0:]
+    a, b = int(tail.min()), int(tail.max())
+    size = b - a + 1
+    threshold = (steps - t0) / (analysis.SUSTAIN_DIVISOR * size)
+    visits = np.bincount(tail - a, minlength=size)
+    edges = np.maximum(pos[:-1], pos[1:])
+    tail_edges = edges[t0:].tolist()
+    inner = [tail_edges.count(j) for j in range(a + 1, b + 1)]
+    total = sum(inner)
+    lt = walk.recount_local_times(traj.positions)
+    alpha = traj.params.alpha
+    stream_rate = {
+        str(j): abs(-alpha * lt.get(j - 1, 0) + lt.get(j, 0)
+                    - lt.get(j + 1, 0) + alpha * lt.get(j + 2, 0)) / steps
+        for j in range(a + 1, b)}
+    return {
+        "window": [a, b], "size": size,
+        "localized": bool(np.all(visits >= threshold)),
+        "profile": [c / total for c in inner] if total else [0.0] * len(inner),
+        "deviation": float("nan"), "stream_rate": stream_rate,
+        "range_final": [int(pos.min()), int(pos.max())],
+    }, threshold
+
+
+def check_streamed_equals_path(params, steps, seed, tail_fraction, engine):
+    t0 = analysis.tail_start(steps, tail_fraction)
+    streamed = walk.simulate(params, steps, seed, engine=engine,
+                             stops=(1, t0, steps), keep_path=False)
+    full = walk.simulate(params, steps, seed, engine=engine)
+    assert streamed.positions is None and streamed.steps == steps
+    s = analysis.detect_localization(streamed, tail_fraction)
+    f = analysis.detect_localization(full, tail_fraction)
+    oracle, threshold = summary_from_path(full, tail_fraction)
+    got = json.dumps([s.as_dict(), s.sustain_threshold], sort_keys=True)
+    assert got == json.dumps([f.as_dict(), f.sustain_threshold],
+                             sort_keys=True)
+    assert got == json.dumps([oracle, threshold], sort_keys=True)
+    assert streamed.stops[1].pos == full.positions[1]
+    return s
+
+
+@given(alpha=st.sampled_from([2.0, 0.8, 0.45, 0.36]),
+       beta=st.sampled_from([0.3, 1.0, 4.0]),
+       steps=st.sampled_from([1000, BLOCK - 1, BLOCK, BLOCK + 1,
+                              2 * BLOCK + 1, 40001])
+       | st.integers(min_value=1000, max_value=6000),
+       seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
+       tail_fraction=st.sampled_from([0.5, 0.3, 0.77, 0.999, 0.0004]),
+       engine=st.sampled_from(["fast", "reference"]),
+       window=st.sampled_from([walk._WINDOW0, 4]))
+@settings(max_examples=60, deadline=None)
+def test_streamed_summary_equals_path_summary(alpha, beta, steps, seed,
+                                              tail_fraction, engine, window):
+    with mock.patch.object(walk, "_WINDOW0", window):
+        check_streamed_equals_path(Params.make(alpha, beta), steps, seed,
+                                   tail_fraction, engine)
+
+
+def test_streamed_summary_of_non_localized_runs():
+    # about a quarter of 1500-step runs at alpha = 0.45 have settled
+    params = Params.make(0.45, 1.0)
+    localized = [check_streamed_equals_path(params, 1500, seed, 0.5,
+                                            "fast").localized
+                 for seed in range(30)]
+    assert not all(localized) and any(localized)
+
+
+def test_tail_start_off_block_boundary():
+    steps = 2 * BLOCK + 7
+    t0 = analysis.tail_start(steps, 0.5)
+    assert t0 % BLOCK
+    check_streamed_equals_path(P21, steps, 11, 0.5, "fast")
+    check_streamed_equals_path(P21, steps, 11, 0.5, "reference")
+
+
+def test_tiny_window_grows_many_times():
+    params = Params.make(0.36, 1.0)
+    resizes = []
+    resize = walk._KernelWalk._resize
+
+    def counting(self, size):
+        resizes.append(size)
+        resize(self, size)
+
+    with mock.patch.object(walk, "_WINDOW0", 4), \
+            mock.patch.object(walk._KernelWalk, "_resize", counting):
+        stops = (1, 777, 5000, 20000)
+        a = walk.simulate(params, 20000, 8, stops=stops, keep_path=False)
+    b = walk.simulate(params, 20000, 8, stops=stops, engine="reference")
+    if _kernel.load() is not None:
+        assert len(resizes) >= 4
+    for k in stops:
+        sa, sb = a.stops[k], b.stops[k]
+        assert (sa.step, sa.pos, sa.lo, sa.hi) == (sb.step, sb.pos, sb.lo,
+                                                   sb.hi)
+        assert sa.lt.tolist() == sb.lt.tolist()
+
+
+def test_stops_from_path_match_recorded_stops():
+    stops = (0, 1, 999, 1000, 4096)
+    traj = walk.simulate(Params.make(0.8, 1.0), 4096, 5, stops=stops)
+    for got, want in zip(traj.stops_at(stops),
+                         walk.stops_from_path(traj.positions, stops)):
+        assert (got.step, got.pos, got.lo, got.hi) == (want.step, want.pos,
+                                                       want.lo, want.hi)
+        assert got.lt.tolist() == want.lt.tolist()
+
+
+def test_stream_decay_without_checkpoints_in_range():
+    traj = walk.simulate(P21, 2000, 4)
+    series = analysis.stream_decay(traj, [0, 2001])
+    assert series and all(points == [] for points in series.values())
+
+
+def test_path_free_trajectory_needs_its_stops():
+    traj = walk.simulate(P21, 2000, 1, stops=(2000,), keep_path=False)
+    with pytest.raises(ValueError, match="no stop at step 1000"):
+        analysis.detect_localization(traj, 0.5)
+    with pytest.raises(ValueError):
+        walk.simulate(P21, 100, 1, stops=(101,))
+
+
+def test_batch_first_step_matches_path():
+    cfg = mc.BatchConfig(params=P21, runs=16, steps=1000, master_seed=9)
+    res = mc.run_batch(cfg)
+    expected = sum(
+        walk.simulate(P21, 1, mc.derive_seed(9, i)).positions[1] == 1
+        for i in range(cfg.runs))
+    assert res.first_step_right == expected
+
+
+@needs_cc
+def test_kernel_returns_early_at_window_edge():
+    kernel = _kernel.load()
+    lt = np.zeros(4, dtype=np.int64)             # edges -1..2
+    state = np.array([0, 0, 0, -1, 2], dtype=np.int64)
+    draws = np.zeros(10)                          # u = 0: always right
+    taken = kernel(2.0, 2.0, lt.ctypes.data + 8, draws.ctypes.data, 10,
+                   state.ctypes.data, None)
+    # after one step hi = 1 and the next step would read edge 3
+    assert taken == 1
+    assert state.tolist() == [1, 0, 1, -1, 2]
+    assert lt.tolist() == [0, 0, 1, 0]
+
+
+@needs_cc
+def test_path_free_memory_does_not_grow_with_steps():
+    walk.simulate(P21, 10, 1)                     # load the kernel first
+
+    def peak(steps):
+        tracemalloc.start()
+        try:
+            walk.simulate(P21, steps, 3, stops=(1, steps // 2, steps),
+                          keep_path=False)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(10 ** 5), peak(10 ** 7)
+    assert large < 1 << 20
+    assert large <= small + 16 * 1024

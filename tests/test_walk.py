@@ -145,10 +145,11 @@ def test_kernel_step_probability_is_bit_identical(alpha, beta, lts):
         if u < 0.0:
             continue
         draws = np.array([u])
-        pos = np.zeros(3, dtype=np.int64)
+        # pos, lo, hi, and the array holds edges -3..4
+        state = np.array([0, 0, 0, -3, 4], dtype=np.int64)
         out = np.zeros(1, dtype=np.int64)
         kernel(alpha, 2.0 * beta, lt.ctypes.data + 8 * 3, draws.ctypes.data,
-               1, pos.ctypes.data, out.ctypes.data)
+               1, state.ctypes.data, out.ctypes.data)
         assert out[0] == expected, (p, u)
 
 
