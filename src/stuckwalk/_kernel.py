@@ -1,17 +1,23 @@
-"""Compiled step kernel for the direct walk, built on first use.
+"""Compiled kernels for the direct walk and the keyed clock race, built
+on first use.
 
-The C loop below repeats, step for step, the arithmetic of
+``stuck_walk_steps`` repeats, step for step, the arithmetic of
 ``walk.step``: the same evaluation order of the local stream, the same
-saturation branches and libm ``exp``.  It is compiled with the system C
-compiler into ``$XDG_CACHE_HOME/stuckwalk`` (default ``~/.cache``) and
-loaded with ``ctypes``.  ``-ffp-contract=off`` forbids fused multiply-adds,
-which would change the bits of Delta; ``-ffast-math`` and
+saturation branches and libm ``exp``.  ``stuck_rubin_races`` repeats
+``rubin.RubinEngine.race_step`` over the clocks of a
+``rubin.KeyedClockSource``: the same splitmix64 chain, the same
+``log_f``, ``log_w`` and ``_logaddexp`` evaluation order, and libm
+``log``, ``log1p`` and ``exp``, which Python's ``math`` calls too.  Both
+are compiled with the system C compiler into ``$XDG_CACHE_HOME/stuckwalk``
+(default ``~/.cache``) as one library and loaded with ``ctypes``.
+``-ffp-contract=off`` forbids fused multiply-adds, which would change the
+bits of Delta and of the clock means; ``-ffast-math`` and
 ``-march=native`` must never be added for the same reason.
 
 ``load()`` returns None when no kernel can be built or loaded (no
 compiler, unwritable cache, failed compile; the last two with a
-RuntimeWarning); callers then fall back to the reference stepper, which
-gives the same trajectories.  Nothing here runs at import time.
+RuntimeWarning); callers then fall back to the Python engines, which
+give the same results.  Nothing here runs at import time.
 """
 
 import functools
@@ -77,6 +83,107 @@ int64_t stuck_walk_steps(double alpha, double tb, int64_t *lt,
     state[2] = hi;
     return k;
 }
+
+static uint64_t splitmix64(uint64_t x)
+{
+    uint64_t z = x + 0x9E3779B97F4A7C15ULL;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+}
+
+static double logaddexp(double a, double b)
+{
+    if (a == -INFINITY)
+        return b;
+    if (b == -INFINITY)
+        return a;
+    if (a < b) {
+        double t = a;
+        a = b;
+        b = t;
+    }
+    return a + log1p(exp(b - a));
+}
+
+/* Run up to n races of RubinEngine over the clocks of
+   KeyedClockSource(seed, {(hold, +1, 0): exp(log_u)}) and return the
+   number run.  Sites -n-2..n+2 sit at z[0..2n+4] (visit counts); the
+   clock of oriented edge (y, d) sits at 2*(y+n+2) + (d > 0) of index,
+   armed, log_res, log_pend and log_cons, all read and written back.
+   out[k] receives the position after race k; *log_time, the log of the
+   elapsed time, is read and written back.  On an exact tie (fail[0] = 1) or an exhausted
+   loser residual (fail[0] = 2) the loop stops at that race, with the
+   site in fail[1]. */
+int64_t stuck_rubin_races(double alpha, double beta, uint64_t seed,
+                          int64_t hold, double log_u, int64_t n,
+                          int64_t *index, int64_t *armed, double *log_res,
+                          double *log_pend, double *log_cons, int64_t *z,
+                          int64_t *out, double *log_time, int64_t *fail)
+{
+    const int64_t off = n + 2;
+    const double lw = 4.0 * beta * alpha;
+    const uint64_t h0 = splitmix64(seed);
+    int64_t pos = 0, k;
+    double t = *log_time;
+    for (k = 0; k < n; k++) {
+        const int64_t y = pos, em = 2 * (y + off), ep = em + 1;
+        int64_t d, win, lose;
+        double ring_p, ring_m, log_e, ring_l, frac;
+        for (d = -1; d <= 1; d += 2) {
+            const int64_t e = d > 0 ? ep : em, i = index[e];
+            double draw;
+            if (armed[e])
+                continue;
+            if (d > 0 && i == 0 && y == hold) {
+                draw = log_u;
+            } else {
+                uint64_t h = splitmix64(h0 ^ (uint64_t)y);
+                h = splitmix64(h ^ (uint64_t)(3 + d));
+                h = splitmix64(h ^ (uint64_t)i);
+                double u = (double)(h >> 11) * 0x1p-53;
+                draw = log(-log(u > 0.0 ? u : 0x1p-53));
+            }
+            log_res[e] = 2.0 * beta * (2.0 * (1.0 + alpha) * (double)i
+                                       - alpha * (double)(y + d == 0)
+                                       + (1.0 + alpha) * (double)(d * y < 0))
+                         + draw;
+            log_pend[e] = -INFINITY;
+            armed[e] = 1;
+        }
+        ring_p = log_res[ep] - lw * (double)z[y + 1 + off];
+        ring_m = log_res[em] - lw * (double)z[y - 1 + off];
+        if (ring_p == ring_m) {
+            fail[0] = 1;
+            fail[1] = y;
+            break;
+        }
+        if (ring_p < ring_m) {
+            d = 1, win = ep, lose = em, log_e = ring_p, ring_l = ring_m;
+        } else {
+            d = -1, win = em, lose = ep, log_e = ring_m, ring_l = ring_p;
+        }
+        frac = exp(log_e - ring_l);
+        if (frac >= 1.0) {
+            fail[0] = 2;
+            fail[1] = y;
+            break;
+        }
+        log_res[lose] += log1p(-frac);
+        log_pend[lose] = logaddexp(log_pend[lose], log_e);
+        log_cons[win] = logaddexp(log_cons[win],
+                                  logaddexp(log_pend[win], log_e));
+        log_pend[win] = -INFINITY;
+        armed[win] = 0;
+        index[win] += 1;
+        t = logaddexp(t, log_e);
+        pos = y + d;
+        z[pos + off] += 1;
+        out[k] = pos;
+    }
+    *log_time = t;
+    return k;
+}
 """
 
 COMPILER = "cc"
@@ -121,7 +228,8 @@ def _compile(compiler: str, lib: str) -> None:
 
 @functools.cache
 def load():
-    """The kernel's ctypes function, or None if it cannot be had here."""
+    """The kernel library (``ctypes.CDLL`` with both functions typed), or
+    None if it cannot be had here."""
     import ctypes
     import shutil
     import subprocess
@@ -134,13 +242,15 @@ def load():
         lib = _library_path(compiler)
         if not os.path.exists(lib):
             _compile(compiler, lib)
-        fn = ctypes.CDLL(lib).stuck_walk_steps
+        kernels = ctypes.CDLL(lib)
     except (OSError, subprocess.SubprocessError) as exc:
-        warnings.warn(f"cannot build the walk kernel ({exc}); using the "
-                      "slower reference stepper", RuntimeWarning)
+        warnings.warn(f"cannot build the walk kernels ({exc}); using the "
+                      "slower Python engines", RuntimeWarning)
         return None
-    fn.argtypes = [ctypes.c_double, ctypes.c_double, ctypes.c_void_p,
-                   ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
-                   ctypes.c_void_p]
-    fn.restype = ctypes.c_int64
-    return fn
+    i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    kernels.stuck_walk_steps.argtypes = [f64, f64, ptr, ptr, i64, ptr, ptr]
+    kernels.stuck_walk_steps.restype = i64
+    kernels.stuck_rubin_races.argtypes = [f64, f64, ctypes.c_uint64, i64,
+                                          f64, i64, *[ptr] * 9]
+    kernels.stuck_rubin_races.restype = i64
+    return kernels

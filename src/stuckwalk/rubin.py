@@ -18,7 +18,7 @@ an exact tie) raises ConstructionFailure rather than silently clamping.
 """
 
 from dataclasses import dataclass, field
-from math import exp, inf, log, log1p
+from math import exp, inf, isfinite, log, log1p
 from math import expm1 as math_expm1
 
 import numpy as np
@@ -47,38 +47,29 @@ from .walk import Trajectory
 
 
 class WeightSpec:
-    """The clock-mean functions f_pm and the race weight w, in log domain.
+    """The clock-mean functions f_pm and the race weight w, in log domain:
+    the two-factor rewrite of the jump law.
 
-    Defaults implement the two-factor rewrite of the jump law; custom
-    positive functions may be supplied (w must be non-decreasing).
+    ``y`` and ``n`` may be integer arrays (the vectorized sampler); the
+    compiled race kernel repeats both formulas in the same order.
     """
 
-    def __init__(self, alpha, beta, log_f_plus=None, log_f_minus=None,
-                 log_w=None):
+    def __init__(self, alpha, beta):
         self.alpha = alpha
         self.beta = beta
-        self._log_f_plus = log_f_plus
-        self._log_f_minus = log_f_minus
-        self._log_w = log_w
 
     @classmethod
     def for_params(cls, params: Params) -> "WeightSpec":
         return cls(params.alpha, params.beta)
 
-    def log_f(self, y: int, direction: int, n: int) -> float:
-        if direction > 0 and self._log_f_plus is not None:
-            return self._log_f_plus(y, n)
-        if direction < 0 and self._log_f_minus is not None:
-            return self._log_f_minus(y, n)
+    def log_f(self, y, direction: int, n):
         a, b = self.alpha, self.beta
         target_origin = (y + direction) == 0
         behind = (direction * y) < 0
         return 2.0 * b * (2.0 * (1.0 + a) * n - a * target_origin
                           + (1.0 + a) * behind)
 
-    def log_w(self, n: int) -> float:
-        if self._log_w is not None:
-            return self._log_w(n)
+    def log_w(self, n):
         return 4.0 * self.beta * self.alpha * n
 
 
@@ -167,17 +158,16 @@ class ClockBank:
 class RubinEngine:
     """One continuous-time walk driven by a clock source."""
 
-    def __init__(self, params: Params, clock_source, weights: WeightSpec = None,
-                 record_crossings: bool = False, record_races: bool = False):
+    def __init__(self, params: Params, clock_source,
+                 record_races: bool = False):
         self.params = params
-        self.weights = weights or WeightSpec.for_params(params)
+        self.weights = WeightSpec.for_params(params)
         self.source = clock_source
         self.pos = 0
         self.log_time = -inf
         self.positions = [0]
         self.visits = {}  # Z: visit counts, start at 0 excluded
         self.bank = ClockBank()
-        self.crossings = {} if record_crossings else None
         self.races = [] if record_races else None  # (site, winner, log_e)
 
     @property
@@ -202,8 +192,7 @@ class RubinEngine:
         ring_p = cp.log_residual - self.weights.log_w(z(y + 1, 0))
         ring_m = cm.log_residual - self.weights.log_w(z(y - 1, 0))
         if ring_p == ring_m:
-            raise ConstructionFailure(
-                f"exact clock tie at site {y} after {self.bank.jumps} jumps")
+            raise _failure(_TIE, y, self.bank.jumps)
         if ring_p < ring_m:
             direction, winner, loser, log_e, ring_l = 1, cp, cm, ring_p, ring_m
         else:
@@ -211,8 +200,7 @@ class RubinEngine:
         # deplete the loser: its raw amount shrinks by the consumed fraction
         frac = exp(log_e - ring_l)
         if frac >= 1.0:
-            raise ConstructionFailure(
-                f"loser residual exhausted at site {y} after {self.bank.jumps} jumps")
+            raise _failure(_EXHAUSTED, y, self.bank.jumps)
         loser.log_residual += log1p(-frac)
         loser.log_pending = _logaddexp(loser.log_pending, log_e)
         winner.log_consumed = _logaddexp(
@@ -227,20 +215,52 @@ class RubinEngine:
         self.visits[self.pos] = z(self.pos, 0) + 1
         self.positions.append(self.pos)
         self.bank.jumps += 1
-        if self.crossings is not None:
-            zlo = min(y, self.pos)
-            self.crossings.setdefault(zlo, []).append(
-                (z(zlo + 1, 0), z(zlo, 0)))
         return direction, _safe_exp(log_e)
 
 
-def race(engine: RubinEngine):
-    """One race at the engine's current site: (direction, elapsed time)."""
-    return engine.race_step()
+_TIE, _EXHAUSTED = "exact clock tie", "loser residual exhausted"
 
 
-def simulate_rubin(params: Params, jumps: int, seed: int,
-                   weights: WeightSpec = None):
+def _failure(what: str, site: int, jumps: int) -> ConstructionFailure:
+    return ConstructionFailure(f"{what} at site {site} after {jumps} jumps")
+
+
+def race_kernel(kernels, params: Params, seed: int, hold_out: int, u: float,
+                jumps: int):
+    """RubinEngine's race loop over KeyedClockSource(seed, {(hold_out, 1,
+    0): u}) in the compiled kernel (``kernels`` from ``_kernel.load()``).
+
+    Returns (positions, log_time, index, log_consumed); the last two are
+    the clocks of sites -jumps-2..jumps+2 as (sites, 2) arrays, row
+    y + jumps + 2, column 0 for the minus clock and 1 for the plus clock.
+    Raises the ConstructionFailure RubinEngine would raise.
+    """
+    off = jumps + 2
+    edges = 2 * (2 * off + 1)
+    index = np.zeros(edges, dtype=np.int64)
+    armed = np.zeros(edges, dtype=np.int64)
+    log_res = np.zeros(edges)
+    log_pend = np.full(edges, -inf)
+    log_cons = np.full(edges, -inf)
+    z = np.zeros(2 * off + 1, dtype=np.int64)
+    out = np.zeros(jumps + 1, dtype=np.int64)
+    log_time = np.array([-inf])
+    fail = np.zeros(2, dtype=np.int64)
+    # a site the walk cannot reach stands in for any far hold_out, which
+    # might not fit an int64
+    hold = hold_out if abs(hold_out) <= off else off
+    done = kernels.stuck_rubin_races(
+        params.alpha, params.beta, seed % 2 ** 64, hold, log(u), jumps,
+        *(a.ctypes.data for a in (index, armed, log_res, log_pend, log_cons,
+                                  z)),
+        out.ctypes.data + 8, log_time.ctypes.data, fail.ctypes.data)
+    if done < jumps:
+        raise _failure((_TIE, _EXHAUSTED)[fail[0] - 1], int(fail[1]), done)
+    return (out.tolist(), float(log_time[0]), index.reshape(-1, 2),
+            log_cons.reshape(-1, 2))
+
+
+def simulate_rubin(params: Params, jumps: int, seed: int):
     """Full construction for a fixed number of jumps.
 
     Returns (Trajectory of the embedded walk, ClockBank with per-edge
@@ -248,7 +268,7 @@ def simulate_rubin(params: Params, jumps: int, seed: int,
     """
     if jumps < 0:
         raise ValueError(f"jumps must be >= 0, got {jumps}")
-    engine = RubinEngine(params, SequentialClockSource(seed), weights)
+    engine = RubinEngine(params, SequentialClockSource(seed))
     mark = (9 * jumps) // 10
     engine.bank.tail_jump_mark = mark
     for k in range(jumps):
@@ -306,33 +326,79 @@ class CoupleReport:
     violations: int
 
 
+def _ranks(v):
+    """r[t] = #{s <= t: v[s] == v[t]} for a 1-D integer array v."""
+    order = np.argsort(v, kind="stable")
+    starts = np.flatnonzero(np.diff(v[order])) + 1
+    first = np.zeros(len(v), dtype=np.int64)
+    first[starts] = starts
+    r = np.empty(len(v), dtype=np.int64)
+    r[order] = np.arange(1, len(v) + 1) - np.maximum.accumulate(first)
+    return r
+
+
+def _crossings(positions):
+    """Every edge crossing of a walk: the key z*(n+1) + i of the i-th
+    crossing of edge {z, z+1} (n jumps, z shifted to be >= 0), and the
+    visit counts Z(z+1) and Z(z) just after it, counted after the start."""
+    p = np.asarray(positions, dtype=np.int64)
+    n = len(p) - 1
+    z = np.minimum(p[:-1], p[1:])
+    visits = np.concatenate(([0], _ranks(p[1:])))
+    right = p[1:] > p[:-1]
+    upper = np.where(right, visits[1:], visits[:-1])
+    lower = np.where(right, visits[:-1], visits[1:])
+    return (z + n) * (n + 1) + _ranks(z), upper, lower
+
+
+def _matched_crossings(path1, path2):
+    """(compared, violations): the crossings matched by edge and rank in
+    two walks of equal length, and how many of them break Z1(z+1) >=
+    Z2(z+1) or Z1(z) <= Z2(z)."""
+    (key1, up1, low1), (key2, up2, low2) = _crossings(path1), \
+        _crossings(path2)
+    _, i1, i2 = np.intersect1d(key1, key2, assume_unique=True,
+                               return_indices=True)
+    bad = (up1[i1] < up2[i2]) | (low1[i1] > low2[i2])
+    return len(i1), int(np.count_nonzero(bad))
+
+
 def couple(hold_out: int, u1: float, u2: float, shared_seed: int,
-           jumps: int, params: Params, weights: WeightSpec = None) -> CoupleReport:
+           jumps: int, params: Params) -> CoupleReport:
     """Run two walks on one shared clock collection, differing only in the
     first plus-clock at ``hold_out`` (u1 for walk 1, u2 for walk 2).
 
     With u1 < u2, walk 1's clock collection dominates walk 2's, and at the
     matched i-th crossing of every non-oriented edge {z, z+1} the visit
     counts must satisfy Z1(z+1) >= Z2(z+1) and Z1(z) <= Z2(z).
+
+    The walks run in the compiled race kernel, or in RubinEngine where no
+    kernel can be built; both give the same positions.
     """
-    engines = []
+    if jumps < 0:
+        raise ValueError(f"jumps must be >= 0, got {jumps}")
     for u in (u1, u2):
-        src = KeyedClockSource(shared_seed, overrides={(hold_out, 1, 0): u})
-        eng = RubinEngine(params, src, weights, record_crossings=True)
-        for _ in range(jumps):
-            eng.race_step()
-        engines.append(eng)
-    e1, e2 = engines
-    compared = violations = 0
-    for z in set(e1.crossings) | set(e2.crossings):
-        pairs1 = e1.crossings.get(z, [])
-        pairs2 = e2.crossings.get(z, [])
-        for (zr1, zl1), (zr2, zl2) in zip(pairs1, pairs2):
-            compared += 1
-            if zr1 < zr2 or zl1 > zl2:
-                violations += 1
+        if not (isfinite(u) and u > 0.0):
+            raise ValueError(f"held-out clock values must be finite and "
+                             f"> 0, got {u}")
+    from . import _kernel  # here, so that importing rubin loads no kernel
+
+    kernels = _kernel.load()
+    paths = []
+    for u in (u1, u2):
+        if kernels is not None:
+            positions = race_kernel(kernels, params, shared_seed, hold_out,
+                                    u, jumps)[0]
+        else:
+            eng = RubinEngine(params, KeyedClockSource(
+                shared_seed, overrides={(hold_out, 1, 0): u}))
+            for _ in range(jumps):
+                eng.race_step()
+            positions = eng.positions
+        paths.append(positions)
+    compared, violations = _matched_crossings(*paths)
     return CoupleReport(site=hold_out, u1=u1, u2=u2,
-                        positions1=e1.positions, positions2=e2.positions,
+                        positions1=paths[0], positions2=paths[1],
                         compared=compared, violations=violations)
 
 
@@ -388,47 +454,53 @@ def sample_embedded_paths(params: Params, horizon: int, runs: int,
     Used for the distributional-equivalence check against the exact
     discrete path law.
     """
-    a, b = params.alpha, params.beta
+    ws = WeightSpec.for_params(params)
     S = 2 * horizon + 3
     origin = horizon + 1
     coords = np.arange(S) - origin
     rng = philox(seed)
 
+    # site-major state: the runs sit on a few sites at any step, so the
+    # gathers and scatters below touch a few contiguous rows.  Z[x*runs + r]
+    # is run r's visit count of site x; clock (x, si) of run r (si 0 for
+    # minus, 1 for plus) sits at (2*x + si)*runs + r of N, logres, armed
     pos = np.full(runs, origin, dtype=np.int64)
-    Z = np.zeros((runs, S), dtype=np.int64)
-    N = np.zeros((runs, S, 2), dtype=np.int64)  # [..., 0]=minus, [..., 1]=plus
-    logres = np.zeros((runs, S, 2))
-    armed = np.zeros((runs, S, 2), dtype=bool)
+    Z = np.zeros(S * runs, dtype=np.int64)
+    N = np.zeros(2 * S * runs, dtype=np.int64)
+    logres = np.zeros(2 * S * runs)
+    armed = np.zeros(2 * S * runs, dtype=bool)
     codes = np.zeros(runs, dtype=np.int64)
     idx = np.arange(runs)
-    log_w_coef = 4.0 * b * a
 
     for _ in range(horizon):
+        y = coords[pos]
+        edge = (2 * runs) * pos + idx          # the minus clock at pos
+        site = runs * pos + idx
         for si, s in ((0, -1), (1, 1)):
-            cur = armed[idx, pos, si]
-            k = N[idx, pos, si]
-            target = coords[pos] + s
-            log_f = 2.0 * b * (2.0 * (1.0 + a) * k
-                               - a * (target == 0)
-                               + (1.0 + a) * (s * coords[pos] < 0))
-            draw = log_f + np.log(rng.standard_exponential(runs))
-            logres[idx, pos, si] = np.where(cur, logres[idx, pos, si], draw)
-            armed[idx, pos, si] = True
-        ring_m = logres[idx, pos, 0] - log_w_coef * Z[idx, pos - 1]
-        ring_p = logres[idx, pos, 1] - log_w_coef * Z[idx, pos + 1]
+            e = edge + si * runs
+            draw = ws.log_f(y, s, N[e]) + np.log(
+                rng.standard_exponential(runs))
+            fresh = np.flatnonzero(~armed[e])
+            logres[e[fresh]] = draw[fresh]
+            armed[e] = True
+        ring_m = logres[edge] - ws.log_w(Z[site - runs])
+        ring_p = logres[edge + runs] - ws.log_w(Z[site + runs])
         right = ring_p < ring_m
         if np.any(ring_p == ring_m):
             raise ConstructionFailure("exact clock tie in vectorized sampler")
         log_e = np.minimum(ring_p, ring_m)
         ring_l = np.maximum(ring_p, ring_m)
-        li = np.where(right, 0, 1)
+        # integer arithmetic on the booleans: np.where is several times
+        # slower on random masks
+        lose = edge + runs * ~right
+        win = edge + runs * right
         with np.errstate(invalid="raise"):
-            logres[idx, pos, li] += np.log1p(-np.exp(log_e - ring_l))
-        wi = 1 - li
-        armed[idx, pos, wi] = False
-        N[idx, pos, wi] += 1
-        pos = pos + np.where(right, 1, -1)
-        Z[idx, pos] += 1
+            logres[lose] += np.log1p(-np.exp(log_e - ring_l))
+        armed[win] = False
+        N[win] += 1
+        step = 2 * right - 1
+        pos += step
+        Z[site + step * runs] += 1
         codes = 2 * codes + right
     counts = np.bincount(codes, minlength=1 << horizon)
     out = {}

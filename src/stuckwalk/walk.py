@@ -178,8 +178,8 @@ class _KernelWalk:
     that doubles, recentred on the visited range, whenever the walker
     reaches its edge; memory grows with the range, not the step count."""
 
-    def __init__(self, kernel, params, steps, keep_path):
-        self.kernel = kernel
+    def __init__(self, kernels, params, steps, keep_path):
+        self.kernel = kernels.stuck_walk_steps
         self.alpha, self.tb = params.alpha, 2.0 * params.beta
         self.state = np.array([0, 0, 0, 0, 1], dtype=np.int64)
         self.state_addr = self.state.ctypes.data
@@ -296,9 +296,9 @@ def simulate(params: Params, steps: int, seed: int,
         raise ValueError(f"unknown walk engine {engine!r}")
     from . import _kernel  # here, so that importing walk loads no kernel
 
-    kernel = _kernel.load() if engine == "fast" else None
-    if kernel is not None:
-        walker = _KernelWalk(kernel, params, steps, keep_path)
+    kernels = _kernel.load() if engine == "fast" else None
+    if kernels is not None:
+        walker = _KernelWalk(kernels, params, steps, keep_path)
     else:
         walker = _ReferenceWalk(params, keep_path)
     snap_steps = range(snapshot_every, steps + 1, snapshot_every) \

@@ -1,11 +1,14 @@
+import hashlib
 import math
+import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from stuckwalk import rubin, walk
+from stuckwalk import _kernel, rubin, walk
 from stuckwalk.errors import ConstructionFailure
-from stuckwalk.rng import philox
+from stuckwalk.rng import keyed_std_exponential, philox
 from stuckwalk.spectrum import Params
 
 P21 = Params.make(2.0, 1.0)
@@ -96,7 +99,7 @@ def test_race_documented_example():
     # xi- = 0.7, xi+ = 0.3 at the origin, w(0) = 1: jump +1 at time 0.3,
     # loser keeps raw residual 0.4
     eng = _keyed_engine({(0, 1, 0): 0.3, (0, -1, 0): 0.7})
-    direction, elapsed = rubin.race(eng)
+    direction, elapsed = eng.race_step()
     assert direction == 1
     assert elapsed == pytest.approx(0.3, rel=1e-12)
     loser = eng.bank.clock(0, -1)
@@ -106,7 +109,7 @@ def test_race_documented_example():
 def test_race_tie_is_construction_failure():
     eng = _keyed_engine({(0, 1, 0): 0.5, (0, -1, 0): 0.5})
     with pytest.raises(ConstructionFailure):
-        rubin.race(eng)
+        eng.race_step()
 
 
 def test_race_first_step_symmetric():
@@ -199,6 +202,32 @@ def test_embedded_law_matches_exact_sequential():
     assert tv < 0.02
 
 
+# sha256 of repr(sorted(counts.items())) for 20000 runs at beta 1, taken
+# from the (runs, S, 2)-array sampler this one replaced
+SAMPLER_DIGESTS = {
+    (2.0, 5, 3): "1f9eaf6c05fa7281004a3104715d0fe5595899a01357cd871047a8f7d6885e83",
+    (2.0, 5, 2 ** 64 - 5): "d8f297b4908e07fea8618e548e3406a158a147d4da9f09a59700267aaa4c6775",
+    (2.0, 6, 3): "5d955d74cd834a726df73026bc0b227e7c0c2014d3922a32aa19848c28dfee74",
+    (2.0, 6, 2 ** 64 - 5): "e5a83903b8221281a0e9d6ba9f49c0863a2b61e39fcf4b090caf7971c9c671aa",
+    (0.8, 5, 3): "4c5275e7d620c119c3ceea90cea4dff20a9ec518a90c7dd77e9ae1aca1f7797a",
+    (0.8, 5, 2 ** 64 - 5): "bd20974811024039998a4a831b682f46db4b1f0226162223ef0b6d92f9d50e6d",
+    (0.8, 6, 3): "b256a853ad0d348e3613538298f19bf5e3d665dd349b7069a93daefeb5a37d40",
+    (0.8, 6, 2 ** 64 - 5): "716323c0e151cf0baa9f6c19057d6e0713e90508038ca5345e051e13866342ff",
+    (0.45, 5, 3): "c9e8397778927c1820a176f96e743a85e3267689c86e37f25e2fda6ea8139864",
+    (0.45, 5, 2 ** 64 - 5): "6178ea2929915e94358325f043395d0a3a2b880ba0bb77a8de18f12feccf989d",
+    (0.45, 6, 3): "6470eb5c631bda637e183bb58d0569c4f1ce3cd6cd32d4dcdbf9ca2f2745449e",
+    (0.45, 6, 2 ** 64 - 5): "5514b073bbb25fd212c0e5833ab5c53a18d7186063589be2760ca42d2d56b3d9",
+}
+
+
+@pytest.mark.parametrize("alpha, horizon, seed", sorted(SAMPLER_DIGESTS))
+def test_sampler_golden(alpha, horizon, seed):
+    emp = rubin.sample_embedded_paths(Params.make(alpha, 1.0), horizon,
+                                      20000, seed)
+    digest = hashlib.sha256(repr(sorted(emp.items())).encode()).hexdigest()
+    assert digest == SAMPLER_DIGESTS[(alpha, horizon, seed)]
+
+
 def test_vectorized_sampler_matches_sequential():
     horizon, n = 5, 30000
     emp = rubin.sample_embedded_paths(P205, horizon, n, seed=13)
@@ -241,3 +270,121 @@ def test_couple_no_violations_randomized():
         total += rep.compared
         assert rep.violations == 0
     assert total > 0
+
+
+def _matched_crossings_loop(path1, path2):
+    # the per-jump visit-count bookkeeping RubinEngine used to record
+    def crossings(path):
+        visits, out = {}, {}
+        for y, x in zip(path, path[1:]):
+            visits[x] = visits.get(x, 0) + 1
+            z = min(y, x)
+            out.setdefault(z, []).append(
+                (visits.get(z + 1, 0), visits.get(z, 0)))
+        return out
+
+    c1, c2 = crossings(path1), crossings(path2)
+    compared = violations = 0
+    for z in set(c1) | set(c2):
+        for (zr1, zl1), (zr2, zl2) in zip(c1.get(z, []), c2.get(z, [])):
+            compared += 1
+            violations += zr1 < zr2 or zl1 > zl2
+    return compared, violations
+
+
+@given(steps=st.lists(st.tuples(st.booleans(), st.booleans()),
+                      max_size=300),
+       bias=st.sampled_from([None, 0.2, 0.5, 0.8]),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_matched_crossings_equal_loop(steps, bias, seed):
+    # independent walks, so the coupling inequalities fail often
+    if bias is None:
+        moves = [(1 if a else -1, 1 if b else -1) for a, b in steps]
+    else:
+        u = philox(seed).random((len(steps), 2))
+        moves = [(1 if p < bias else -1, 1 if q < bias else -1)
+                 for p, q in u.tolist()]
+    paths = ([0], [0])
+    for move in moves:
+        for path, d in zip(paths, move):
+            path.append(path[-1] + d)
+    assert rubin._matched_crossings(*paths) == _matched_crossings_loop(*paths)
+
+
+def test_couple_rejects_bad_input():
+    for bad in (0.0, -0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            rubin.couple(0, bad, 0.5, shared_seed=1, jumps=10, params=P21)
+        with pytest.raises(ValueError, match="finite and > 0"):
+            rubin.couple(0, 0.5, bad, shared_seed=1, jumps=10, params=P21)
+    with pytest.raises(ValueError, match="jumps"):
+        rubin.couple(0, 0.3, 0.5, shared_seed=1, jumps=-1, params=P21)
+
+
+def test_couple_fallback_gives_same_report(monkeypatch):
+    cases = [(0, 0.2, 0.9, 11, 300), (2, 1e-300, 3.0, 2 ** 64 - 1, 200),
+             (-1, 0.5, 0.5, 7, 0), (0, 0.01, 0.02, 12, 1)]
+    compiled = [rubin.couple(h, u1, u2, s, j, P21)
+                for h, u1, u2, s, j in cases]
+    monkeypatch.setattr(_kernel, "load", lambda: None)
+    assert [rubin.couple(h, u1, u2, s, j, P21)
+            for h, u1, u2, s, j in cases] == compiled
+
+
+# ------------------------------------------------------------ race kernel
+
+needs_cc = pytest.mark.skipif(shutil.which(_kernel.COMPILER) is None,
+                              reason="no C compiler on PATH")
+
+
+def _engine_race(params, seed, hold_out, u, jumps):
+    src = rubin.KeyedClockSource(seed, overrides={(hold_out, 1, 0): u})
+    eng = rubin.RubinEngine(params, src)
+    for _ in range(jumps):
+        eng.race_step()
+    return eng
+
+
+@needs_cc
+@given(alpha=st.sampled_from([2.0, 0.8, 0.45, 0.36]),
+       beta=st.floats(min_value=0.01, max_value=30.0),
+       hold_out=st.integers(min_value=-6, max_value=6),
+       u=st.floats(min_value=1e-300, max_value=50.0),
+       seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
+       jumps=st.integers(min_value=0, max_value=500))
+@settings(max_examples=60, deadline=None)
+def test_race_kernel_matches_engine(alpha, beta, hold_out, u, seed, jumps):
+    params = Params.make(alpha, beta)
+    kernels = _kernel.load()
+    try:
+        eng = _engine_race(params, seed, hold_out, u, jumps)
+    except ConstructionFailure as exc:
+        with pytest.raises(ConstructionFailure) as got:
+            rubin.race_kernel(kernels, params, seed, hold_out, u, jumps)
+        assert str(got.value) == str(exc)
+        return
+    positions, log_time, index, log_consumed = rubin.race_kernel(
+        kernels, params, seed, hold_out, u, jumps)
+    assert positions == eng.positions
+    assert log_time.hex() == eng.log_time.hex()
+    want_index = np.zeros_like(index)
+    want_consumed = np.full_like(log_consumed, -math.inf)
+    for (y, d), c in eng.bank.clocks.items():
+        want_index[y + jumps + 2, int(d > 0)] = c.index
+        want_consumed[y + jumps + 2, int(d > 0)] = c.log_consumed
+    assert np.array_equal(index, want_index)
+    assert log_consumed.tobytes() == want_consumed.tobytes()
+
+
+@needs_cc
+def test_race_kernel_tie_matches_engine():
+    # the held-out plus clock at the origin equals the minus clock there
+    seed = 2024
+    u = keyed_std_exponential(seed, 0, 2, 0)
+    with pytest.raises(ConstructionFailure) as want:
+        _engine_race(P21, seed, 0, u, 5)
+    with pytest.raises(ConstructionFailure) as got:
+        rubin.race_kernel(_kernel.load(), P21, seed, 0, u, 5)
+    assert str(got.value) == str(want.value) \
+        == "exact clock tie at site 0 after 0 jumps"

@@ -158,7 +158,7 @@ def test_batch_first_step_matches_path():
 
 @needs_cc
 def test_kernel_returns_early_at_window_edge():
-    kernel = _kernel.load()
+    kernel = _kernel.load().stuck_walk_steps
     lt = np.zeros(4, dtype=np.int64)             # edges -1..2
     state = np.array([0, 0, 0, -1, 2], dtype=np.int64)
     draws = np.zeros(10)                          # u = 0: always right

@@ -139,7 +139,7 @@ def test_kernel_step_probability_is_bit_identical(alpha, beta, lts):
     state = walk.WalkState(alpha=alpha, beta=beta,
                            edge_lt=dict(zip((-1, 0, 1, 2), lts)))
     p = walk.step_prob_right(state)
-    kernel = _kernel.load()
+    kernel = _kernel.load().stuck_walk_steps
     lt = np.array([0, 0, *lts, 0, 0], dtype=np.int64)
     for u, expected in ((p, -1), (math.nextafter(p, -1.0), 1)):
         if u < 0.0:
@@ -206,7 +206,8 @@ def _env_with_src(**extra):
 
 
 def test_import_builds_no_kernel(tmp_path):
-    code = ("import sys, stuckwalk.cli, stuckwalk.mc\n"
+    # numpy itself imports ctypes, so the loader module is the marker
+    code = ("import sys, stuckwalk.cli, stuckwalk.mc, stuckwalk.rubin\n"
             "assert 'stuckwalk._kernel' not in sys.modules\n")
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
                    env=_env_with_src(XDG_CACHE_HOME=str(tmp_path)))
