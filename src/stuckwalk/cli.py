@@ -17,7 +17,7 @@ from . import __version__
 from .errors import StuckWalkError
 from .rng import PRNG_ID
 from .spectrum import Params, alpha_threshold
-from .walk import Trajectory, simulate
+from .walk import ENGINES, Trajectory, simulate
 
 PROG = "stuckwalk"
 
@@ -78,53 +78,72 @@ def load_config_file(path: str) -> dict:
     return values
 
 
-_CONFIG_TYPES = {
-    "alpha": float, "beta": float, "tail": float, "steps": int,
-    "runs": int, "seed": int, "workers": int, "K": int, "max_L": int,
-    "horizon": int, "jumps": int, "engine": str, "suite": str,
-    "out": str, "infile": str, "lk2": float, "scan_to": int,
-    "snapshot_every": int, "ty_out": str,
-}
+SUITES = ("linsys", "walk", "rubin", "coupling")
+
+# Per subcommand: option -> (type, or a tuple of choices; default).  A
+# REQUIRED option must come from a flag or the config file.  The flag is
+# --<option> with "_" as "-", except infile (--in); the config key is the
+# option itself.
+REQUIRED = object()
+_PARAMS = {"alpha": (float, REQUIRED), "beta": (float, REQUIRED)}
+OPTIONS = {name: {**opts, "out": (str, None)} for name, opts in {
+    "thresholds": {"max_L": (int, REQUIRED)},
+    "linsys": {"alpha": (float, REQUIRED), "K": (int, None),
+               "lk2": (float, None), "scan_to": (int, None)},
+    "simulate": {**_PARAMS, "steps": (int, REQUIRED),
+                 "seed": (int, REQUIRED), "engine": (ENGINES, "direct"),
+                 "snapshot_every": (int, 0), "ty_out": (str, None)},
+    "analyze": {"infile": (str, REQUIRED), **_PARAMS, "tail": (float, 0.5)},
+    "batch": {**_PARAMS, "steps": (int, REQUIRED), "runs": (int, REQUIRED),
+              "seed": (int, REQUIRED), "workers": (int, 1),
+              "engine": (ENGINES, "direct"), "tail": (float, 0.5)},
+    "verify": {"suite": ((*SUITES, "all"), REQUIRED), "horizon": (int, 6),
+               "runs": (int, 100000), "seed": (int, 20260826)},
+}.items()}
 
 
-def _resolve(parser, args, keys):
-    """Merge config-file values under explicit flags; flags win.
+def _flag(key):
+    return "--in" if key == "infile" else "--" + key.replace("_", "-")
 
-    An unknown key or a value of the wrong type in the file is a usage
-    error, like the same mistake on the command line.
+
+def _resolve(parser, args):
+    """The options of the subcommand: a flag wins over the config file,
+    which wins over the default.
+
+    A config value passes the same type and choices checks as its flag;
+    like an unknown key or a missing required option, a failed check is a
+    usage error.
     """
-    file_vals = {}
-    if getattr(args, "config", None):
-        file_vals = load_config_file(args.config)
-        unknown = sorted(set(file_vals) - set(_CONFIG_TYPES))
-        if unknown:
-            parser.error(f"{args.config}: unknown config key {unknown[0]!r}")
-    resolved = {}
-    for key in keys:
-        v = getattr(args, key, None)
-        if v is None and key in file_vals:
-            caster = _CONFIG_TYPES[key]
-            try:
-                v = caster(file_vals[key])
-            except ValueError:
-                parser.error(f"{args.config}: {key} = {file_vals[key]!r} is "
-                             f"not a valid {caster.__name__}")
-        resolved[key] = v
-    return resolved
-
-
-def _require(parser, resolved, *keys):
-    for key in keys:
-        if resolved.get(key) is None:
-            parser.error(f"missing required option --{key.replace('_', '-')}")
+    file_vals = load_config_file(args.config) if args.config else {}
+    unknown = sorted(set(file_vals).difference(*OPTIONS.values()))
+    if unknown:
+        parser.error(f"{args.config}: unknown config key {unknown[0]!r}")
+    cfg = {}
+    for key, (kind, default) in OPTIONS[args.subcommand].items():
+        value, text = getattr(args, key), file_vals.get(key)
+        if value is None and text is not None:
+            if isinstance(kind, tuple):
+                if text not in kind:
+                    parser.error(f"{args.config}: {key} = {text!r} is not "
+                                 f"one of {', '.join(kind)}")
+                value = text
+            else:
+                try:
+                    value = kind(text)
+                except ValueError:
+                    parser.error(f"{args.config}: {key} = {text!r} is not "
+                                 f"a valid {kind.__name__}")
+        if value is None and default is REQUIRED:
+            parser.error(f"missing required option {_flag(key)}")
+        cfg[key] = default if value is None else value
+    return cfg
 
 
 # ---------------------------------------------------------------- commands
 
 
 def cmd_thresholds(parser, args):
-    cfg = _resolve(parser, args, ["max_L", "out"])
-    _require(parser, cfg, "max_L")
+    cfg = _resolve(parser, args)
     rows = [(L, alpha_threshold(L)) for L in range(1, cfg["max_L"] + 1)]
     _emit_csv(
         [f"tool={PROG} version={__version__}",
@@ -137,8 +156,7 @@ def cmd_linsys(parser, args):
     from . import linsys
     from .errors import Infeasible, RegimeError
 
-    cfg = _resolve(parser, args, ["alpha", "K", "lk2", "scan_to", "out"])
-    _require(parser, cfg, "alpha")
+    cfg = _resolve(parser, args)
     if cfg["scan_to"] is not None:
         rows = [(r.K, r.d0_sign, r.dK1_sign, r.feasible)
                 for r in linsys.sign_scan(cfg["alpha"], cfg["scan_to"])]
@@ -147,7 +165,8 @@ def cmd_linsys(parser, args):
              f"config alpha={cfg['alpha']!r} scan_to={cfg['scan_to']}"],
             ["K", "d0_sign", "dK1_sign", "feasible"], rows, cfg["out"])
         return 0
-    _require(parser, cfg, "K")
+    if cfg["K"] is None:
+        parser.error("missing required option --K")
     if cfg["lk2"] is not None:
         sol = linsys.solve_direct(cfg["K"], cfg["alpha"], cfg["lk2"])
     else:
@@ -167,10 +186,8 @@ def cmd_linsys(parser, args):
 
 
 def cmd_simulate(parser, args):
-    cfg = _resolve(parser, args, ["alpha", "beta", "steps", "seed", "engine",
-                                  "snapshot_every", "ty_out", "out"])
-    _require(parser, cfg, "alpha", "beta", "steps", "seed")
-    engine = cfg["engine"] or "direct"
+    cfg = _resolve(parser, args)
+    engine, every = cfg["engine"], cfg["snapshot_every"]
     params = Params.make(cfg["alpha"], cfg["beta"])
     if engine == "rubin":
         from .rubin import simulate_rubin, ty_report
@@ -180,16 +197,17 @@ def cmd_simulate(parser, args):
                                  "jumps": cfg["steps"], "seed": cfg["seed"]})
             payload["ty"] = {str(y): r for y, r in ty_report(bank).items()}
             _emit_json(payload, cfg["ty_out"])
-    elif engine in ("direct", "reference"):
-        traj = simulate(params, cfg["steps"], cfg["seed"],
-                        engine="fast" if engine == "direct" else "reference",
-                        snapshot_every=cfg["snapshot_every"] or 0)
-        if traj.snapshots and cfg["out"]:
-            _emit_json(_metadata({"seed": cfg["seed"]})
-                       | {"snapshots": traj.snapshots},
-                       cfg["out"] + ".snapshots.json")
     else:
-        parser.error(f"unknown engine {engine!r}")
+        if every < 0:
+            raise ValueError(f"snapshot_every must be >= 0, got {every}")
+        # a snapshot is the Stop at each multiple of snapshot_every
+        marks = range(every, cfg["steps"] + 1, every) if every else ()
+        traj = simulate(params, cfg["steps"], cfg["seed"], engine=engine,
+                        stops=marks)
+        if marks and cfg["out"]:
+            _emit_json(_metadata({"seed": cfg["seed"]}) | {"snapshots": [
+                traj.stops[k].snapshot() for k in marks]},
+                cfg["out"] + ".snapshots.json")
     comments = [
         f"tool={PROG} version={__version__}",
         f"prng={PRNG_ID}",
@@ -231,19 +249,17 @@ def cmd_analyze(parser, args):
     from .analysis import compare_profile, detect_localization
     from .errors import NoTheory
 
-    cfg = _resolve(parser, args, ["infile", "alpha", "beta", "tail", "out"])
-    _require(parser, cfg, "infile", "alpha", "beta")
-    tail = cfg["tail"] if cfg["tail"] is not None else 0.5
+    cfg = _resolve(parser, args)
     params = Params.make(cfg["alpha"], cfg["beta"])
     traj = _read_trajectory_csv(cfg["infile"], params)
-    summary = detect_localization(traj, tail)
+    summary = detect_localization(traj, cfg["tail"])
     if summary.localized:
         try:
             compare_profile(summary, params)
         except NoTheory:
             pass
     payload = _metadata({"in": cfg["infile"], "alpha": cfg["alpha"],
-                         "beta": cfg["beta"], "tail": tail})
+                         "beta": cfg["beta"], "tail": cfg["tail"]})
     payload.update(summary.as_dict())
     _emit_json(payload, cfg["out"])
     return 0
@@ -252,24 +268,17 @@ def cmd_analyze(parser, args):
 def cmd_batch(parser, args):
     from .mc import BatchConfig, run_batch
 
-    cfg = _resolve(parser, args, ["alpha", "beta", "steps", "runs", "seed",
-                                  "workers", "engine", "tail", "out"])
-    _require(parser, cfg, "alpha", "beta", "steps", "runs", "seed")
+    cfg = _resolve(parser, args)
     params = Params.make(cfg["alpha"], cfg["beta"])
-    bc = BatchConfig(params=params, runs=cfg["runs"], steps=cfg["steps"],
-                     master_seed=cfg["seed"],
-                     engine=cfg["engine"] or "direct",
-                     workers=cfg["workers"] or 1,
-                     tail_fraction=cfg["tail"] if cfg["tail"] is not None else 0.5)
-    result = run_batch(bc)
+    result = run_batch(BatchConfig(
+        params=params, runs=cfg["runs"], steps=cfg["steps"],
+        master_seed=cfg["seed"], engine=cfg["engine"],
+        workers=cfg["workers"], tail_fraction=cfg["tail"]))
     # workers is deliberately absent from the emitted config: it cannot
     # change the results, and its absence keeps outputs byte-identical
     # across worker counts.
-    payload = _metadata({
-        "alpha": cfg["alpha"], "beta": cfg["beta"], "steps": cfg["steps"],
-        "runs": cfg["runs"], "seed": cfg["seed"],
-        "engine": bc.engine, "tail": bc.tail_fraction,
-    })
+    payload = _metadata({key: cfg[key] for key in (
+        "alpha", "beta", "steps", "runs", "seed", "engine", "tail")})
     payload.update(result.aggregate.as_dict())
     payload["ci"] = {"L2": list(result.aggregate.ci_L2),
                      "L3": list(result.aggregate.ci_L3)}
@@ -348,27 +357,21 @@ def _verify_coupling(report, seed):
 
 
 def cmd_verify(parser, args):
-    cfg = _resolve(parser, args, ["suite", "horizon", "runs", "seed", "out"])
-    _require(parser, cfg, "suite")
-    suite = cfg["suite"]
-    known = ("linsys", "walk", "rubin", "coupling", "all")
-    if suite not in known:
-        parser.error(f"unknown suite {suite!r}; choose from {known}")
-    selected = ["linsys", "walk", "rubin", "coupling"] if suite == "all" \
-        else [suite]
-    seed = cfg["seed"] if cfg["seed"] is not None else 20260826
-    horizon = cfg["horizon"] or 6
-    runs = cfg["runs"] or 100000
-    report = _metadata({"suite": suite, "horizon": horizon,
-                        "runs": runs, "seed": seed})
+    cfg = _resolve(parser, args)
+    for key in ("horizon", "runs"):
+        if cfg[key] < 1:
+            raise ValueError(f"{key} must be >= 1, got {cfg[key]}")
+    suite, seed = cfg["suite"], cfg["seed"]
+    report = _metadata({key: cfg[key] for key in (
+        "suite", "horizon", "runs", "seed")})
     all_ok = True
-    for name in selected:
+    for name in SUITES if suite == "all" else [suite]:
         if name == "linsys":
             ok = _verify_linsys(report)
         elif name == "walk":
             ok = _verify_walk(report, seed)
         elif name == "rubin":
-            ok = _verify_rubin(report, horizon, runs, seed)
+            ok = _verify_rubin(report, cfg["horizon"], cfg["runs"], seed)
         else:
             ok = _verify_coupling(report, seed)
         report[f"{name}_pass"] = ok
@@ -382,6 +385,16 @@ def cmd_verify(parser, args):
 # ----------------------------------------------------------------- parser
 
 
+_COMMANDS = {  # name -> (handler, help); the options are in OPTIONS
+    "thresholds": (cmd_thresholds, "critical alpha values per L"),
+    "linsys": (cmd_linsys, "candidate profiles and sign scans"),
+    "simulate": (cmd_simulate, "run one trajectory"),
+    "analyze": (cmd_analyze, "localization summary of a trajectory"),
+    "batch": (cmd_batch, "Monte-Carlo batch"),
+    "verify": (cmd_verify, "run invariant suites"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=PROG,
@@ -389,68 +402,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"{PROG} {__version__}")
     sub = parser.add_subparsers(dest="subcommand")
-
-    def common(p):
+    for name, opts in OPTIONS.items():
+        p = sub.add_parser(name, help=_COMMANDS[name][1])
+        for key, (kind, _) in opts.items():
+            choices = kind if isinstance(kind, tuple) else None
+            p.add_argument(_flag(key), dest=key, choices=choices,
+                           type=None if choices else kind,
+                           help="output path (default stdout)"
+                           if key == "out" else None)
         p.add_argument("--config", help="key = value config file")
-        p.add_argument("--out", help="output path (default stdout)")
-
-    p = sub.add_parser("thresholds", help="critical alpha values per L")
-    p.add_argument("--max-L", dest="max_L", type=int)
-    common(p)
-
-    p = sub.add_parser("linsys", help="candidate profiles and sign scans")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--K", type=int)
-    p.add_argument("--lk2", type=float)
-    p.add_argument("--scan-to", dest="scan_to", type=int)
-    common(p)
-
-    p = sub.add_parser("simulate", help="run one trajectory")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--engine", choices=["direct", "reference", "rubin"])
-    p.add_argument("--snapshot-every", dest="snapshot_every", type=int)
-    p.add_argument("--ty-out", dest="ty_out")
-    common(p)
-
-    p = sub.add_parser("analyze", help="localization summary of a trajectory")
-    p.add_argument("--in", dest="infile")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--tail", type=float)
-    common(p)
-
-    p = sub.add_parser("batch", help="Monte-Carlo batch")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--runs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--engine", choices=["direct", "rubin"])
-    p.add_argument("--tail", type=float)
-    common(p)
-
-    p = sub.add_parser("verify", help="run invariant suites")
-    p.add_argument("--suite")
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--runs", type=int)
-    p.add_argument("--seed", type=int)
-    common(p)
-
     return parser
-
-
-_DISPATCH = {
-    "thresholds": cmd_thresholds,
-    "linsys": cmd_linsys,
-    "simulate": cmd_simulate,
-    "analyze": cmd_analyze,
-    "batch": cmd_batch,
-    "verify": cmd_verify,
-}
 
 
 def parse_and_dispatch(argv=None) -> int:
@@ -463,13 +424,10 @@ def parse_and_dispatch(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        return _DISPATCH[args.subcommand](parser, args)
+        return _COMMANDS[args.subcommand][0](parser, args)
     except SystemExit as exc:  # parser.error inside a handler
         return exc.code if isinstance(exc.code, int) else 2
-    except StuckWalkError as exc:
-        print(f"{PROG}: error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (StuckWalkError, OSError, ValueError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 1
 

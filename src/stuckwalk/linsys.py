@@ -130,7 +130,7 @@ def solve_direct(K: int, alpha: float, lK2: float = 0.0) -> SystemSolution:
     scale = max(1.0, abs(lK2))
     if np.max(np.abs(A @ x - b)) > _CONSISTENCY_TOL * scale:
         raise Infeasible(f"(E_{K}) with l_K+2={lK2} has no solution at alpha={alpha}")
-    return _solution_from_l(K, alpha, x, unique=(rank == K + 3))
+    return _solution_from_l(K, alpha, x, unique=bool(rank == K + 3))
 
 
 def solve_affine(L: int, alpha: float, d_in) -> AffineSolution:

@@ -15,7 +15,7 @@ from .analysis import (batch_stats, compare_profile, detect_localization,
 from .errors import StuckWalkError
 from .rng import derive_seed
 from .spectrum import Params
-from .walk import simulate
+from .walk import ENGINES, simulate
 
 __all__ = ["BatchConfig", "derive_seed", "run_batch", "range_saturation"]
 
@@ -26,7 +26,7 @@ class BatchConfig:
     runs: int
     steps: int
     master_seed: int
-    engine: str = "direct"          # "direct" or "rubin"
+    engine: str = "direct"          # one of walk.ENGINES
     workers: int = 1
     tail_fraction: float = 0.5
 
@@ -37,7 +37,7 @@ class BatchConfig:
             raise ValueError(f"steps must be >= 1000, got {self.steps}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.engine not in ("direct", "rubin"):
+        if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}")
 
 
@@ -53,8 +53,8 @@ class BatchResult:
 def _run_one(config: BatchConfig, index: int):
     """Simulate + analyze a single run.  Top-level so it pickles.
 
-    A direct run keeps no path: it stops after step 1, at the tail start
-    and at the end, which is all the analysis reads.
+    A direct or reference run keeps no path: it stops after step 1, at
+    the tail start and at the end, which is all the analysis reads.
     """
     seed = derive_seed(config.master_seed, index)
     try:
@@ -64,6 +64,7 @@ def _run_one(config: BatchConfig, index: int):
         else:
             t0 = tail_start(config.steps, config.tail_fraction)
             traj = simulate(config.params, config.steps, seed,
+                            engine=config.engine,
                             stops=(1, t0, config.steps), keep_path=False)
         summary = detect_localization(traj, config.tail_fraction)
         if summary.localized and 0 <= summary.size - 2 <= config.params.L + 1:

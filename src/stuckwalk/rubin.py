@@ -73,13 +73,6 @@ class WeightSpec:
         return 4.0 * self.beta * self.alpha * n
 
 
-def sample_clock(f_mean: float, rng) -> float:
-    """log of one exponential raw clock amount with the given mean."""
-    if f_mean <= 0.0:
-        raise ValueError(f"clock mean must be > 0, got {f_mean}")
-    return log(f_mean) + log(rng.standard_exponential())
-
-
 class SequentialClockSource:
     """Clock draws taken in order of first use from one Philox stream."""
 
@@ -125,17 +118,12 @@ class Clock:
     Consumed real time lives in the log domain (log_consumed = log T_y+-):
     clock means grow like exp(4 beta (1+alpha) k) with the clock index, so
     the raw accumulators overflow doubles long before interesting horizons.
-    ``consumed_real`` exposes the linear value (inf once it overflows).
     """
 
     index: int = 0
     log_residual: float = None
     log_pending: float = -inf   # accrued sitting time not yet committed
     log_consumed: float = -inf  # log of the T accumulator
-
-    @property
-    def consumed_real(self) -> float:
-        return _safe_exp(self.log_consumed)
 
 
 @dataclass
@@ -169,10 +157,6 @@ class RubinEngine:
         self.visits = {}  # Z: visit counts, start at 0 excluded
         self.bank = ClockBank()
         self.races = [] if record_races else None  # (site, winner, log_e)
-
-    @property
-    def time(self) -> float:
-        return _safe_exp(self.log_time)
 
     def _armed(self, y: int, direction: int) -> Clock:
         c = self.bank.clock(y, direction)

@@ -70,6 +70,9 @@ class Params:
     @classmethod
     def make(cls, alpha: float, beta: float,
              tol: float = DEFAULT_CRITICAL_TOL) -> "Params":
+        if not (math.isfinite(alpha) and math.isfinite(beta)):
+            raise DomainError(f"alpha and beta must be finite, got "
+                              f"alpha={alpha}, beta={beta}")
         if beta <= 0.0:
             raise DomainError(f"beta must be > 0, got {beta}")
         return cls(alpha=alpha, beta=beta, L=classify(alpha, tol=tol),

@@ -6,10 +6,11 @@ local time on the non-oriented edge {j-1, j}, and steps right with
 probability 1 / (1 + exp(-2 beta Delta)).
 
 Two engines produce bit-identical trajectories from the same seed: a
-compiled step kernel used by ``simulate`` (see ``_kernel``) and a
-bookkeeping-complete ``WalkState`` stepper kept as the reference, as the
-fallback where no kernel can be built, and for the exact small-horizon
-path-law oracle.
+compiled step kernel (``"direct"``, see ``_kernel``) and a
+bookkeeping-complete ``WalkState`` stepper (``"reference"``), kept as the
+reference, as the fallback where no kernel can be built, and for the exact
+small-horizon path-law oracle.  The third engine, ``"rubin"``, is the clock
+race of ``rubin.simulate_rubin``.
 """
 
 from dataclasses import dataclass, field
@@ -20,6 +21,8 @@ import numpy as np
 from .errors import CapacityError
 from .rng import BLOCK, philox
 from .spectrum import Params
+
+ENGINES = ("direct", "reference", "rubin")
 
 _SAT = 40.0  # |2 beta Delta| beyond which the logistic saturates in double
 
@@ -126,7 +129,6 @@ class Trajectory:
     positions: list
     seed: int
     params: Params
-    snapshots: list = field(default_factory=list)
     stops: dict = field(default_factory=dict)
     steps: int = None
 
@@ -271,41 +273,34 @@ def _drive(walker, steps, seed, marks):
     return records
 
 
-def simulate(params: Params, steps: int, seed: int,
-             snapshot_every: int = 0, engine: str = "fast", stops=(),
-             keep_path: bool = True) -> Trajectory:
+def simulate(params: Params, steps: int, seed: int, engine: str = "direct",
+             stops=(), keep_path: bool = True) -> Trajectory:
     """Run one trajectory, deterministic in (params, steps, seed).
 
     The walk records a Stop after each step count in ``stops`` (kept in
-    ``Trajectory.stops``) and a snapshot after each multiple of
-    ``snapshot_every``.  With ``keep_path=False`` the trajectory has no
+    ``Trajectory.stops``).  With ``keep_path=False`` the trajectory has no
     position path and the run's memory grows with the visited range only.
 
-    ``engine="fast"`` runs the compiled kernel of ``_kernel`` and falls
+    ``engine="direct"`` runs the compiled kernel of ``_kernel`` and falls
     back to the WalkState stepper (``engine="reference"``) when no kernel
     can be built; both consume the same Philox stream and produce
-    identical paths, stops and snapshots.
+    identical paths and stops.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    if snapshot_every < 0:
-        raise ValueError(f"snapshot_every must be >= 0, got {snapshot_every}")
     if any(not 0 <= k <= steps for k in stops):
         raise ValueError(f"stops must lie in [0, {steps}], got {stops}")
-    if engine not in ("fast", "reference"):
+    if engine not in ("direct", "reference"):
         raise ValueError(f"unknown walk engine {engine!r}")
     from . import _kernel  # here, so that importing walk loads no kernel
 
-    kernels = _kernel.load() if engine == "fast" else None
+    kernels = _kernel.load() if engine == "direct" else None
     if kernels is not None:
         walker = _KernelWalk(kernels, params, steps, keep_path)
     else:
         walker = _ReferenceWalk(params, keep_path)
-    snap_steps = range(snapshot_every, steps + 1, snapshot_every) \
-        if snapshot_every else range(0)
-    records = _drive(walker, steps, seed, sorted({*stops, *snap_steps}))
+    records = _drive(walker, steps, seed, sorted(set(stops)))
     return Trajectory(positions=walker.path(), seed=seed, params=params,
-                      snapshots=[records[k].snapshot() for k in snap_steps],
                       stops={k: records[k] for k in stops}, steps=steps)
 
 
@@ -318,6 +313,8 @@ def exact_path_law(params: Params, horizon: int) -> dict:
     Keys are position tuples (X_1, ..., X_h); values are path probabilities
     (products of the step probabilities), summing to 1.
     """
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
     if horizon > MAX_EXACT_HORIZON:
         raise CapacityError(
             f"exact enumeration supports horizon <= {MAX_EXACT_HORIZON}, got {horizon}")

@@ -185,22 +185,13 @@ def _batch_records(alpha, beta, runs, steps, master, checkpoints):
     records = []
     for i in range(runs):
         seed = derive_seed(master, i)
-        traj = walk.simulate(params, steps, seed)
+        t0 = analysis.tail_start(steps, 0.5)
+        traj = walk.simulate(params, steps, seed,
+                             stops=(*checkpoints, t0, steps), keep_path=False)
         summary = analysis.detect_localization(traj, 0.5)
         if summary.localized and 0 <= summary.size - 2 <= params.L + 1:
             analysis.compare_profile(summary, params)
-        pos = traj.positions
-        ranges = []
-        lo = hi = 0
-        cps = iter(sorted(checkpoints))
-        nxt = next(cps)
-        for k, p in enumerate(pos):
-            lo, hi = min(lo, p), max(hi, p)
-            if k == nxt:
-                ranges.append((lo, hi))
-                nxt = next(cps, None)
-                if nxt is None:
-                    break
+        ranges = [(s.lo, s.hi) for s in traj.stops_at(sorted(checkpoints))]
         records.append((summary, ranges))
     return params, records
 

@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from stuckwalk import cli
 from stuckwalk.cli import load_config_file, parse_and_dispatch
 
 
@@ -171,13 +173,20 @@ def test_verify_walk_suite(tmp_path, capsys):
     ("linsys", "alpha = 2\nK = 1.5\n", "K = '1.5' is not a valid int"),
     ("simulate", "alpha = 2\nbeta = 1\nsteps = 1e5\nseed = 1\n",
      "steps = '1e5' is not a valid int"),
+    ("simulate", "alpha = 2\nbeta = 1\nsteps = 10\nseed = 1\nengine = bogus\n",
+     "engine = 'bogus' is not one of direct, reference, rubin"),
+    ("batch", "alpha = 2\nbeta = 1\nsteps = 2000\nruns = 2\nseed = 1\n"
+     "engine = bogus\n",
+     "engine = 'bogus' is not one of direct, reference, rubin"),
 ])
 def test_config_file_bad_key_or_value_is_usage_error(tmp_path, capsys,
                                                      command, text, named):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(text)
     assert run([command, "--config", str(cfg)]) == 2
-    assert named in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert named in captured.err
 
 
 @pytest.mark.parametrize("rows, lineno", [
@@ -223,3 +232,129 @@ def test_analyze_non_localized_output_is_strict_json(tmp_path):
     payload = json.loads(out.read_text(), parse_constant=_reject_constant)
     assert payload["localized"] is False
     assert payload["deviation"] is None
+
+
+# ------------------------------------------------------------ option table
+
+# Small-size invocations that together set every option of every
+# subcommand; each option is also given through a config file below.
+INVOCATIONS = [
+    ("thresholds", {"max_L": "4", "out": "o.csv"}),
+    ("linsys", {"alpha": "2", "K": "2", "lk2": "0.1", "out": "o.json"}),
+    ("linsys", {"alpha": "0.8", "scan_to": "4"}),
+    ("simulate", {"alpha": "0.8", "beta": "1", "steps": "2000", "seed": "3",
+                  "engine": "reference", "snapshot_every": "700",
+                  "out": "o.csv"}),
+    ("simulate", {"alpha": "2", "beta": "1", "steps": "300", "seed": "3",
+                  "engine": "rubin", "ty_out": "ty.json"}),
+    ("analyze", {"infile": "walk.csv", "alpha": "2", "beta": "1",
+                 "tail": "0.4", "out": "o.json"}),
+    ("batch", {"alpha": "2", "beta": "1", "steps": "1000", "runs": "2",
+               "seed": "5", "workers": "2", "engine": "reference",
+               "tail": "0.4", "out": "o.json"}),
+    ("verify", {"suite": "linsys", "horizon": "3", "runs": "10",
+                "seed": "7", "out": "o.json"}),
+]
+
+
+def test_every_option_has_a_config_case():
+    covered = {(cmd, key) for cmd, values in INVOCATIONS for key in values}
+    assert covered == {(cmd, key) for cmd, opts in cli.OPTIONS.items()
+                       for key in opts}
+
+
+def _outputs(directory, capsys, argv):
+    (directory / "walk.csv").write_text(
+        "step,position\n" + "".join(f"{k},{k % 2}\n" for k in range(1200)))
+    rc = run(argv)
+    files = {p.name: p.read_bytes() for p in sorted(directory.iterdir())
+             if p.name != "cfg.txt"}
+    return rc, capsys.readouterr().out, files
+
+
+@pytest.mark.parametrize("command, values, key", [
+    (cmd, values, key) for cmd, values in INVOCATIONS for key in values],
+    ids=lambda v: v if isinstance(v, str) else "")
+def test_config_value_equals_flag(tmp_path, monkeypatch, capsys, command,
+                                  values, key):
+    results = []
+    for via_config in (False, True):
+        directory = tmp_path / str(via_config)
+        directory.mkdir()
+        monkeypatch.chdir(directory)
+        argv = [command]
+        for k, v in values.items():
+            if not (via_config and k == key):
+                argv += [cli._flag(k), v]
+        if via_config:
+            (directory / "cfg.txt").write_text(f"{key} = {values[key]}\n")
+            argv += ["--config", "cfg.txt"]
+        results.append(_outputs(directory, capsys, argv))
+    assert results[0] == results[1]
+    assert results[0][0] in (0, 1)      # verify exits 1 on a failed suite
+
+
+def test_batch_reference_engine_matches_direct(capsys):
+    docs = []
+    for engine in ("direct", "reference"):
+        assert run(["batch", "--alpha", "2", "--beta", "1", "--steps",
+                    "2000", "--runs", "3", "--seed", "8",
+                    "--engine", engine]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["config"].pop("engine") == engine
+        docs.append(doc)
+    assert docs[0] == docs[1]
+
+
+# sha256 of the CSV and the .snapshots.json written by
+# `simulate --snapshot-every` before snapshots became stops
+@pytest.mark.parametrize("argv, csv_sha, snapshots_sha", [
+    (["--alpha", "0.8", "--steps", "20000", "--seed", "5",
+      "--snapshot-every", "7000"],
+     "194eefc5f707d9cb65503cdc1f725e488dd778a97bf1d8a7dd88688b93bcdb86",
+     "968b68d9996da88a8682bf35b23acad921a500fbbabc02090cfeeb1ec65789d5"),
+    (["--alpha", "2", "--steps", "3000", "--seed", "11",
+      "--snapshot-every", "1000"],
+     "b5e39df7f5c1ac8c69626f03dcb88b3fbd2c79a0bd66315678c9dc0772809220",
+     "cd160161704ef0d963227e23d962bf0aa262bad7fe898f75fdb684fa8212c893"),
+    (["--alpha", "2", "--steps", "3000", "--seed", "11",
+      "--snapshot-every", "1000", "--engine", "reference"],
+     "bb905dfb9f5d3fa1774acca8212b30670ee0dbfdea0d4c15fff33e9c9dec9eb6",
+     "cd160161704ef0d963227e23d962bf0aa262bad7fe898f75fdb684fa8212c893"),
+])
+def test_snapshot_golden(tmp_path, argv, csv_sha, snapshots_sha):
+    out = tmp_path / "g.csv"
+    assert run(["simulate", "--beta", "1", *argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
+    snapshots = tmp_path / "g.csv.snapshots.json"
+    assert hashlib.sha256(snapshots.read_bytes()).hexdigest() == snapshots_sha
+
+
+# ------------------------------------------------------------ bad input
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--beta", "nan"), ("--beta", "inf"), ("--alpha", "nan"),
+    ("--alpha", "inf")])
+def test_simulate_rejects_non_finite_parameters(capsys, flag, value):
+    # argparse keeps the last of a repeated flag
+    assert run(["simulate", "--alpha", "2", "--beta", "1", flag, value,
+                "--steps", "100", "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "alpha and beta must be finite" in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--suite", "rubin", "--runs", "0"], "runs must be >= 1"),
+    (["verify", "--suite", "rubin", "--horizon", "0"], "horizon must be >= 1"),
+    (["verify", "--suite", "rubin", "--horizon", "-1"],
+     "horizon must be >= 1"),
+    (["batch", "--alpha", "2", "--beta", "1", "--steps", "2000", "--runs",
+      "2", "--seed", "1", "--workers", "0"], "workers must be >= 1"),
+])
+def test_size_options_below_one_are_errors(capsys, argv, message):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"stuckwalk: error: {message}, got" in captured.err

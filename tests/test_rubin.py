@@ -15,34 +15,6 @@ P21 = Params.make(2.0, 1.0)
 P205 = Params.make(2.0, 0.5)
 
 
-class FixedExp:
-    """Stub rng returning prescribed standard-exponential draws."""
-
-    def __init__(self, values):
-        self.values = list(values)
-
-    def standard_exponential(self):
-        return self.values.pop(0)
-
-
-# ------------------------------------------------------------ sample_clock
-
-
-def test_sample_clock_unit_draw():
-    assert rubin.sample_clock(1.0, FixedExp([1.0])) == 0.0
-
-
-def test_sample_clock_mean():
-    gen = philox(5)
-    vals = [math.exp(rubin.sample_clock(3.0, gen)) for _ in range(200000)]
-    assert np.mean(vals) == pytest.approx(3.0, abs=0.02)
-
-
-def test_sample_clock_rejects_bad_mean():
-    with pytest.raises(ValueError):
-        rubin.sample_clock(0.0, FixedExp([1.0]))
-
-
 # ------------------------------------------------------------ weights
 
 

@@ -73,7 +73,7 @@ def check_streamed_equals_path(params, steps, seed, tail_fraction, engine):
        | st.integers(min_value=1000, max_value=6000),
        seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
        tail_fraction=st.sampled_from([0.5, 0.3, 0.77, 0.999, 0.0004]),
-       engine=st.sampled_from(["fast", "reference"]),
+       engine=st.sampled_from(["direct", "reference"]),
        window=st.sampled_from([walk._WINDOW0, 4]))
 @settings(max_examples=60, deadline=None)
 def test_streamed_summary_equals_path_summary(alpha, beta, steps, seed,
@@ -87,7 +87,7 @@ def test_streamed_summary_of_non_localized_runs():
     # about a quarter of 1500-step runs at alpha = 0.45 have settled
     params = Params.make(0.45, 1.0)
     localized = [check_streamed_equals_path(params, 1500, seed, 0.5,
-                                            "fast").localized
+                                            "direct").localized
                  for seed in range(30)]
     assert not all(localized) and any(localized)
 
@@ -96,7 +96,7 @@ def test_tail_start_off_block_boundary():
     steps = 2 * BLOCK + 7
     t0 = analysis.tail_start(steps, 0.5)
     assert t0 % BLOCK
-    check_streamed_equals_path(P21, steps, 11, 0.5, "fast")
+    check_streamed_equals_path(P21, steps, 11, 0.5, "direct")
     check_streamed_equals_path(P21, steps, 11, 0.5, "reference")
 
 

@@ -1,10 +1,15 @@
-"""Guards for the benchmark tooling that lives outside the package."""
+"""Guards for the benchmark tooling and the docs that live outside the
+package."""
 
 import importlib
 import importlib.util
 import pathlib
+import shlex
 
-SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+from stuckwalk.cli import build_parser
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def test_perfbench_probe_targets_resolve():
@@ -20,3 +25,17 @@ def test_perfbench_probe_targets_resolve():
             assert hasattr(target, part), (module, attr, name)
             target = getattr(target, part)
         assert callable(target), (module, attr, name)
+
+
+def test_readme_cli_lines_parse():
+    # the README's CLI block may name only flags, choices and subcommands
+    # the parser has; the lines are parsed, not run
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [argv for argv in lines if argv and argv[0] == "stuckwalk"]
+    assert len(commands) >= 8
+    parser = build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv[1:]).subcommand == argv[1]

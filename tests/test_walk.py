@@ -82,11 +82,15 @@ def test_simulate_zero_steps():
     assert traj.positions == [0]
 
 
-def test_simulate_rejects_negative_arguments():
+def test_simulate_rejects_negative_arguments(capsys):
     with pytest.raises(ValueError):
         walk.simulate(P21, -1, seed=1)
     with pytest.raises(ValueError):
-        walk.simulate(P21, 10, seed=1, snapshot_every=-5)
+        walk.simulate(P21, 10, seed=1, stops=(-5,))
+    assert parse_and_dispatch([
+        "simulate", "--alpha", "2", "--beta", "1", "--steps", "10",
+        "--seed", "1", "--snapshot-every", "-5"]) == 1
+    assert "snapshot_every must be >= 0, got -5" in capsys.readouterr().err
 
 
 def test_simulate_deterministic():
@@ -96,7 +100,7 @@ def test_simulate_deterministic():
 
 
 def test_engines_agree():
-    a = walk.simulate(P21, 3000, seed=99, engine="fast")
+    a = walk.simulate(P21, 3000, seed=99, engine="direct")
     b = walk.simulate(P21, 3000, seed=99, engine="reference")
     assert a.positions == b.positions
 
@@ -110,14 +114,14 @@ def test_engines_agree():
 @settings(max_examples=40, deadline=None)
 def test_kernel_matches_reference(alpha, beta, steps, seed, period):
     # None: about 50 snapshots, one per step on short walks
-    snapshot_every = max(1, steps // 50) if period is None else period
+    every = max(1, steps // 50) if period is None else period
+    marks = range(every, steps + 1, every) if every else ()
     params = Params.make(alpha, beta)
-    a = walk.simulate(params, steps, seed, snapshot_every=snapshot_every,
-                      engine="fast")
-    b = walk.simulate(params, steps, seed, snapshot_every=snapshot_every,
-                      engine="reference")
+    a, b = (walk.simulate(params, steps, seed, engine=engine, stops=marks)
+            for engine in ("direct", "reference"))
     assert a.positions == b.positions
-    assert a.snapshots == b.snapshots
+    assert ([a.stops[k].snapshot() for k in marks]
+            == [b.stops[k].snapshot() for k in marks])
 
 
 # ------------------------------------------------------------ kernel build
@@ -268,9 +272,10 @@ def test_simulate_steps_of_unit_size(seed):
 
 
 def test_snapshots():
-    traj = walk.simulate(P21, 1000, seed=2, snapshot_every=500)
-    assert [s["step"] for s in traj.snapshots] == [500, 1000]
-    assert sum(traj.snapshots[0]["edge_local_times"].values()) == 500
+    traj = walk.simulate(P21, 1000, seed=2, stops=(500, 1000))
+    snapshots = [traj.stops[k].snapshot() for k in (500, 1000)]
+    assert [s["step"] for s in snapshots] == [500, 1000]
+    assert sum(snapshots[0]["edge_local_times"].values()) == 500
 
 
 # ------------------------------------------------------------ exact law
@@ -317,3 +322,8 @@ def test_empirical_matches_exact_law():
         counts[key] = counts.get(key, 0) + 1
     tv = 0.5 * sum(abs(counts.get(p, 0) / n - q) for p, q in law.items())
     assert tv < 0.02
+
+
+def test_exact_law_rejects_negative_horizon():
+    with pytest.raises(ValueError):
+        walk.exact_path_law(P21, -1)
