@@ -37,8 +37,6 @@ class RunSummary:
     deviation: float            # vs matching closed-form profile, nan if n/a
     stream_rate: dict           # interior site -> |Delta_k(j)| / k at final k
     range_final: tuple          # (min, max) site ever visited
-    seed: int = None
-    tail_fraction: float = 0.5
     sustain_threshold: float = 0.0
 
     def as_dict(self):
@@ -111,8 +109,7 @@ def detect_localization(traj: Trajectory, tail_fraction: float = 0.5) -> RunSumm
     return RunSummary(
         window=(a, b), size=size, localized=localized,
         profile=profile, deviation=float("nan"), stream_rate=stream_rate,
-        range_final=(lo, hi), seed=traj.seed,
-        tail_fraction=tail_fraction, sustain_threshold=threshold)
+        range_final=(lo, hi), sustain_threshold=threshold)
 
 
 @functools.lru_cache(maxsize=64)
@@ -145,28 +142,6 @@ def compare_profile(summary: RunSummary, params: Params) -> RunSummary:
             f"profile length {len(prof)} does not match K = {K}")
     summary.deviation = float(np.max(np.abs(prof - target)))
     return summary
-
-
-def stream_decay(traj: Trajectory, checkpoints) -> dict:
-    """|Delta_k(j)|/k at the given step counts, for each interior site of
-    the detected window (all visited sites if detection is not possible)."""
-    steps = traj.steps
-    cps = sorted({int(c) for c in checkpoints if 1 <= int(c) <= steps})
-    try:
-        a, b = detect_localization(traj).window
-    except TooShort:
-        end, = traj.stops_at([steps])
-        a, b = end.lo, end.hi
-    sites = list(range(a + 1, b)) or [0]
-    first = sites[0] - 1
-    series = {j: [] for j in sites}
-    for stop in traj.stops_at(cps):
-        lt = stop.lt_over(first, sites[-1] + 2).tolist()
-        for j in sites:
-            series[j].append((stop.step, abs(_stream(lt, j - first,
-                                                     traj.params.alpha))
-                              / stop.step))
-    return series
 
 
 def wilson_interval(successes: int, n: int, z: float = WILSON_Z):

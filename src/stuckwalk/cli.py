@@ -39,14 +39,18 @@ def _finite_or_null(value):
     return value
 
 
-def _emit_json(payload: dict, out_path):
-    text = json.dumps(_finite_or_null(payload), indent=2, sort_keys=True,
-                      allow_nan=False) + "\n"
+def _write(text, out_path):
+    """``text`` to the file ``out_path``, or to stdout when it is None."""
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_json(payload: dict, out_path):
+    _write(json.dumps(_finite_or_null(payload), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n", out_path)
 
 
 def _emit_csv(comment_lines, header, rows, out_path):
@@ -55,12 +59,7 @@ def _emit_csv(comment_lines, header, rows, out_path):
     for row in rows:
         lines.append(",".join(repr(v) if isinstance(v, float) else str(v)
                               for v in row))
-    text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", out_path)
 
 
 def load_config_file(path: str) -> dict:
@@ -188,6 +187,15 @@ def cmd_linsys(parser, args):
 def cmd_simulate(parser, args):
     cfg = _resolve(parser, args)
     engine, every = cfg["engine"], cfg["snapshot_every"]
+    if every < 0:
+        raise ValueError(f"snapshot_every must be >= 0, got {every}")
+    if every and engine == "rubin":
+        parser.error("--snapshot-every needs --engine direct or reference")
+    if every and not cfg["out"]:
+        parser.error("--snapshot-every needs --out: the snapshots go to "
+                     "<out>.snapshots.json")
+    if cfg["ty_out"] and engine != "rubin":
+        parser.error("--ty-out needs --engine rubin")
     params = Params.make(cfg["alpha"], cfg["beta"])
     if engine == "rubin":
         from .rubin import simulate_rubin, ty_report
@@ -198,13 +206,11 @@ def cmd_simulate(parser, args):
             payload["ty"] = {str(y): r for y, r in ty_report(bank).items()}
             _emit_json(payload, cfg["ty_out"])
     else:
-        if every < 0:
-            raise ValueError(f"snapshot_every must be >= 0, got {every}")
         # a snapshot is the Stop at each multiple of snapshot_every
         marks = range(every, cfg["steps"] + 1, every) if every else ()
         traj = simulate(params, cfg["steps"], cfg["seed"], engine=engine,
                         stops=marks)
-        if marks and cfg["out"]:
+        if marks:
             _emit_json(_metadata({"seed": cfg["seed"]}) | {"snapshots": [
                 traj.stops[k].snapshot() for k in marks]},
                 cfg["out"] + ".snapshots.json")
@@ -290,20 +296,14 @@ def cmd_batch(parser, args):
 def _verify_linsys(report):
     import numpy as np
 
-    from . import linsys
+    from .linsys import identity_sweep
 
-    worst = 0.0
-    for L in range(1, 7):
-        lo = alpha_threshold(L + 1)
-        hi = alpha_threshold(L) if L > 1 else 3.0
-        for alpha in np.linspace(lo, hi, 8)[1:-1]:
-            for K in range(0, L + 2):
-                a = linsys.solve_closed(K, alpha)
-                b = linsys.solve_direct(K, alpha)
-                worst = max(worst,
-                            float(np.max(np.abs(np.asarray(a.l)
-                                                - np.asarray(b.l)))),
-                            abs(a.d0 + a.dK1))
+    dev, _sym, d01, _margin = identity_sweep(
+        (L, alpha) for L in range(1, 7)
+        for alpha in np.linspace(alpha_threshold(L + 1),
+                                 alpha_threshold(L) if L > 1 else 3.0,
+                                 8)[1:-1])
+    worst = max(dev, d01)
     report["linsys_max_residual"] = worst
     return worst < 1e-10
 
@@ -340,17 +340,11 @@ def _verify_rubin(report, horizon, runs, seed):
 
 def _verify_coupling(report, seed):
     from .rng import keyed_uniform
-    from .rubin import couple
+    from .rubin import coupling_sweep
 
-    params = Params.make(2.0, 1.0)
-    violations = compared = 0
-    for i in range(50):
-        u_a = keyed_uniform(seed, 7, i)
-        u_b = keyed_uniform(seed, 11, i)
-        u1, u2 = min(u_a, u_b), max(u_a, u_b)
-        rep = couple(0, u1, u2, seed + i, 300, params)
-        violations += rep.violations
-        compared += rep.compared
+    compared, violations = coupling_sweep(
+        ((keyed_uniform(seed, 7, i), keyed_uniform(seed, 11, i), seed + i)
+         for i in range(50)), jumps=300, params=Params.make(2.0, 1.0))
     report["coupling_pairs_compared"] = compared
     report["coupling_violations"] = violations
     return violations == 0
@@ -434,3 +428,7 @@ def parse_and_dispatch(argv=None) -> int:
 
 def main():
     sys.exit(parse_and_dispatch())
+
+
+if __name__ == "__main__":
+    main()

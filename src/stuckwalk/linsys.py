@@ -133,6 +133,31 @@ def solve_direct(K: int, alpha: float, lK2: float = 0.0) -> SystemSolution:
     return _solution_from_l(K, alpha, x, unique=bool(rank == K + 3))
 
 
+def identity_sweep(points):
+    """Closed form against dense solve of (E_K), K = 0..L+1, at each
+    (L, alpha) of ``points``.
+
+    Returns (max |closed - direct|, max |l_j - l_{K+2-j}|, max |d0 + dK1|,
+    smallest signed boundary margin), each over every component and
+    instance.  The margin of an instance is min(-d0, dK1) for K < L and
+    min(d0, -dK1) for K >= L: positive exactly when d0 < 0 < dK1 for
+    K < L and dK1 < 0 < d0 for K >= L.
+    """
+    dev = sym = d01 = 0.0
+    margin = math.inf
+    for L, alpha in points:
+        for K in range(L + 2):
+            a = solve_closed(K, alpha)
+            la = np.asarray(a.l)
+            dev = max(dev, float(np.max(np.abs(
+                la - np.asarray(solve_direct(K, alpha).l)))))
+            sym = max(sym, float(np.max(np.abs(la - la[::-1]))))
+            d01 = max(d01, abs(a.d0 + a.dK1))
+            lo, hi = (-a.d0, a.dK1) if K < L else (a.d0, -a.dK1)
+            margin = min(margin, lo, hi)
+    return dev, sym, d01, margin
+
+
 def solve_affine(L: int, alpha: float, d_in) -> AffineSolution:
     """Unique solution of AS(d_1..d_L) plus the positive constants c_k.
 
@@ -173,14 +198,7 @@ def solution_family(K: int, alpha: float):
     {l_0 = 0, interior sum = 1, d_1..d_K = 0}.
     """
     n = K + 3
-    A = np.zeros((n - 1, n))
-    A[0, 0] = 1.0
-    A[1, 1:K + 2] = 1.0
-    for j in range(1, K + 1):
-        A[1 + j, j - 1] = -alpha
-        A[1 + j, j] = 1.0
-        A[1 + j, j + 1] = -1.0
-        A[1 + j, j + 2] = alpha
+    A = np.delete(_system_matrix(K, alpha), 1, axis=0)   # l_{K+2} is free
     b = np.zeros(n - 1)
     b[1] = 1.0
     x0, _, rank, _ = np.linalg.lstsq(A, b, rcond=_RANK_TOL)

@@ -17,7 +17,7 @@ from .rng import derive_seed
 from .spectrum import Params
 from .walk import ENGINES, simulate
 
-__all__ = ["BatchConfig", "derive_seed", "run_batch", "range_saturation"]
+__all__ = ["BatchConfig", "derive_seed", "run_batch", "run_one"]
 
 
 @dataclass(frozen=True)
@@ -50,25 +50,37 @@ class BatchResult:
     first_step_right: int = 0
 
 
-def _run_one(config: BatchConfig, index: int):
-    """Simulate + analyze a single run.  Top-level so it pickles.
+def run_one(params: Params, steps: int, seed: int, engine: str,
+            tail_fraction: float, stops=()):
+    """Simulate and analyze one run; returns (summary, trajectory).
 
-    A direct or reference run keeps no path: it stops after step 1, at
-    the tail start and at the end, which is all the analysis reads.
+    A direct or reference run keeps no path: it stops at each step count
+    of ``stops``, at the tail start and at the end, which is all the
+    analysis and the caller read.  A rubin run keeps its path, from which
+    any stop can be read.
     """
+    if engine == "rubin":
+        from .rubin import simulate_rubin
+        traj, _bank = simulate_rubin(params, steps, seed)
+    else:
+        t0 = tail_start(steps, tail_fraction)
+        traj = simulate(params, steps, seed, engine=engine,
+                        stops=(*stops, t0, steps), keep_path=False)
+    summary = detect_localization(traj, tail_fraction)
+    if summary.localized and 0 <= summary.size - 2 <= params.L + 1:
+        compare_profile(summary, params)
+    return summary, traj
+
+
+def _run_one(config: BatchConfig, index: int):
+    """``run_one`` for run ``index`` of a batch, with its step-1 stop, as
+    (index, seed, summary, first step right, failure).  Top-level so it
+    pickles."""
     seed = derive_seed(config.master_seed, index)
     try:
-        if config.engine == "rubin":
-            from .rubin import simulate_rubin
-            traj, _bank = simulate_rubin(config.params, config.steps, seed)
-        else:
-            t0 = tail_start(config.steps, config.tail_fraction)
-            traj = simulate(config.params, config.steps, seed,
-                            engine=config.engine,
-                            stops=(1, t0, config.steps), keep_path=False)
-        summary = detect_localization(traj, config.tail_fraction)
-        if summary.localized and 0 <= summary.size - 2 <= config.params.L + 1:
-            compare_profile(summary, config.params)
+        summary, traj = run_one(config.params, config.steps, seed,
+                                config.engine, config.tail_fraction,
+                                stops=(1,))
         first_right = 1 if traj.stops_at([1])[0].pos == 1 else 0
         return index, seed, summary, first_right, None
     except StuckWalkError as exc:
@@ -109,24 +121,3 @@ def run_batch(config: BatchConfig) -> BatchResult:
                        aggregate=aggregate, failures=failures,
                        first_step_right=first_right)
 
-
-def range_saturation(config: BatchConfig, checkpoints) -> dict:
-    """Fraction of runs whose visited range stops growing between the last
-    two checkpoints."""
-    cps = sorted(int(c) for c in checkpoints)
-    if len(cps) < 2:
-        raise ValueError("need at least two checkpoints")
-    frozen = 0
-    total = 0
-    per_run = []
-    for i in range(config.runs):
-        seed = derive_seed(config.master_seed, i)
-        traj = simulate(config.params, cps[-1], seed, stops=cps,
-                        keep_path=False)
-        ranges = [(s.lo, s.hi) for s in traj.stops_at(cps)]
-        is_frozen = ranges[-1] == ranges[-2]
-        frozen += is_frozen
-        total += 1
-        per_run.append({"run": i, "ranges": ranges, "frozen": bool(is_frozen)})
-    return {"fraction_frozen": frozen / total, "checkpoints": cps,
-            "runs": per_run}

@@ -133,7 +133,6 @@ class ClockBank:
     clocks: dict = field(default_factory=dict)
     jumps: int = 0
     tail_snapshot: dict = field(default_factory=dict)  # (y,s) -> log_consumed
-    tail_jump_mark: int = 0
 
     def clock(self, y: int, direction: int) -> Clock:
         key = (y, direction)
@@ -254,7 +253,6 @@ def simulate_rubin(params: Params, jumps: int, seed: int):
         raise ValueError(f"jumps must be >= 0, got {jumps}")
     engine = RubinEngine(params, SequentialClockSource(seed))
     mark = (9 * jumps) // 10
-    engine.bank.tail_jump_mark = mark
     for k in range(jumps):
         if k == mark:
             engine.bank.tail_snapshot = {
@@ -384,6 +382,21 @@ def couple(hold_out: int, u1: float, u2: float, shared_seed: int,
     return CoupleReport(site=hold_out, u1=u1, u2=u2,
                         positions1=paths[0], positions2=paths[1],
                         compared=compared, violations=violations)
+
+
+def coupling_sweep(draws, jumps: int, params: Params):
+    """``couple`` at site 0 for each (u_a, u_b, shared_seed) of ``draws``,
+    with walk 1 holding min(u_a, u_b) and walk 2 max(u_a, u_b).
+
+    Returns (compared, violations) summed over the pairs.
+    """
+    compared = violations = 0
+    for u_a, u_b, shared_seed in draws:
+        rep = couple(0, min(u_a, u_b), max(u_a, u_b), shared_seed, jumps,
+                     params)
+        compared += rep.compared
+        violations += rep.violations
+    return compared, violations
 
 
 def equivalence_report(params: Params, horizon: int, runs: int,

@@ -38,20 +38,14 @@ def logistic_prob(x: float) -> float:
 
 @dataclass
 class WalkState:
-    """Full bookkeeping state of one walk.
-
-    ``edge_lt[j]`` is the local time on edge {j-1, j}; ``site_visits[j]``
-    counts visits to j (excluding the start at 0); ``crossings[(j, s)]``
-    counts crossings of the oriented edge (j, j+s).
-    """
+    """State of one walk: ``edge_lt[j]`` is the local time on edge
+    {j-1, j}, and [min_site, max_site] the visited range."""
 
     alpha: float
     beta: float
     pos: int = 0
     step: int = 0
     edge_lt: dict = field(default_factory=dict)
-    site_visits: dict = field(default_factory=dict)
-    crossings: dict = field(default_factory=dict)
     min_site: int = 0
     max_site: int = 0
 
@@ -59,14 +53,12 @@ class WalkState:
         return self.edge_lt.get(j, 0)
 
     def apply_move(self, direction: int) -> None:
-        """Move one step (+1 or -1) and update all counters in O(1)."""
+        """Move one step (+1 or -1) and update the counters in O(1)."""
         y = self.pos
         edge = y + (1 if direction > 0 else 0)  # {j-1, j} with j = edge
         self.edge_lt[edge] = self.edge_lt.get(edge, 0) + 1
-        self.crossings[(y, direction)] = self.crossings.get((y, direction), 0) + 1
         self.pos = y + direction
         self.step += 1
-        self.site_visits[self.pos] = self.site_visits.get(self.pos, 0) + 1
         if self.pos < self.min_site:
             self.min_site = self.pos
         elif self.pos > self.max_site:
@@ -342,7 +334,7 @@ def exact_path_law(params: Params, horizon: int) -> dict:
     return law
 
 
-# --- debug oracles -------------------------------------------------------
+# --- debug oracle --------------------------------------------------------
 
 def recount_local_times(positions) -> dict:
     """Edge local times recomputed from scratch (oracle for the hot loop)."""
@@ -352,19 +344,3 @@ def recount_local_times(positions) -> dict:
         lt[j] = lt.get(j, 0) + 1
     return lt
 
-
-def check_state_identities(state: WalkState) -> None:
-    """Raise AssertionError if the visit/crossing count identities fail.
-
-    Z(j) = (l(j) + l(j+1) + 1{X=j} - 1{j=0}) / 2, and with X = y,
-    N(y, y+-1) = (l(y + (1+-1)/2) - 1{+-y < 0}) / 2.
-    """
-    lt = state.lt
-    for j in set(state.site_visits) | {0, state.pos}:
-        z = (lt(j) + lt(j + 1) + (state.pos == j) - (j == 0)) / 2
-        assert state.site_visits.get(j, 0) == z, (j, state.site_visits.get(j, 0), z)
-    y = state.pos
-    n_plus = (lt(y + 1) - (y < 0)) / 2
-    n_minus = (lt(y) - (-y < 0)) / 2
-    assert state.crossings.get((y, 1), 0) == n_plus
-    assert state.crossings.get((y, -1), 0) == n_minus

@@ -6,13 +6,12 @@ their finite-horizon statistical surrogates with explicit tolerances, plus
 exact identity checks for the linear-system theory.
 """
 
-import json
 import time
 
 import numpy as np
 import pytest
 
-from stuckwalk import analysis, linsys, mc, rubin, walk
+from stuckwalk import analysis, linsys, mc, rubin
 from stuckwalk.cli import parse_and_dispatch
 from stuckwalk.errors import Infeasible
 from stuckwalk.rng import derive_seed, keyed_uniform
@@ -37,22 +36,10 @@ def interval_alphas(L, n):
 
 def test_criterion_1_linear_system_identities(capsys):
     t0 = time.perf_counter()
-    dev_cd = sym = d01 = 0.0
-    margin_ok = True
-    for L in range(1, 9):
-        for alpha in interval_alphas(L, 20):
-            alpha = float(alpha)
-            for K in range(0, L + 2):
-                a = linsys.solve_closed(K, alpha)
-                b = linsys.solve_direct(K, alpha, 0.0)
-                la, lb = np.asarray(a.l), np.asarray(b.l)
-                dev_cd = max(dev_cd, float(np.max(np.abs(la - lb))))
-                sym = max(sym, float(np.max(np.abs(la - la[::-1]))))
-                d01 = max(d01, abs(a.d0 + a.dK1))
-                if K < L:
-                    margin_ok &= a.d0 < -1e-9 and a.dK1 > 1e-9
-                else:
-                    margin_ok &= a.d0 > 1e-9 and a.dK1 < -1e-9
+    dev_cd, sym, d01, margin = linsys.identity_sweep(
+        (L, float(alpha)) for L in range(1, 9)
+        for alpha in interval_alphas(L, 20))
+    margin_ok = margin > 1e-9
     dt = time.perf_counter() - t0
     ok = dev_cd < 1e-10 and sym < 1e-12 and d01 < 1e-12 and margin_ok \
         and dt < 5.0
@@ -160,16 +147,10 @@ def test_criterion_4_rubin_equivalence(capsys):
 
 def test_criterion_5_monotone_coupling(capsys):
     t0 = time.perf_counter()
-    params = Params.make(2.0, 1.0)
-    violations = compared = 0
-    for i in range(1000):
-        ua = keyed_uniform(505050, 1, i)
-        ub = keyed_uniform(505050, 2, i)
-        u1, u2 = min(ua, ub), max(ua, ub)
-        rep = rubin.couple(0, u1, u2, shared_seed=derive_seed(707070, i),
-                           jumps=500, params=params)
-        violations += rep.violations
-        compared += rep.compared
+    compared, violations = rubin.coupling_sweep(
+        ((keyed_uniform(505050, 1, i), keyed_uniform(505050, 2, i),
+          derive_seed(707070, i)) for i in range(1000)),
+        jumps=500, params=Params.make(2.0, 1.0))
     dt = time.perf_counter() - t0
     ok = violations == 0 and compared > 0 and dt < 60.0
     _announce(capsys, 5, "monotone coupling inequalities", ok,
@@ -184,13 +165,8 @@ def _batch_records(alpha, beta, runs, steps, master, checkpoints):
     params = Params.make(alpha, beta)
     records = []
     for i in range(runs):
-        seed = derive_seed(master, i)
-        t0 = analysis.tail_start(steps, 0.5)
-        traj = walk.simulate(params, steps, seed,
-                             stops=(*checkpoints, t0, steps), keep_path=False)
-        summary = analysis.detect_localization(traj, 0.5)
-        if summary.localized and 0 <= summary.size - 2 <= params.L + 1:
-            analysis.compare_profile(summary, params)
+        summary, traj = mc.run_one(params, steps, derive_seed(master, i),
+                                   "direct", 0.5, stops=checkpoints)
         ranges = [(s.lo, s.hi) for s in traj.stops_at(sorted(checkpoints))]
         records.append((summary, ranges))
     return params, records

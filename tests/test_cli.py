@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -358,3 +362,61 @@ def test_size_options_below_one_are_errors(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"stuckwalk: error: {message}, got" in captured.err
+
+
+# ------------------------------------------------------------ dropped options
+
+
+SIMULATE = {"alpha": "2", "beta": "1", "steps": "300", "seed": "3"}
+
+
+@pytest.mark.parametrize("values, flag", [
+    ({"engine": "rubin", "snapshot_every": "100", "out": "o.csv"},
+     "--snapshot-every"),
+    ({"snapshot_every": "100"}, "--snapshot-every"),
+    ({"ty_out": "ty.json"}, "--ty-out"),
+    ({"engine": "reference", "ty_out": "ty.json", "out": "o.csv"},
+     "--ty-out"),
+])
+@pytest.mark.parametrize("via_config", [False, True])
+def test_simulate_option_the_engine_drops_is_usage_error(
+        tmp_path, monkeypatch, capsys, values, flag, via_config):
+    monkeypatch.chdir(tmp_path)
+    values = {**SIMULATE, **values}
+    if via_config:
+        (tmp_path / "cfg.txt").write_text(
+            "".join(f"{k} = {v}\n" for k, v in values.items()))
+        argv = ["simulate", "--config", "cfg.txt"]
+    else:
+        argv = ["simulate"] + [a for k, v in values.items()
+                               for a in (cli._flag(k), v)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        ["cfg.txt"] if via_config else [])
+
+
+@pytest.mark.parametrize("engine", ["direct", "reference", "rubin"])
+def test_negative_snapshot_every_is_error_for_every_engine(tmp_path, capsys,
+                                                           engine):
+    assert run(["simulate", "--alpha", "2", "--beta", "1", "--steps", "300",
+                "--seed", "3", "--engine", engine, "--snapshot-every", "-1",
+                "--out", str(tmp_path / "o.csv")]) == 1
+    captured = capsys.readouterr()
+    assert "snapshot_every must be >= 0, got -1" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_python_m_cli_runs_the_cli(tmp_path, capsys):
+    assert run(["thresholds", "--max-L", "2"]) == 0
+    expected = capsys.readouterr().out.encode()
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "stuckwalk.cli", "thresholds", "--max-L", "2"],
+        capture_output=True, cwd=tmp_path, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected

@@ -133,12 +133,6 @@ def test_stops_from_path_match_recorded_stops():
         assert got.lt.tolist() == want.lt.tolist()
 
 
-def test_stream_decay_without_checkpoints_in_range():
-    traj = walk.simulate(P21, 2000, 4)
-    series = analysis.stream_decay(traj, [0, 2001])
-    assert series and all(points == [] for points in series.values())
-
-
 def test_path_free_trajectory_needs_its_stops():
     traj = walk.simulate(P21, 2000, 1, stops=(2000,), keep_path=False)
     with pytest.raises(ValueError, match="no stop at step 1000"):

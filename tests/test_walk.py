@@ -250,12 +250,6 @@ def test_incremental_matches_recount():
         if c}
 
 
-def test_state_identities_long_run():
-    traj = walk.simulate(P21, 5000, seed=3)
-    state = make_state(traj.positions)
-    walk.check_state_identities(state)
-
-
 def test_local_time_conservation():
     traj = walk.simulate(P205, 4321, seed=8)
     lt = walk.recount_local_times(traj.positions)
