@@ -107,25 +107,40 @@ static double logaddexp(double a, double b)
 }
 
 /* Run up to n races of RubinEngine over the clocks of
-   KeyedClockSource(seed, {(hold, +1, 0): exp(log_u)}) and return the
-   number run.  Sites -n-2..n+2 sit at z[0..2n+4] (visit counts); the
-   clock of oriented edge (y, d) sits at 2*(y+n+2) + (d > 0) of index,
-   armed, log_res, log_pend and log_cons, all read and written back.
-   out[k] receives the position after race k; *log_time, the log of the
-   elapsed time, is read and written back.  On an exact tie (fail[0] = 1) or an exhausted
-   loser residual (fail[0] = 2) the loop stops at that race, with the
-   site in fail[1]. */
+   KeyedClockSource(seed, {(hold, +1, 0): exp(log_u)}), from site 0 with
+   no clock armed, and return the number run.  The kernel fills both
+   buffers; what they hold on entry does not matter.  Sites -n-2..n+2
+   sit at z[0..2n+4], and the clock of oriented edge (y, d) at
+   e = 2*(y+n+2) + (d > 0) of index, log_res, log_pend and log_cons:
+       ints   = fail[2], path[n+1], z[2n+5], index[4n+10]
+       floats = log_time, log_res[4n+10], log_pend[4n+10], log_cons[4n+10]
+   path[k] is the position after k races and log_time the log of the
+   elapsed time; a NaN log_res marks an unarmed clock, as None does in
+   RubinEngine.  On an exact tie (fail[0] = 1) or an exhausted loser
+   residual (fail[0] = 2) the loop stops at that race, with the site in
+   fail[1]. */
 int64_t stuck_rubin_races(double alpha, double beta, uint64_t seed,
                           int64_t hold, double log_u, int64_t n,
-                          int64_t *index, int64_t *armed, double *log_res,
-                          double *log_pend, double *log_cons, int64_t *z,
-                          int64_t *out, double *log_time, int64_t *fail)
+                          int64_t *ints, double *floats)
 {
-    const int64_t off = n + 2;
+    const int64_t off = n + 2, edges = 4 * n + 10;
     const double lw = 4.0 * beta * alpha;
     const uint64_t h0 = splitmix64(seed);
+    int64_t *fail = ints, *path = ints + 2, *z = path + n + 1;
+    int64_t *index = z + 2 * off + 1;
+    double *log_res = floats + 1, *log_pend = log_res + edges;
+    double *log_cons = log_pend + edges;
     int64_t pos = 0, k;
-    double t = *log_time;
+    double t = -INFINITY;
+    path[0] = 0;
+    for (k = 0; k <= 2 * off; k++)
+        z[k] = 0;
+    for (k = 0; k < edges; k++) {
+        index[k] = 0;
+        log_res[k] = NAN;
+        log_pend[k] = -INFINITY;
+        log_cons[k] = -INFINITY;
+    }
     for (k = 0; k < n; k++) {
         const int64_t y = pos, em = 2 * (y + off), ep = em + 1;
         int64_t d, win, lose;
@@ -133,7 +148,7 @@ int64_t stuck_rubin_races(double alpha, double beta, uint64_t seed,
         for (d = -1; d <= 1; d += 2) {
             const int64_t e = d > 0 ? ep : em, i = index[e];
             double draw;
-            if (armed[e])
+            if (!isnan(log_res[e]))
                 continue;
             if (d > 0 && i == 0 && y == hold) {
                 draw = log_u;
@@ -149,7 +164,6 @@ int64_t stuck_rubin_races(double alpha, double beta, uint64_t seed,
                                        + (1.0 + alpha) * (double)(d * y < 0))
                          + draw;
             log_pend[e] = -INFINITY;
-            armed[e] = 1;
         }
         ring_p = log_res[ep] - lw * (double)z[y + 1 + off];
         ring_m = log_res[em] - lw * (double)z[y - 1 + off];
@@ -174,14 +188,14 @@ int64_t stuck_rubin_races(double alpha, double beta, uint64_t seed,
         log_cons[win] = logaddexp(log_cons[win],
                                   logaddexp(log_pend[win], log_e));
         log_pend[win] = -INFINITY;
-        armed[win] = 0;
+        log_res[win] = NAN;
         index[win] += 1;
         t = logaddexp(t, log_e);
         pos = y + d;
         z[pos + off] += 1;
-        out[k] = pos;
+        path[k + 1] = pos;
     }
-    *log_time = t;
+    floats[0] = t;
     return k;
 }
 """
@@ -251,6 +265,6 @@ def load():
     kernels.stuck_walk_steps.argtypes = [f64, f64, ptr, ptr, i64, ptr, ptr]
     kernels.stuck_walk_steps.restype = i64
     kernels.stuck_rubin_races.argtypes = [f64, f64, ctypes.c_uint64, i64,
-                                          f64, i64, *[ptr] * 9]
+                                          f64, i64, ptr, ptr]
     kernels.stuck_rubin_races.restype = i64
     return kernels

@@ -168,7 +168,6 @@ class BatchAggregate:
     ci_L3: tuple
     mean_deviation: float
     max_deviation: float
-    first_step_right_frac: float = None
 
     def as_dict(self):
         return {

@@ -16,6 +16,7 @@ d_0 over nonnegative solutions.
 """
 
 from dataclasses import dataclass
+import functools
 import math
 
 import numpy as np
@@ -190,12 +191,14 @@ def solve_affine(L: int, alpha: float, d_in) -> AffineSolution:
                           l=tuple(float(v) for v in l), d0=d0, dL1=dL1, c=c)
 
 
+@functools.lru_cache(maxsize=64)
 def solution_family(K: int, alpha: float):
     """The 1-parameter affine family of (E_K) solutions: (x0, v).
 
     Solutions are x0 + t v; x0 is the minimum-norm particular solution and
     v spans the (generically 1-dimensional) null space of the constraints
-    {l_0 = 0, interior sum = 1, d_1..d_K = 0}.
+    {l_0 = 0, interior sum = 1, d_1..d_K = 0}.  Memoized: both arrays are
+    read-only and shared by every caller with the same (K, alpha).
     """
     n = K + 3
     A = np.delete(_system_matrix(K, alpha), 1, axis=0)   # l_{K+2} is free
@@ -211,6 +214,8 @@ def solution_family(K: int, alpha: float):
             "endpoint parametrization needs exactly one free direction")
     _, _, vt = np.linalg.svd(A)
     v = vt[-1]
+    x0.setflags(write=False)
+    v.setflags(write=False)
     return x0, v
 
 
@@ -238,29 +243,32 @@ def _feasible_interval(x0, v, lo_idx=1):
     return tlo, thi
 
 
-def c_oracle(K: int, alpha: float) -> float:
-    """Brute-force lower bound realization for the constant bounding d_0.
+def _endpoint_streams(K: int, alpha: float) -> list:
+    """(d_0, d_{K+1}) at the two endpoints of the nonnegative part
+    {l_1..l_{K+2} >= 0} of the (E_K) solution family.
 
-    Minimum of d_0 over the feasible set {(E_K) solutions with
-    l_1..l_{K+2} >= 0}: d_0 is affine along the 1-parameter family, so the
-    minimum sits at an endpoint of the nonnegativity interval.
+    Both boundary streams are affine along the family, so their extremes
+    over that part sit at these endpoints.  Raises Infeasible when the
+    part is empty or unbounded.
     """
-    L = classify(alpha)
-    if K < L:
-        raise RegimeError(f"c_oracle requires K >= L = {L}, got K={K}")
     x0, v = solution_family(K, alpha)
     iv = _feasible_interval(x0, v)
     if iv is None:
         raise Infeasible(f"no nonnegative (E_{K}) solution at alpha={alpha}")
-    tlo, thi = iv
-    if not (math.isfinite(tlo) and math.isfinite(thi)):
+    if not all(math.isfinite(t) for t in iv):
         raise Infeasible(f"nonnegativity interval unbounded for (E_{K}) at alpha={alpha}")
-    vals = []
-    for t in (tlo, thi):
-        l = x0 + t * v
-        d0, _ = boundary_streams(l, alpha)
-        vals.append(float(d0))
-    return min(vals)
+    return [tuple(float(d) for d in boundary_streams(x0 + t * v, alpha))
+            for t in iv]
+
+
+def c_oracle(K: int, alpha: float) -> float:
+    """Brute-force lower bound realization for the constant bounding d_0:
+    the minimum of d_0 over the (E_K) solutions with l_1..l_{K+2} >= 0.
+    """
+    L = classify(alpha)
+    if K < L:
+        raise RegimeError(f"c_oracle requires K >= L = {L}, got K={K}")
+    return min(d0 for d0, _ in _endpoint_streams(K, alpha))
 
 
 def stream_gap(K: int, alpha: float, sol: SystemSolution) -> float:
@@ -339,18 +347,9 @@ def sign_scan(alpha: float, Kmax: int) -> list:
             rows.append(ScanRow(K, True, sol.d0, sol.d0, sol.dK1, sol.dK1))
             continue
         try:
-            x0, v = solution_family(K, alpha)
-            iv = _feasible_interval(x0, v)
+            d0s, dK1s = zip(*_endpoint_streams(K, alpha))
         except Infeasible:
-            iv = None
-        if iv is None or not all(math.isfinite(t) for t in iv):
             rows.append(ScanRow(K, False, nan, nan, nan, nan))
             continue
-        d0s, dK1s = [], []
-        for t in iv:
-            l = x0 + t * v
-            d0, dK1 = boundary_streams(l, alpha)
-            d0s.append(float(d0))
-            dK1s.append(float(dK1))
         rows.append(ScanRow(K, True, min(d0s), max(d0s), min(dK1s), max(dK1s)))
     return rows

@@ -61,7 +61,7 @@ def run_one(params: Params, steps: int, seed: int, engine: str,
     """
     if engine == "rubin":
         from .rubin import simulate_rubin
-        traj, _bank = simulate_rubin(params, steps, seed)
+        traj, _ty = simulate_rubin(params, steps, seed)
     else:
         t0 = tail_start(steps, tail_fraction)
         traj = simulate(params, steps, seed, engine=engine,
@@ -115,9 +115,8 @@ def run_batch(config: BatchConfig) -> BatchResult:
     if len(failures) > 0.01 * config.runs:
         raise StuckWalkError(
             f"{len(failures)}/{config.runs} runs failed; first: {failures[0]}")
-    aggregate = batch_stats(ok, config.params)
-    aggregate.first_step_right_frac = first_right / len(ok) if ok else None
     return BatchResult(config=config, summaries=summaries,
-                       aggregate=aggregate, failures=failures,
+                       aggregate=batch_stats(ok, config.params),
+                       failures=failures,
                        first_step_right=first_right)
 

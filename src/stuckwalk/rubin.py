@@ -17,11 +17,15 @@ precision after a few dozen visits, while log-domain depletion keeps
 an exact tie) raises ConstructionFailure rather than silently clamping.
 """
 
-from dataclasses import dataclass, field
-from math import exp, inf, isfinite, log, log1p
-from math import expm1 as math_expm1
+from dataclasses import dataclass
+from math import exp, expm1, inf, isfinite, log, log1p
 
 import numpy as np
+
+from .errors import ConstructionFailure
+from .rng import keyed_std_exponential, philox
+from .spectrum import Params
+from .walk import Trajectory
 
 
 def _logaddexp(a: float, b: float) -> float:
@@ -39,11 +43,6 @@ def _safe_exp(x: float) -> float:
         return exp(x)
     except OverflowError:
         return inf
-
-from .errors import ConstructionFailure
-from .rng import keyed_std_exponential, philox
-from .spectrum import Params
-from .walk import Trajectory
 
 
 class WeightSpec:
@@ -74,18 +73,17 @@ class WeightSpec:
 
 
 class SequentialClockSource:
-    """Clock draws taken in order of first use from one Philox stream."""
+    """Clock draws taken in order of first use from one Philox stream, in
+    blocks of 4096 standard exponentials."""
 
-    def __init__(self, seed: int, block: int = 4096):
+    def __init__(self, seed: int):
         self._gen = philox(seed)
-        self._block = block
         self._buf = []
         self._i = 0
 
     def log_std_exponential(self, y, direction, k) -> float:
         if self._i == len(self._buf):
-            self._buf = np.log(
-                self._gen.standard_exponential(self._block)).tolist()
+            self._buf = np.log(self._gen.standard_exponential(4096)).tolist()
             self._i = 0
         v = self._buf[self._i]
         self._i += 1
@@ -126,27 +124,11 @@ class Clock:
     log_consumed: float = -inf  # log of the T accumulator
 
 
-@dataclass
-class ClockBank:
-    """All per-oriented-edge clock state of one trajectory."""
-
-    clocks: dict = field(default_factory=dict)
-    jumps: int = 0
-    tail_snapshot: dict = field(default_factory=dict)  # (y,s) -> log_consumed
-
-    def clock(self, y: int, direction: int) -> Clock:
-        key = (y, direction)
-        c = self.clocks.get(key)
-        if c is None:
-            c = self.clocks[key] = Clock()
-        return c
-
-
 class RubinEngine:
-    """One continuous-time walk driven by a clock source."""
+    """One continuous-time walk driven by a clock source; ``clocks`` maps
+    each oriented edge (y, direction) the walk has raced on to its Clock."""
 
-    def __init__(self, params: Params, clock_source,
-                 record_races: bool = False):
+    def __init__(self, params: Params, clock_source):
         self.params = params
         self.weights = WeightSpec.for_params(params)
         self.source = clock_source
@@ -154,11 +136,12 @@ class RubinEngine:
         self.log_time = -inf
         self.positions = [0]
         self.visits = {}  # Z: visit counts, start at 0 excluded
-        self.bank = ClockBank()
-        self.races = [] if record_races else None  # (site, winner, log_e)
+        self.clocks = {}
 
     def _armed(self, y: int, direction: int) -> Clock:
-        c = self.bank.clock(y, direction)
+        c = self.clocks.get((y, direction))
+        if c is None:
+            c = self.clocks[(y, direction)] = Clock()
         if c.log_residual is None:
             k = c.index
             c.log_residual = (self.weights.log_f(y, direction, k)
@@ -167,7 +150,8 @@ class RubinEngine:
         return c
 
     def race_step(self):
-        """Run one race at the current site; returns (direction, elapsed)."""
+        """Run one race at the current site; returns (direction, log of
+        the elapsed time)."""
         y = self.pos
         z = self.visits.get
         cp = self._armed(y, 1)
@@ -175,7 +159,7 @@ class RubinEngine:
         ring_p = cp.log_residual - self.weights.log_w(z(y + 1, 0))
         ring_m = cm.log_residual - self.weights.log_w(z(y - 1, 0))
         if ring_p == ring_m:
-            raise _failure(_TIE, y, self.bank.jumps)
+            raise _failure(_TIE, y, len(self.positions) - 1)
         if ring_p < ring_m:
             direction, winner, loser, log_e, ring_l = 1, cp, cm, ring_p, ring_m
         else:
@@ -183,7 +167,7 @@ class RubinEngine:
         # deplete the loser: its raw amount shrinks by the consumed fraction
         frac = exp(log_e - ring_l)
         if frac >= 1.0:
-            raise _failure(_EXHAUSTED, y, self.bank.jumps)
+            raise _failure(_EXHAUSTED, y, len(self.positions) - 1)
         loser.log_residual += log1p(-frac)
         loser.log_pending = _logaddexp(loser.log_pending, log_e)
         winner.log_consumed = _logaddexp(
@@ -192,13 +176,10 @@ class RubinEngine:
         winner.log_residual = None
         winner.index += 1
         self.log_time = _logaddexp(self.log_time, log_e)
-        if self.races is not None:
-            self.races.append((y, direction, log_e))
         self.pos = y + direction
         self.visits[self.pos] = z(self.pos, 0) + 1
         self.positions.append(self.pos)
-        self.bank.jumps += 1
-        return direction, _safe_exp(log_e)
+        return direction, log_e
 
 
 _TIE, _EXHAUSTED = "exact clock tie", "loser residual exhausted"
@@ -218,81 +199,61 @@ def race_kernel(kernels, params: Params, seed: int, hold_out: int, u: float,
     y + jumps + 2, column 0 for the minus clock and 1 for the plus clock.
     Raises the ConstructionFailure RubinEngine would raise.
     """
-    off = jumps + 2
-    edges = 2 * (2 * off + 1)
-    index = np.zeros(edges, dtype=np.int64)
-    armed = np.zeros(edges, dtype=np.int64)
-    log_res = np.zeros(edges)
-    log_pend = np.full(edges, -inf)
-    log_cons = np.full(edges, -inf)
-    z = np.zeros(2 * off + 1, dtype=np.int64)
-    out = np.zeros(jumps + 1, dtype=np.int64)
-    log_time = np.array([-inf])
-    fail = np.zeros(2, dtype=np.int64)
+    # the kernel fills both buffers; the layout is in _kernel.SOURCE
+    sites = 2 * jumps + 5
+    edges = 2 * sites
+    ints = np.empty(2 + (jumps + 1) + sites + edges, dtype=np.int64)
+    floats = np.empty(1 + 3 * edges)
     # a site the walk cannot reach stands in for any far hold_out, which
     # might not fit an int64
-    hold = hold_out if abs(hold_out) <= off else off
+    hold = hold_out if abs(hold_out) <= jumps + 2 else jumps + 2
     done = kernels.stuck_rubin_races(
         params.alpha, params.beta, seed % 2 ** 64, hold, log(u), jumps,
-        *(a.ctypes.data for a in (index, armed, log_res, log_pend, log_cons,
-                                  z)),
-        out.ctypes.data + 8, log_time.ctypes.data, fail.ctypes.data)
+        ints.ctypes.data, floats.ctypes.data)
     if done < jumps:
-        raise _failure((_TIE, _EXHAUSTED)[fail[0] - 1], int(fail[1]), done)
-    return (out.tolist(), float(log_time[0]), index.reshape(-1, 2),
-            log_cons.reshape(-1, 2))
+        raise _failure((_TIE, _EXHAUSTED)[ints[0] - 1], int(ints[1]), done)
+    return (ints[2:jumps + 3].tolist(), float(floats[0]),
+            ints[-edges:].reshape(-1, 2), floats[-edges:].reshape(-1, 2))
 
 
 def simulate_rubin(params: Params, jumps: int, seed: int):
-    """Full construction for a fixed number of jumps.
+    """Full construction for a fixed number of jumps over sequential
+    clocks.
 
-    Returns (Trajectory of the embedded walk, ClockBank with per-edge
-    consumed-time accumulators and a snapshot at the 90% jump mark).
+    Returns (Trajectory of the embedded walk, T_y report).  The report
+    maps each site with a clock to its consumed times T_y+ and T_y-
+    (``t_plus``, ``t_minus`` and their logs) and to ``tail_fraction``, the
+    share of T_y+ + T_y- accumulated during the last 10% of the jumps; a
+    vanishing value signals the geometric decay of clock rates at that
+    site (finite-sum trend, no almost-sure claim).
     """
     if jumps < 0:
         raise ValueError(f"jumps must be >= 0, got {jumps}")
     engine = RubinEngine(params, SequentialClockSource(seed))
     mark = (9 * jumps) // 10
-    for k in range(jumps):
-        if k == mark:
-            engine.bank.tail_snapshot = {
-                key: c.log_consumed for key, c in engine.bank.clocks.items()}
+    for _ in range(mark):
         engine.race_step()
-    traj = Trajectory(positions=engine.positions, seed=seed, params=params)
-    return traj, engine.bank
-
-
-def ty_report(bank: ClockBank) -> dict:
-    """Per-site consumed-time accumulators and tail-increment diagnostics.
-
-    tail_fraction is the share of (T_y+ + T_y-) accumulated during the
-    last 10% of jumps; a vanishing value signals the geometric decay of
-    clock rates at that site (finite-sum trend, no almost-sure claim).
-    """
-    sites = sorted({y for (y, _s) in bank.clocks})
-    report = {}
-    for y in sites:
-        lp = bank.clocks.get((y, 1), Clock()).log_consumed
-        lm = bank.clocks.get((y, -1), Clock()).log_consumed
-        lp0 = bank.tail_snapshot.get((y, 1), -inf)
-        lm0 = bank.tail_snapshot.get((y, -1), -inf)
+    at_mark = {key: c.log_consumed for key, c in engine.clocks.items()}
+    for _ in range(jumps - mark):
+        engine.race_step()
+    at_end = {key: c.log_consumed for key, c in engine.clocks.items()}
+    ty = {}
+    for y in sorted({y for y, _ in at_end}):
+        lp, lm = at_end.get((y, 1), -inf), at_end.get((y, -1), -inf)
         log_total = _logaddexp(lp, lm)
-        log_mark = _logaddexp(lp0, lm0)
+        log_mark = _logaddexp(at_mark.get((y, 1), -inf),
+                              at_mark.get((y, -1), -inf))
         if log_total == -inf:
             frac = 0.0
         elif log_mark == -inf:
             frac = 1.0
         else:
             # tail/total = 1 - T_mark/T_total, stable for huge accumulators
-            frac = max(0.0, -math_expm1(log_mark - log_total))
-        report[y] = {
-            "t_plus": _safe_exp(lp),
-            "t_minus": _safe_exp(lm),
-            "log_t_plus": lp,
-            "log_t_minus": lm,
-            "tail_fraction": frac,
-        }
-    return report
+            frac = max(0.0, -expm1(log_mark - log_total))
+        ty[y] = {"t_plus": _safe_exp(lp), "t_minus": _safe_exp(lm),
+                 "log_t_plus": lp, "log_t_minus": lm, "tail_fraction": frac}
+    traj = Trajectory(positions=engine.positions, seed=seed, params=params)
+    return traj, ty
 
 
 @dataclass
@@ -440,6 +401,12 @@ def equivalence_report(params: Params, horizon: int, runs: int,
         "tv_distance": tv, "chi2_stat": float(stat),
         "chi2_pvalue": float(pvalue), "cells": len(pooled_e),
     }
+
+
+def equivalence_pass(rep: dict) -> bool:
+    """The pass rule of an ``equivalence_report``: total-variation
+    distance at most 0.01 and chi-square p-value above 0.001."""
+    return rep["tv_distance"] <= 0.01 and rep["chi2_pvalue"] > 0.001
 
 
 def sample_embedded_paths(params: Params, horizon: int, runs: int,

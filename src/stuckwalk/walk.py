@@ -44,7 +44,6 @@ class WalkState:
     alpha: float
     beta: float
     pos: int = 0
-    step: int = 0
     edge_lt: dict = field(default_factory=dict)
     min_site: int = 0
     max_site: int = 0
@@ -58,7 +57,6 @@ class WalkState:
         edge = y + (1 if direction > 0 else 0)  # {j-1, j} with j = edge
         self.edge_lt[edge] = self.edge_lt.get(edge, 0) + 1
         self.pos = y + direction
-        self.step += 1
         if self.pos < self.min_site:
             self.min_site = self.pos
         elif self.pos > self.max_site:

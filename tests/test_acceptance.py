@@ -132,8 +132,7 @@ def test_criterion_4_rubin_equivalence(capsys):
             rep = rubin.equivalence_report(
                 params, horizon=6, runs=100000,
                 seed=derive_seed(868686, s))
-            if rep["tv_distance"] <= 0.01 and rep["chi2_pvalue"] > 0.001:
-                passing += 1
+            passing += rubin.equivalence_pass(rep)
         results[(alpha, beta)] = passing
         all_ok &= passing >= 9
     dt = time.perf_counter() - t0

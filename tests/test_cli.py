@@ -334,6 +334,32 @@ def test_snapshot_golden(tmp_path, argv, csv_sha, snapshots_sha):
     assert hashlib.sha256(snapshots.read_bytes()).hexdigest() == snapshots_sha
 
 
+def _sha(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# sha256 of the rubin engine's outputs, taken while it still kept its
+# clocks in a ClockBank with a tail snapshot
+def test_rubin_simulate_golden(tmp_path):
+    out, ty = tmp_path / "r.csv", tmp_path / "ty.json"
+    assert run(["simulate", "--engine", "rubin", "--alpha", "0.8", "--beta",
+                "1", "--steps", "3000", "--seed", "7", "--out", str(out),
+                "--ty-out", str(ty)]) == 0
+    assert _sha(out) == \
+        "fae82f03958397f7593a35a0b35c7441739276012c399edb349b5136d37cbb0c"
+    assert _sha(ty) == \
+        "0fcfacd28b0847b80deee423d27eaea20fef6f49f37b8251d9635defd5381a1e"
+
+
+def test_rubin_batch_golden(tmp_path):
+    out = tmp_path / "agg.json"
+    assert run(["batch", "--engine", "rubin", "--alpha", "2", "--beta", "1",
+                "--runs", "4", "--steps", "2000", "--seed", "3",
+                "--out", str(out)]) == 0
+    assert _sha(out) == \
+        "ad571088ca0bc47ee8fa15af957d1c9494d02041b28d0b5d49c4dbb1778279a8"
+
+
 # ------------------------------------------------------------ bad input
 
 

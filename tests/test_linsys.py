@@ -142,6 +142,17 @@ def test_affine_reconstruction_identities(L, ai, d_raw):
     assert all(c > 0 for c in sol.c)
 
 
+def test_solution_family_is_shared_and_read_only():
+    # memoized per (K, alpha): a caller writing into the arrays would
+    # change every later caller's family
+    x0, v = linsys.solution_family(4, 2.0)
+    again = linsys.solution_family(4, 2.0)
+    assert again[0] is x0 and again[1] is v
+    for arr in (x0, v):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
 # ------------------------------------------------------------ c_oracle
 
 

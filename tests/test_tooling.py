@@ -39,3 +39,28 @@ def test_readme_cli_lines_parse():
     parser = build_parser()
     for argv in commands:
         assert parser.parse_args(argv[1:]).subcommand == argv[1]
+
+
+def test_kernel_prototypes_match_argtypes():
+    # ctypes passes whatever argtypes says: a C parameter added or dropped
+    # without the matching argtypes change would corrupt memory silently
+    import ctypes
+    import re
+
+    import pytest
+
+    from stuckwalk import _kernel
+
+    kernels = _kernel.load()
+    if kernels is None:
+        pytest.skip("no kernel library can be built here")
+    c_types = {"double": ctypes.c_double, "int64_t": ctypes.c_int64,
+               "uint64_t": ctypes.c_uint64}
+    prototypes = re.findall(r"^int64_t (\w+)\(([^)]*)\)\s*\{",
+                            _kernel.SOURCE, flags=re.M)
+    assert [name for name, _ in prototypes] == ["stuck_walk_steps",
+                                                "stuck_rubin_races"]
+    for name, params in prototypes:
+        want = [ctypes.c_void_p if "*" in p else c_types[p.split()[-2]]
+                for p in params.split(",")]
+        assert list(getattr(kernels, name).argtypes) == want, name
