@@ -1,5 +1,5 @@
-"""Compiled kernels for the direct walk and the keyed clock race, built
-on first use.
+"""Compiled kernels for the direct walk, the keyed clock race and the
+embedded-path sampler, built on first use.
 
 ``stuck_walk_steps`` repeats, step for step, the arithmetic of
 ``walk.step``: the same evaluation order of the local stream, the same
@@ -7,9 +7,14 @@ saturation branches and libm ``exp``.  ``stuck_rubin_races`` repeats
 ``rubin.RubinEngine.race_step`` over the clocks of a
 ``rubin.KeyedClockSource``: the same splitmix64 chain, the same
 ``log_f``, ``log_w`` and ``_logaddexp`` evaluation order, and libm
-``log``, ``log1p`` and ``exp``, which Python's ``math`` calls too.  Both
-are compiled with the system C compiler into ``$XDG_CACHE_HOME/stuckwalk``
-(default ``~/.cache``) as one library and loaded with ``ctypes``.
+``log``, ``log1p`` and ``exp``, which Python's ``math`` calls too.
+``stuck_sampler_step`` does the race bookkeeping of
+``rubin.sample_embedded_paths`` with only ``+``, ``-`` and ``*``: the
+sampler's ``log``, ``exp`` and ``log1p`` stay in numpy, whose SIMD
+versions differ from libm in the last bit on a few percent of inputs.
+All three are compiled with the system C compiler into
+``$XDG_CACHE_HOME/stuckwalk`` (default ``~/.cache``) as one library and
+loaded with ``ctypes``.
 ``-ffp-contract=off`` forbids fused multiply-adds, which would change the
 bits of Delta and of the clock means; ``-ffast-math`` and
 ``-march=native`` must never be added for the same reason.
@@ -198,6 +203,76 @@ int64_t stuck_rubin_races(double alpha, double beta, uint64_t seed,
     floats[0] = t;
     return k;
 }
+
+/* Step t of rubin.sample_embedded_paths over a block of m runs with
+   horizon h.  Run r sits on sites 0..S-1, S = 2h+3 (site x is position
+   x-h-1), and keeps its state in record r of both buffers:
+       ints   = m records of {pos, code, right, z[S], index[2S]}
+       floats = d[m], then m records of log_res[2S]
+   where the clock of oriented edge (x, dir) sits at 2x + (dir > 0) of
+   index and log_res, and a NaN log_res marks an unarmed clock.  For
+   t = 0 the block is reset to the start; for t > 0 race t-1 is
+   committed, d[r] then holding log1p(-exp(log_e - ring_l)), which the
+   caller computes.  Then, unless draws is NULL, race t is run: each
+   unarmed clock at pos is armed with log_f plus draws[r] (minus clock)
+   or draws[stride + r] (plus clock), logs of standard exponentials;
+   the winner's direction goes to right and log_e - ring_l to d[r].
+   log_f and log_w are evaluated as in stuck_rubin_races.  Returns the
+   number of exact ties in race t. */
+int64_t stuck_sampler_step(double alpha, double beta, int64_t h,
+                           int64_t m, int64_t t, const double *draws,
+                           int64_t stride, int64_t *ints, double *floats)
+{
+    const int64_t S = 2 * h + 3, rec = 3 + 3 * S, origin = h + 1;
+    const double lw = 4.0 * beta * alpha;
+    double *d = floats, *log_res = floats + m;
+    int64_t r, k, ties = 0;
+    for (r = 0; r < m; r++) {
+        int64_t *run = ints + r * rec, *z = run + 3, *index = z + S;
+        double *res = log_res + r * 2 * S;
+        int64_t pos;
+        if (t == 0) {
+            pos = origin;
+            run[1] = 0;
+            for (k = 0; k < S; k++)
+                z[k] = 0;
+            for (k = 0; k < 2 * S; k++) {
+                index[k] = 0;
+                res[k] = NAN;
+            }
+        } else {
+            const int64_t right = run[2], win = 2 * run[0] + right;
+            res[win ^ 1] += d[r];
+            res[win] = NAN;
+            index[win] += 1;
+            pos = run[0] + 2 * right - 1;
+            z[pos] += 1;
+            run[1] = 2 * run[1] + right;
+        }
+        run[0] = pos;
+        if (draws) {
+            const int64_t y = pos - origin;
+            double ring_p, ring_m;
+            for (k = 0; k < 2; k++) {
+                const int64_t e = 2 * pos + k, dir = 2 * k - 1;
+                const double fresh =
+                    2.0 * beta * (2.0 * (1.0 + alpha) * (double)index[e]
+                                  - alpha * (double)(y + dir == 0)
+                                  + (1.0 + alpha) * (double)(dir * y < 0))
+                    + draws[k * stride + r];
+                res[e] = isnan(res[e]) ? fresh : res[e];
+            }
+            ring_m = res[2 * pos] - lw * (double)z[pos - 1];
+            ring_p = res[2 * pos + 1] - lw * (double)z[pos + 1];
+            ties += ring_p == ring_m;
+            run[2] = ring_p < ring_m;
+            /* log_e - ring_l: rounding to nearest is symmetric, so
+               ring_m - ring_p == -(ring_p - ring_m) bit for bit */
+            d[r] = -fabs(ring_p - ring_m);
+        }
+    }
+    return ties;
+}
 """
 
 COMPILER = "cc"
@@ -242,7 +317,7 @@ def _compile(compiler: str, lib: str) -> None:
 
 @functools.cache
 def load():
-    """The kernel library (``ctypes.CDLL`` with both functions typed), or
+    """The kernel library (``ctypes.CDLL`` with every function typed), or
     None if it cannot be had here."""
     import ctypes
     import shutil
@@ -267,4 +342,7 @@ def load():
     kernels.stuck_rubin_races.argtypes = [f64, f64, ctypes.c_uint64, i64,
                                           f64, i64, ptr, ptr]
     kernels.stuck_rubin_races.restype = i64
+    kernels.stuck_sampler_step.argtypes = [f64, f64, i64, i64, i64, ptr,
+                                           i64, ptr, ptr]
+    kernels.stuck_sampler_step.restype = i64
     return kernels

@@ -368,7 +368,7 @@ def equivalence_report(params: Params, horizon: int, runs: int,
     the total-variation distance to the exact law plus a chi-square
     goodness-of-fit p-value (cells with expected count < 5 pooled).
     """
-    from scipy.stats import chisquare
+    from scipy.special import chdtrc  # 0.3 s to import, scipy.stats 1.3 s
 
     from .walk import exact_path_law
 
@@ -394,7 +394,17 @@ def equivalence_report(params: Params, horizon: int, runs: int,
     if acc_e > 0.0 and pooled_e:
         pooled_e[-1] += acc_e
         pooled_o[-1] += acc_o
-    stat, pvalue = chisquare(pooled_o, f_exp=pooled_e)
+    # scipy.stats.chisquare(pooled_o, f_exp=pooled_e), operation for
+    # operation: its sum check, statistic and p-value
+    obs, exp_ = np.array(pooled_o), np.array(pooled_e)
+    rtol = np.finfo(float).eps ** 0.5
+    with np.errstate(invalid="ignore"):  # no cells: 0/0
+        gap = abs(obs.sum() - exp_.sum()) / min(obs.sum(), exp_.sum())
+    if gap > rtol:
+        raise ValueError(f"observed and expected counts must agree to a "
+                         f"relative tolerance of {rtol}")
+    stat = ((obs - exp_) ** 2 / exp_).sum()
+    pvalue = chdtrc(len(exp_) - 1, stat)
     return {
         "horizon": horizon, "runs": runs, "seed": seed,
         "alpha": params.alpha, "beta": params.beta,
@@ -409,20 +419,95 @@ def equivalence_pass(rep: dict) -> bool:
     return rep["tv_distance"] <= 0.01 and rep["chi2_pvalue"] > 0.001
 
 
+# runs per block of the compiled sampler, whose state is reset and reused
+# from block to block
+_BLOCK = 1024
+
+
 def sample_embedded_paths(params: Params, horizon: int, runs: int,
                           seed: int) -> dict:
     """Empirical law of the embedded walk's first ``horizon`` jumps.
 
-    Vectorized across ``runs`` independent trajectories (same construction
-    as RubinEngine, advanced in lockstep); returns {position tuple: count}.
-    Used for the distributional-equivalence check against the exact
-    discrete path law.
+    ``runs`` independent trajectories, same construction as RubinEngine;
+    returns {position tuple: count}.  Used for the distributional-
+    equivalence check against the exact discrete path law.
+
+    The race bookkeeping runs in the compiled kernel over blocks of
+    ``_BLOCK`` runs, with ``log``, ``exp`` and ``log1p`` taken in numpy;
+    where no kernel can be built the runs advance in lockstep in numpy.
+    Both consume the same draws and give the same counts.
     """
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    if horizon > 62:
+        # path codes are int64 with one bit per jump
+        raise ValueError(f"horizon must be <= 62, got {horizon}")
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
+    from . import _kernel  # here, so that importing rubin loads no kernel
+
+    kernels = _kernel.load()
+    rng = philox(seed)
+    if kernels is None:
+        codes = _lockstep_codes(params, horizon, runs, rng)
+    else:
+        codes = _kernel_codes(kernels, params, horizon, runs, rng)
+    out = {}
+    for code, count in zip(*(a.tolist() for a in np.unique(
+            codes, return_counts=True))):
+        p = 0
+        path = []
+        for i in range(horizon - 1, -1, -1):
+            p += 1 if (code >> i) & 1 else -1
+            path.append(p)
+        out[tuple(path)] = count
+    return out
+
+
+def _kernel_codes(kernels, params: Params, horizon: int, runs: int, rng):
+    """Path codes of ``runs`` embedded walks (jump t is bit horizon-1-t,
+    set if it went right), raced by ``stuck_sampler_step``; the layout of
+    its buffers is in _kernel.SOURCE."""
+    # every draw up front, in the order _lockstep_codes takes them: per
+    # step the minus clock's row, then the plus clock's
+    draws = np.empty((2 * horizon, runs))
+    for row in draws:
+        rng.standard_exponential(out=row)
+    np.log(draws, out=draws)
+    block = min(_BLOCK, runs)
+    S = 2 * horizon + 3
+    rec = 3 + 3 * S
+    ints = np.empty(block * rec, dtype=np.int64)
+    floats = np.empty(block * (1 + 2 * S))
+    codes = np.empty(runs, dtype=np.int64)
+    step = kernels.stuck_sampler_step
+    alpha, beta = params.alpha, params.beta
+    base, ip, fp = draws.ctypes.data, ints.ctypes.data, floats.ctypes.data
+    with np.errstate(invalid="raise"):
+        for start in range(0, runs, block):
+            m = min(block, runs - start)
+            d = floats[:m]
+            for t in range(horizon + 1):
+                at = base + 8 * (2 * t * runs + start) if t < horizon \
+                    else None
+                if step(alpha, beta, horizon, m, t, at, runs, ip, fp):
+                    raise ConstructionFailure(
+                        "exact clock tie in vectorized sampler")
+                if at is not None:
+                    # d becomes log1p(-exp(log_e - ring_l))
+                    np.exp(d, out=d)
+                    np.negative(d, out=d)
+                    np.log1p(d, out=d)
+            codes[start:start + m] = ints[1:m * rec:rec]
+    return codes
+
+
+def _lockstep_codes(params: Params, horizon: int, runs: int, rng):
+    """``_kernel_codes`` in numpy, all runs advanced in lockstep."""
     ws = WeightSpec.for_params(params)
     S = 2 * horizon + 3
     origin = horizon + 1
     coords = np.arange(S) - origin
-    rng = philox(seed)
 
     # site-major state: the runs sit on a few sites at any step, so the
     # gathers and scatters below touch a few contiguous rows.  Z[x*runs + r]
@@ -466,13 +551,4 @@ def sample_embedded_paths(params: Params, horizon: int, runs: int,
         pos += step
         Z[site + step * runs] += 1
         codes = 2 * codes + right
-    counts = np.bincount(codes, minlength=1 << horizon)
-    out = {}
-    for code in np.nonzero(counts)[0]:
-        p = 0
-        path = []
-        for i in range(horizon - 1, -1, -1):
-            p += 1 if (code >> i) & 1 else -1
-            path.append(p)
-        out[tuple(path)] = int(counts[code])
-    return out
+    return codes

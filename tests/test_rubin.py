@@ -4,7 +4,7 @@ import shutil
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stuckwalk import _kernel, rubin, walk
 from stuckwalk.errors import ConstructionFailure
@@ -13,6 +13,9 @@ from stuckwalk.spectrum import Params
 
 P21 = Params.make(2.0, 1.0)
 P205 = Params.make(2.0, 0.5)
+
+needs_cc = pytest.mark.skipif(shutil.which(_kernel.COMPILER) is None,
+                              reason="no C compiler on PATH")
 
 
 # ------------------------------------------------------------ weights
@@ -215,6 +218,86 @@ def test_equivalence_report():
     assert rubin.equivalence_pass(rep)
 
 
+def _sampler_codes(kernels, params, horizon, runs, seed):
+    """The path codes of the compiled sampler, or of the numpy one where
+    ``kernels`` is None, or the ConstructionFailure message."""
+    rng = philox(seed)
+    try:
+        if kernels is None:
+            return rubin._lockstep_codes(params, horizon, runs, rng).tolist()
+        return rubin._kernel_codes(kernels, params, horizon, runs,
+                                   rng).tolist()
+    except ConstructionFailure as exc:
+        return str(exc)
+
+
+@needs_cc
+@given(alpha=st.sampled_from([2.0, 0.8, 0.45, 0.36]),
+       beta=st.floats(min_value=0.01, max_value=30.0),
+       horizon=st.integers(min_value=0, max_value=8),
+       runs=st.integers(min_value=1, max_value=5000),
+       seed=st.integers(min_value=0, max_value=2 ** 64 - 1))
+@example(alpha=0.36, beta=3.0, horizon=8, runs=4097, seed=2 ** 64 - 5)
+@settings(max_examples=60, deadline=None)
+def test_sampler_kernel_matches_lockstep(alpha, beta, horizon, runs, seed):
+    # same draws, same codes run by run, through partial final blocks
+    params = Params.make(alpha, beta)
+    assert _sampler_codes(_kernel.load(), params, horizon, runs, seed) \
+        == _sampler_codes(None, params, horizon, runs, seed)
+
+
+@pytest.mark.parametrize("block", [1, 7, 5000])
+def test_sampler_block_size_does_not_change_counts(monkeypatch, block):
+    expected = rubin.sample_embedded_paths(P21, 6, 2500, seed=17)
+    monkeypatch.setattr(rubin, "_BLOCK", block)
+    assert rubin.sample_embedded_paths(P21, 6, 2500, seed=17) == expected
+
+
+def test_equivalence_report_fallback_is_identical(monkeypatch):
+    compiled = [rubin.equivalence_report(p, 5, 20000, seed=s)
+                for p, s in ((P21, 3), (P205, 2 ** 64 - 1))]
+    monkeypatch.setattr(_kernel, "load", lambda: None)
+    assert [rubin.equivalence_report(p, 5, 20000, seed=s)
+            for p, s in ((P21, 3), (P205, 2 ** 64 - 1))] == compiled
+
+
+class _UnitExponentials:
+    """A generator stub whose standard exponentials are all 1."""
+
+    def standard_exponential(self, size=None, out=None):
+        if out is None:
+            return np.ones(size)
+        out[...] = 1.0
+        return out
+
+
+@pytest.mark.parametrize("compiled", [True, False])
+def test_sampler_tie_raises(monkeypatch, compiled):
+    # at site 0 both first clocks have log_f = 0, so equal draws tie
+    if not compiled:
+        monkeypatch.setattr(_kernel, "load", lambda: None)
+    monkeypatch.setattr(rubin, "philox", lambda seed: _UnitExponentials())
+    with pytest.raises(ConstructionFailure,
+                       match="^exact clock tie in vectorized sampler$"):
+        rubin.sample_embedded_paths(P21, 3, 10, seed=1)
+
+
+@pytest.mark.parametrize("compiled", [True, False])
+def test_sampler_input_checks_and_long_horizons(monkeypatch, compiled):
+    if not compiled:
+        monkeypatch.setattr(_kernel, "load", lambda: None)
+    for horizon, runs in ((-1, 10), (63, 1), (5, 0)):
+        with pytest.raises(ValueError):
+            rubin.sample_embedded_paths(P21, horizon, runs, seed=1)
+    # codes are counted without a 2**horizon array
+    emp = rubin.sample_embedded_paths(P21, 62, 3, seed=1)
+    assert sum(emp.values()) == 3
+    for path in emp:
+        assert len(path) == 62
+        assert all(abs(b - a) == 1 for a, b in zip((0, *path), path))
+    assert rubin.sample_embedded_paths(P21, 0, 5, seed=1) == {(): 5}
+
+
 # ------------------------------------------------------------ coupling
 
 
@@ -305,9 +388,6 @@ def test_couple_fallback_gives_same_report(monkeypatch):
 
 
 # ------------------------------------------------------------ race kernel
-
-needs_cc = pytest.mark.skipif(shutil.which(_kernel.COMPILER) is None,
-                              reason="no C compiler on PATH")
 
 
 def _engine_race(params, seed, hold_out, u, jumps):

@@ -55,12 +55,19 @@ def test_kernel_prototypes_match_argtypes():
     if kernels is None:
         pytest.skip("no kernel library can be built here")
     c_types = {"double": ctypes.c_double, "int64_t": ctypes.c_int64,
-               "uint64_t": ctypes.c_uint64}
-    prototypes = re.findall(r"^int64_t (\w+)\(([^)]*)\)\s*\{",
-                            _kernel.SOURCE, flags=re.M)
-    assert [name for name, _ in prototypes] == ["stuck_walk_steps",
-                                                "stuck_rubin_races"]
-    for name, params in prototypes:
+               "uint64_t": ctypes.c_uint64, "void": None}
+    # every function definition at the start of a line, whatever it
+    # returns; static ones are not exported
+    definitions = re.findall(r"^((?:\w+ )+)(\w+)\(([^)]*)\)\s*\{",
+                             _kernel.SOURCE, flags=re.M)
+    exported = [(ret.split()[-1], name, params)
+                for ret, name, params in definitions
+                if ret.split()[0] != "static"]
+    assert [name for _, name, _ in exported] == [
+        "stuck_walk_steps", "stuck_rubin_races", "stuck_sampler_step"]
+    for ret, name, params in exported:
         want = [ctypes.c_void_p if "*" in p else c_types[p.split()[-2]]
                 for p in params.split(",")]
-        assert list(getattr(kernels, name).argtypes) == want, name
+        function = getattr(kernels, name)
+        assert list(function.argtypes) == want, name
+        assert function.restype == c_types[ret], name
