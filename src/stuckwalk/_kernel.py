@@ -3,7 +3,11 @@ embedded-path sampler, built on first use.
 
 ``stuck_walk_steps`` repeats, step for step, the arithmetic of
 ``walk.step``: the same evaluation order of the local stream, the same
-saturation branches and libm ``exp``.  ``stuck_rubin_races`` repeats
+saturation branches and libm ``exp``.  It draws its uniforms itself
+from a port of numpy's Philox4x64-10, so its stream is the bytes of
+``rng.philox(seed).random``; the port multiplies in ``__uint128_t``,
+and a compiler without that type fails the build, leaving the Python
+stepper.  ``stuck_rubin_races`` repeats
 ``rubin.RubinEngine.race_step`` over the clocks of a
 ``rubin.KeyedClockSource``: the same splitmix64 chain, the same
 ``log_f``, ``log_w`` and ``_logaddexp`` evaluation order, and libm
@@ -35,35 +39,83 @@ SOURCE = r"""
 
 #define SAT 40.0
 
+/* numpy's Philox4x64-10 (Random123 constants): fill buf with the four
+   outputs of counter ctr under key {key, 0}. */
+static void philox4x64(uint64_t key, const uint64_t *ctr, uint64_t *buf)
+{
+    uint64_t c0 = ctr[0], c1 = ctr[1], c2 = ctr[2], c3 = ctr[3];
+    uint64_t k0 = key, k1 = 0;
+    int r;
+    for (r = 0; r < 10; r++) {
+        const __uint128_t p0 = (__uint128_t)0xD2E7470EE14C6C93ULL * c0;
+        const __uint128_t p1 = (__uint128_t)0xCA5A826395121157ULL * c2;
+        c0 = (uint64_t)(p1 >> 64) ^ c1 ^ k0;
+        c1 = (uint64_t)p1;
+        c2 = (uint64_t)(p0 >> 64) ^ c3 ^ k1;
+        c3 = (uint64_t)p0;
+        k0 += 0x9E3779B97F4A7C15ULL;
+        k1 += 0xBB67AE8584CAA73BULL;
+    }
+    buf[0] = c0;
+    buf[1] = c1;
+    buf[2] = c2;
+    buf[3] = c3;
+}
+
+static double step_prob(double alpha, double tb, const int64_t *l)
+{
+    double delta = ((-alpha * (double)l[-1] + (double)l[0])
+                    - (double)l[1]) + alpha * (double)l[2];
+    double x = tb * delta;
+    if (x > SAT)
+        return 1.0;
+    if (x < -SAT)
+        return 0.0;
+    return 1.0 / (1.0 + exp(-x));
+}
+
+/* The probability that the walk at edge pointer l (l[0] the local time
+   of the edge left of the walker) steps right, as stuck_walk_steps
+   computes it. */
+double stuck_step_prob(double alpha, double tb, const int64_t *l)
+{
+    return step_prob(alpha, tb, l);
+}
+
 /* Advance the walk up to n steps and return the number taken.  lt
    points at edge 0 of the local-time array (lt[j] is the local time of
-   edge {j-1, j}).  state = {pos, lo, hi, first, last}: the position and
-   the visited range, read and written back, and the lowest and highest
-   edge index the array holds, read only.  A step reads edges pos-1 to
-   pos+2, so the caller keeps first <= lo-1 and hi+2 <= last; the walk
-   stops early, right after the step that sets a new lo or hi which
-   breaks that, and the caller widens the array.  out[k] receives the
-   position after step k unless out is NULL. */
-int64_t stuck_walk_steps(double alpha, double tb, int64_t *lt,
-                         const double *u, int64_t n, int64_t *state,
-                         int64_t *out)
+   edge {j-1, j}).  state = {pos, lo, hi, first, last, key, ctr[4],
+   buf[4], used}: the position and the visited range, read and written
+   back, the lowest and highest edge index the array holds, read only,
+   and the Philox generator of numpy's Generator(Philox(key=key)) with
+   its counter, output buffer and buffer position, read and written
+   back (the caller seeds ctr = buf = 0 and used = 4).  Step k draws
+   u = (x >> 11) * 2^-53 from the next output x, as Generator.random
+   does, and steps right if u < p.  A step reads edges pos-1 to pos+2,
+   so the caller keeps first <= lo-1 and hi+2 <= last; the walk stops
+   early, right after the step that sets a new lo or hi which breaks
+   that, and the caller widens the array.  out[k] receives the position
+   after step k unless out is NULL. */
+int64_t stuck_walk_steps(double alpha, double tb, int64_t *lt, int64_t n,
+                         int64_t *state, int64_t *out)
 {
     int64_t pos = state[0], lo = state[1], hi = state[2];
     const int64_t first = state[3], last = state[4];
+    uint64_t *rng = (uint64_t *)state + 5, *ctr = rng + 1, *buf = rng + 5;
+    uint64_t used = rng[9];
     int64_t k;
     for (k = 0; k < n; k++) {
         int64_t *l = lt + pos;
-        double delta = ((-alpha * (double)l[-1] + (double)l[0])
-                        - (double)l[1]) + alpha * (double)l[2];
-        double x = tb * delta;
-        double p;
-        if (x > SAT)
-            p = 1.0;
-        else if (x < -SAT)
-            p = 0.0;
-        else
-            p = 1.0 / (1.0 + exp(-x));
-        if (u[k] < p) {
+        double u;
+        int i;
+        if (used == 4) {
+            for (i = 0; i < 4 && ++ctr[i] == 0; i++)
+                ;
+            philox4x64(rng[0], ctr, buf);
+            used = 0;
+        }
+        u = (double)(buf[used++] >> 11) * 0x1p-53;
+        if (u < step_prob(alpha, tb, l)) {
             l[1] += 1;
             pos += 1;
             if (pos > hi) {
@@ -86,6 +138,7 @@ int64_t stuck_walk_steps(double alpha, double tb, int64_t *lt,
     state[0] = pos;
     state[1] = lo;
     state[2] = hi;
+    rng[9] = used;
     return k;
 }
 
@@ -337,7 +390,9 @@ def load():
                       "slower Python engines", RuntimeWarning)
         return None
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    kernels.stuck_walk_steps.argtypes = [f64, f64, ptr, ptr, i64, ptr, ptr]
+    kernels.stuck_step_prob.argtypes = [f64, f64, ptr]
+    kernels.stuck_step_prob.restype = f64
+    kernels.stuck_walk_steps.argtypes = [f64, f64, ptr, i64, ptr, ptr]
     kernels.stuck_walk_steps.restype = i64
     kernels.stuck_rubin_races.argtypes = [f64, f64, ctypes.c_uint64, i64,
                                           f64, i64, ptr, ptr]

@@ -227,7 +227,7 @@ def cmd_simulate(parser, args):
 
 def _read_trajectory_csv(path, params, seed=None):
     """Positions from a `step,position` CSV; rejects anything but a walk
-    that starts at 0 and moves by +-1."""
+    that starts at 0 and moves by +-1, with the k-th row at step k."""
     positions = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -235,10 +235,13 @@ def _read_trajectory_csv(path, params, seed=None):
             if not line or line.startswith("#") or line.startswith("step"):
                 continue
             try:
-                _, p = map(int, line.split(","))
+                k, p = map(int, line.split(","))
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: expected step,position "
                                  f"integers, got {line!r}") from None
+            if k != len(positions):
+                raise ValueError(f"{path}:{lineno}: expected step "
+                                 f"{len(positions)}, got {k}")
             if not positions and p != 0:
                 raise ValueError(f"{path}:{lineno}: trajectory must start "
                                  f"at 0, got {p}")

@@ -3,7 +3,8 @@
 Two primitives are used throughout:
 
 * numpy's Philox (counter-based) generator for bulk draws inside one
-  trajectory, identified in output metadata as ``PRNG_ID``;
+  trajectory, identified in output metadata as ``PRNG_ID`` (the walk
+  kernel generates the same stream in C);
 * a splitmix64 avalanche mix for deriving independent 64-bit seeds and
   for stateless, order-independent clock draws keyed by
   (site, direction, clock index).
@@ -15,7 +16,7 @@ from numpy.random import Generator, Philox
 
 PRNG_ID = "philox4x64(numpy) + splitmix64 key mix"
 
-BLOCK = 1 << 14  # uniforms drawn per Philox call by the walk engines
+BLOCK = 1 << 14  # uniforms per Philox call of the reference stepper
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 

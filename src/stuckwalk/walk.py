@@ -168,12 +168,16 @@ _WINDOW0 = 64  # edges in the kernel's first local-time array
 class _KernelWalk:
     """The compiled kernel with a local-time array over a window of edges
     that doubles, recentred on the visited range, whenever the walker
-    reaches its edge; memory grows with the range, not the step count."""
+    reaches its edge; memory grows with the range, not the step count.
+    The kernel draws the Philox stream of ``rng.philox(seed)`` itself,
+    from the generator words of ``state`` (see ``stuck_walk_steps``)."""
 
-    def __init__(self, kernels, params, steps, keep_path):
+    def __init__(self, kernels, params, steps, seed, keep_path):
         self.kernel = kernels.stuck_walk_steps
         self.alpha, self.tb = params.alpha, 2.0 * params.beta
-        self.state = np.array([0, 0, 0, 0, 1], dtype=np.int64)
+        # pos, lo, hi, first, last, key, counter[4], buffer[4], used
+        self.state = np.array([0, 0, 0, 0, 1, seed % 2 ** 64, *[0] * 8, 4],
+                              dtype=np.uint64).view(np.int64)
         self.state_addr = self.state.ctypes.data
         self.lt = np.zeros(2, dtype=np.int64)   # edges lo..hi+1 = 0..1
         self._resize(_WINDOW0)
@@ -181,7 +185,7 @@ class _KernelWalk:
         self.done = 0
 
     def _resize(self, size):
-        _, lo, hi, first, _ = self.state.tolist()
+        _, lo, hi, first, _ = self.state[:5].tolist()
         need = hi - lo + 4                      # edges lo-1..hi+2
         while size < need:
             size *= 2
@@ -190,25 +194,23 @@ class _KernelWalk:
         lt[lo - new_first:hi + 2 - new_first] = \
             self.lt[lo - first:hi + 2 - first]
         self.lt = lt
-        self.state[3:] = new_first, new_first + size - 1
+        self.state[3:5] = new_first, new_first + size - 1
         self.origin = lt.ctypes.data - 8 * new_first   # address of edge 0
 
-    def advance(self, u, i, n):
-        u_addr = u.ctypes.data
+    def advance(self, n):
         while n:
             out = (None if self.out is None
                    else self.out.ctypes.data + 8 * (self.done + 1))
-            k = self.kernel(self.alpha, self.tb, self.origin, u_addr + 8 * i,
-                            n, self.state_addr, out)
-            i += k
+            k = self.kernel(self.alpha, self.tb, self.origin, n,
+                            self.state_addr, out)
             n -= k
             self.done += k
-            _, lo, hi, first, last = self.state.tolist()
+            _, lo, hi, first, last = self.state[:5].tolist()
             if lo - 1 < first or hi + 2 > last:
                 self._resize(2 * len(self.lt))
 
     def record(self, step_no):
-        pos, lo, hi, first, _ = self.state.tolist()
+        pos, lo, hi, first, _ = self.state[:5].tolist()
         return Stop(step_no, pos, lo, hi,
                     self.lt[lo - first:hi + 2 - first].copy())
 
@@ -217,18 +219,24 @@ class _KernelWalk:
 
 
 class _ReferenceWalk:
-    """The WalkState stepper behind the same interface."""
+    """The WalkState stepper behind the same interface, drawing the
+    uniforms from ``rng.philox(seed)`` in blocks of at most ``BLOCK``."""
 
-    def __init__(self, params, keep_path):
+    def __init__(self, params, seed, keep_path):
         self.state = WalkState(alpha=params.alpha, beta=params.beta)
+        self.gen = philox(seed)
         self.positions = [0] if keep_path else None
 
-    def advance(self, u, i, n):
+    def advance(self, n):
         state = self.state
-        for x in u[i:i + n].tolist():
-            step(state, x)
-            if self.positions is not None:
-                self.positions.append(state.pos)
+        while n:
+            # random(a) then random(b) is the stream prefix random(a + b)
+            u = self.gen.random(min(BLOCK, n)).tolist()
+            n -= len(u)
+            for x in u:
+                step(state, x)
+                if self.positions is not None:
+                    self.positions.append(state.pos)
 
     def record(self, step_no):
         s = self.state
@@ -241,25 +249,16 @@ class _ReferenceWalk:
         return self.positions
 
 
-def _drive(walker, steps, seed, marks):
-    """Walk ``steps`` steps on the Philox stream of ``seed``, in segments
-    that end at each step count of ``marks`` (sorted, within 0..steps),
-    and return the Stops recorded there by step count."""
-    gen = philox(seed)
-    u, i, done = np.empty(0), 0, 0
-    records = {}
-    for j, target in enumerate([*marks, steps]):
-        while done < target:
-            if i == len(u):
-                # the stream prefix of random(n) does not depend on n, so
-                # the last block is drawn short
-                u, i = gen.random(min(BLOCK, steps - done)), 0
-            n = min(len(u) - i, target - done)
-            walker.advance(u, i, n)
-            i += n
-            done += n
-        if j < len(marks):
-            records[target] = walker.record(target)
+def _drive(walker, steps, marks):
+    """Walk ``steps`` steps in segments that end at each step count of
+    ``marks`` (sorted, within 0..steps), and return the Stops recorded
+    there by step count."""
+    records, done = {}, 0
+    for target in marks:
+        walker.advance(target - done)
+        records[target] = walker.record(target)
+        done = target
+    walker.advance(steps - done)
     return records
 
 
@@ -286,10 +285,10 @@ def simulate(params: Params, steps: int, seed: int, engine: str = "direct",
 
     kernels = _kernel.load() if engine == "direct" else None
     if kernels is not None:
-        walker = _KernelWalk(kernels, params, steps, keep_path)
+        walker = _KernelWalk(kernels, params, steps, seed, keep_path)
     else:
-        walker = _ReferenceWalk(params, keep_path)
-    records = _drive(walker, steps, seed, sorted(set(stops)))
+        walker = _ReferenceWalk(params, seed, keep_path)
+    records = _drive(walker, steps, sorted(set(stops)))
     return Trajectory(positions=walker.path(), seed=seed, params=params,
                       stops={k: records[k] for k in stops}, steps=steps)
 

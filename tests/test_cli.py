@@ -200,6 +200,9 @@ def test_config_file_bad_key_or_value_is_usage_error(tmp_path, capsys,
     ("0,0\n1,x\n", 3),           # unparsable position
     ("0,0\n1,1,0\n", 3),         # extra field
     ("0,0\n1\n", 3),             # missing field
+    ("1,0\n2,1\n", 2),           # does not start at step 0
+    ("0,0\n1,1\n1,0\n", 4),      # a repeated step
+    ("0,0\n1,1\n3,0\n", 4),      # a skipped step
 ])
 def test_analyze_rejects_malformed_trajectory(tmp_path, capsys, rows, lineno):
     path = tmp_path / "bad.csv"

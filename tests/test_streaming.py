@@ -154,13 +154,13 @@ def test_batch_first_step_matches_path():
 def test_kernel_returns_early_at_window_edge():
     kernel = _kernel.load().stuck_walk_steps
     lt = np.zeros(4, dtype=np.int64)             # edges -1..2
-    state = np.array([0, 0, 0, -1, 2], dtype=np.int64)
-    draws = np.zeros(10)                          # u = 0: always right
-    taken = kernel(2.0, 2.0, lt.ctypes.data + 8, draws.ctypes.data, 10,
-                   state.ctypes.data, None)
+    # pos, lo, hi, first, last, then key, counter[4], buffer[4] and used
+    # all 0: the buffer's four zero draws give u = 0, always right
+    state = np.array([0, 0, 0, -1, 2] + [0] * 10, dtype=np.int64)
+    taken = kernel(2.0, 2.0, lt.ctypes.data + 8, 10, state.ctypes.data, None)
     # after one step hi = 1 and the next step would read edge 3
     assert taken == 1
-    assert state.tolist() == [1, 0, 1, -1, 2]
+    assert state.tolist() == [1, 0, 1, -1, 2] + [0] * 9 + [1]
     assert lt.tolist() == [0, 0, 1, 0]
 
 
@@ -180,3 +180,5 @@ def test_path_free_memory_does_not_grow_with_steps():
     small, large = peak(10 ** 5), peak(10 ** 7)
     assert large < 1 << 20
     assert large <= small + 16 * 1024
+    # the kernel draws its uniforms itself: no block of them is held
+    assert max(small, large) < 64 * 1024

@@ -64,7 +64,8 @@ def test_kernel_prototypes_match_argtypes():
                 for ret, name, params in definitions
                 if ret.split()[0] != "static"]
     assert [name for _, name, _ in exported] == [
-        "stuck_walk_steps", "stuck_rubin_races", "stuck_sampler_step"]
+        "stuck_step_prob", "stuck_walk_steps", "stuck_rubin_races",
+        "stuck_sampler_step"]
     for ret, name, params in exported:
         want = [ctypes.c_void_p if "*" in p else c_types[p.split()[-2]]
                 for p in params.split(",")]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stuckwalk
-from stuckwalk import _kernel, walk
+from stuckwalk import _kernel, rng, walk
 from stuckwalk.cli import parse_and_dispatch
 from stuckwalk.errors import CapacityError
 from stuckwalk.spectrum import Params
@@ -138,23 +138,61 @@ needs_cc = pytest.mark.skipif(shutil.which(_kernel.COMPILER) is None,
                     min_size=4, max_size=4))
 @settings(max_examples=300, deadline=None)
 def test_kernel_step_probability_is_bit_identical(alpha, beta, lts):
-    # u == p must step left and the next double below p must step right,
-    # which pins the kernel's p to the last bit of step_prob_right
+    # stuck_step_prob is the p that stuck_walk_steps compares u with
     state = walk.WalkState(alpha=alpha, beta=beta,
                            edge_lt=dict(zip((-1, 0, 1, 2), lts)))
     p = walk.step_prob_right(state)
-    kernel = _kernel.load().stuck_walk_steps
-    lt = np.array([0, 0, *lts, 0, 0], dtype=np.int64)
-    for u, expected in ((p, -1), (math.nextafter(p, -1.0), 1)):
-        if u < 0.0:
+    kernels = _kernel.load()
+    lt = np.array([0, 0, *lts, 0, 0], dtype=np.int64)   # edges -3..4
+    got = kernels.stuck_step_prob(alpha, 2.0 * beta, lt.ctypes.data + 8 * 3)
+    assert got.hex() == p.hex()
+    # u == p must step left and the next draw below p must step right;
+    # the kernel's draws are the multiples of 2^-53 in [0, 1), fed here
+    # through the generator's buffer words
+    for u, expected in ((p, -1), (p - 2.0 ** -53, 1)):
+        if not 0.0 <= u < 1.0 or u * 2.0 ** 53 != int(u * 2.0 ** 53):
             continue
-        draws = np.array([u])
-        # pos, lo, hi, and the array holds edges -3..4
-        state = np.array([0, 0, 0, -3, 4], dtype=np.int64)
+        # pos, lo, hi, first, last, then key, counter, buffer, used
+        words = np.array([0, 0, 0, 0, 0, int(u * 2.0 ** 53) << 11, 0, 0, 0,
+                          0], dtype=np.uint64)
+        kstate = np.concatenate([[0, 0, 0, -3, 4], words.view(np.int64)])
         out = np.zeros(1, dtype=np.int64)
-        kernel(alpha, 2.0 * beta, lt.ctypes.data + 8 * 3, draws.ctypes.data,
-               1, state.ctypes.data, out.ctypes.data)
+        kernels.stuck_walk_steps(alpha, 2.0 * beta, lt.ctypes.data + 8 * 3,
+                                 1, kstate.ctypes.data, out.ctypes.data)
         assert out[0] == expected, (p, u)
+
+
+@needs_cc
+@given(alpha=st.sampled_from([2.0, 0.8, 0.45]),
+       beta=st.sampled_from([0.05, 1.0, 3.0]),
+       seed=st.sampled_from([0, 2 ** 64 - 1, -1, -(2 ** 70) - 3,
+                             2 ** 64 + 3, 2 ** 80 + 2 ** 63])
+       | st.integers(min_value=-(2 ** 66), max_value=2 ** 66),
+       steps=st.sampled_from([1, 3, 5, 16385, 40001])
+       | st.integers(min_value=0, max_value=3000),
+       marks=st.lists(st.integers(min_value=0, max_value=40001),
+                      max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_kernel_draws_numpys_philox_stream(alpha, beta, seed, steps, marks):
+    # after the walk the kernel's generator words are numpy's state after
+    # random(steps), and the walk is the reference engine's
+    params = Params.make(alpha, beta)
+    marks = sorted({k % (steps + 1) for k in marks})
+    walker = walk._KernelWalk(_kernel.load(), params, steps, seed, True)
+    records = walk._drive(walker, steps, marks)
+    gen = rng.philox(seed)
+    gen.random(steps)
+    want = gen.bit_generator.state
+    words = walker.state[5:].view(np.uint64).tolist()
+    assert [words[0], 0] == want["state"]["key"].tolist()
+    assert words[0] == seed % 2 ** 64
+    assert words[1:5] == want["state"]["counter"].tolist()
+    assert words[5:9] == want["buffer"].tolist()
+    assert words[9] == want["buffer_pos"]
+    ref = walk.simulate(params, steps, seed, engine="reference", stops=marks)
+    assert walker.path() == ref.positions
+    assert ([records[k].snapshot() for k in marks]
+            == [ref.stops[k].snapshot() for k in marks])
 
 
 @pytest.fixture
