@@ -61,7 +61,11 @@ def tail_start(steps: int, tail_fraction: float) -> int:
     """First step count of the tail that ``detect_localization`` reads."""
     if not 0.0 < tail_fraction < 1.0:
         raise ValueError(f"tail_fraction must be in (0,1), got {tail_fraction}")
-    return steps - int(steps * tail_fraction)
+    tail = int(steps * tail_fraction)
+    if tail < 1:
+        raise ValueError(f"a tail_fraction of {tail_fraction} of {steps} "
+                         f"steps holds no step")
+    return steps - tail
 
 
 def detect_localization(traj: Trajectory, tail_fraction: float = 0.5) -> RunSummary:
@@ -84,7 +88,8 @@ def detect_localization(traj: Trajectory, tail_fraction: float = 0.5) -> RunSumm
     t0 = tail_start(steps, tail_fraction)
     start, end = traj.stops_at([t0, steps])
     lo, hi = end.lo, end.hi
-    crossings = end.lt - start.lt_over(lo, hi + 1)      # edges lo..hi+1
+    crossings = end.lt.copy()                           # edges lo..hi+1
+    crossings[start.lo - lo:start.hi + 2 - lo] -= start.lt  # t0 range inside
     twice = crossings[:-1] + crossings[1:]              # sites lo..hi
     twice[start.pos - lo] += 1
     twice[end.pos - lo] += 1
@@ -99,12 +104,9 @@ def detect_localization(traj: Trajectory, tail_fraction: float = 0.5) -> RunSumm
     total = sum(inner)
     profile = [c / total for c in inner] if total else [0.0] * len(inner)
 
-    stream_rate = {}
-    if traj.params is not None:
-        lt_final = end.lt.tolist()
-        for j in range(a + 1, b):
-            stream_rate[j] = abs(_stream(lt_final, j - lo,
-                                         traj.params.alpha)) / steps
+    lt_final = end.lt.tolist()
+    stream_rate = {j: abs(_stream(lt_final, j - lo, traj.params.alpha)) / steps
+                   for j in range(a + 1, b)}
 
     return RunSummary(
         window=(a, b), size=size, localized=localized,
@@ -186,7 +188,8 @@ class BatchAggregate:
 
 def batch_stats(summaries, params: Params) -> BatchAggregate:
     """Histogram of localization sizes, fractions at L+2 / L+3 with Wilson
-    intervals, and profile deviations among the size-(L+2) runs."""
+    intervals, and the profile deviations, which ``compare_profile`` has
+    filled in, among the size-(L+2) runs."""
     if not summaries:
         raise ValueError("batch_stats needs at least one summary")
     n = len(summaries)
@@ -201,10 +204,7 @@ def batch_stats(summaries, params: Params) -> BatchAggregate:
         n_loc += 1
         if s.size == params.L + 2:
             n_l2 += 1
-            d = s.deviation
-            if d != d:  # not yet compared
-                d = compare_profile(s, params).deviation
-            devs.append(d)
+            devs.append(s.deviation)
         elif s.size == params.L + 3:
             n_l3 += 1
     return BatchAggregate(

@@ -143,6 +143,8 @@ def _resolve(parser, args):
 
 def cmd_thresholds(parser, args):
     cfg = _resolve(parser, args)
+    if cfg["max_L"] < 1:
+        raise ValueError(f"max_L must be >= 1, got {cfg['max_L']}")
     rows = [(L, alpha_threshold(L)) for L in range(1, cfg["max_L"] + 1)]
     _emit_csv(
         [f"tool={PROG} version={__version__}",
@@ -225,7 +227,7 @@ def cmd_simulate(parser, args):
     return 0
 
 
-def _read_trajectory_csv(path, params, seed=None):
+def _read_trajectory_csv(path, params):
     """Positions from a `step,position` CSV; rejects anything but a walk
     that starts at 0 and moves by +-1, with the k-th row at step k."""
     positions = []
@@ -251,7 +253,7 @@ def _read_trajectory_csv(path, params, seed=None):
             positions.append(p)
     if not positions:
         raise ValueError(f"{path}: no trajectory rows")
-    return Trajectory(positions=positions, seed=seed, params=params)
+    return Trajectory(positions=positions, params=params)
 
 
 def cmd_analyze(parser, args):

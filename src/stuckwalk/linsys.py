@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import IdentityError, Infeasible, RegimeError
+from .errors import DomainError, IdentityError, Infeasible, RegimeError
 from .spectrum import alpha_threshold, classify, omega
 
 _RANK_TOL = 1e-10
@@ -123,6 +123,9 @@ def solve_direct(K: int, alpha: float, lK2: float = 0.0) -> SystemSolution:
     """
     if K < 0:
         raise ValueError(f"K must be >= 0, got {K}")
+    if not (math.isfinite(alpha) and math.isfinite(lK2)):
+        raise DomainError(f"alpha and lK2 must be finite, got alpha={alpha}, "
+                          f"lK2={lK2}")
     A = _system_matrix(K, alpha)
     b = np.zeros(K + 3)
     b[1] = lK2

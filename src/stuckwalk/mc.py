@@ -3,8 +3,9 @@
 Every run gets its own seed derived from (master_seed, run_index) by a
 fixed avalanche mix, so the batch output is a pure function of its config:
 identical across platforms, worker counts, and scheduling orders.
-Aggregation sorts results by run index and uses integer counters, never
-order-sensitive floating-point accumulation.
+Aggregation reads the runs in index order, as ``pool.map`` returns them,
+and uses integer counters, never order-sensitive floating-point
+accumulation.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -39,11 +40,11 @@ class BatchConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}")
+        tail_start(self.steps, self.tail_fraction)
 
 
 @dataclass
 class BatchResult:
-    config: BatchConfig
     summaries: list                 # index-ordered; None where a run failed
     aggregate: object               # BatchAggregate
     failures: list = field(default_factory=list)  # {run, seed, reason}
@@ -100,23 +101,16 @@ def run_batch(config: BatchConfig) -> BatchResult:
                                 chunksize=max(1, config.runs // (4 * config.workers))))
     else:
         raw = [_run_one(config, i) for i in indices]
-    raw.sort(key=lambda r: r[0])
 
-    summaries = [None] * config.runs
-    failures = []
-    first_right = 0
-    for index, seed, summary, fr, reason in raw:
-        if reason is not None:
-            failures.append({"run": index, "seed": seed, "reason": reason})
-            continue
-        summaries[index] = summary
-        first_right += fr
-    ok = [s for s in summaries if s is not None]
+    summaries = [summary for _, _, summary, _, _ in raw]
+    failures = [{"run": index, "seed": seed, "reason": reason}
+                for index, seed, _, _, reason in raw if reason is not None]
     if len(failures) > 0.01 * config.runs:
         raise StuckWalkError(
             f"{len(failures)}/{config.runs} runs failed; first: {failures[0]}")
-    return BatchResult(config=config, summaries=summaries,
-                       aggregate=batch_stats(ok, config.params),
-                       failures=failures,
-                       first_step_right=first_right)
+    return BatchResult(
+        summaries=summaries,
+        aggregate=batch_stats([s for s in summaries if s is not None],
+                              config.params),
+        failures=failures, first_step_right=sum(r[3] for r in raw))
 

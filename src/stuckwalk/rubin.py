@@ -252,7 +252,7 @@ def simulate_rubin(params: Params, jumps: int, seed: int):
             frac = max(0.0, -expm1(log_mark - log_total))
         ty[y] = {"t_plus": _safe_exp(lp), "t_minus": _safe_exp(lm),
                  "log_t_plus": lp, "log_t_minus": lm, "tail_fraction": frac}
-    traj = Trajectory(positions=engine.positions, seed=seed, params=params)
+    traj = Trajectory(positions=engine.positions, params=params)
     return traj, ty
 
 

@@ -38,10 +38,11 @@ def classify(alpha: float, tol: float = DEFAULT_CRITICAL_TOL) -> int:
 
     ``tol`` is a relative tolerance: alpha within tol of a finite threshold
     raises CriticalValue (critical couplings are excluded), and alpha within
-    tol of 1/3 raises DomainError.
+    tol of 1/3 raises DomainError, as does a non-finite alpha.
     """
-    if alpha <= ALPHA_MIN + tol:
-        raise DomainError(f"classify requires alpha > 1/3 (+tol), got {alpha}")
+    if not ALPHA_MIN + tol < alpha < math.inf:
+        raise DomainError(f"classify requires a finite alpha > 1/3 (+tol), "
+                          f"got {alpha}")
     # 2 pi / (L+3) < omega < 2 pi / (L+2)  <=>  L + 2 < 2 pi / omega < L + 3
     r = TWO_PI / omega(alpha)
     L = max(1, int(math.floor(r)) - 2)

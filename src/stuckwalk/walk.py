@@ -91,14 +91,6 @@ class Stop:
     hi: int
     lt: np.ndarray
 
-    def lt_over(self, first: int, last: int) -> np.ndarray:
-        """Local times of edges first..last; edges outside lo..hi+1 are 0."""
-        out = np.zeros(last - first + 1, dtype=np.int64)
-        a, b = max(first, self.lo), min(last, self.hi + 1)
-        if a <= b:
-            out[a - first:b - first + 1] = self.lt[a - self.lo:b - self.lo + 1]
-        return out
-
     def snapshot(self) -> dict:
         return {
             "step": self.step,
@@ -117,7 +109,6 @@ class Trajectory:
     the run."""
 
     positions: list
-    seed: int
     params: Params
     stops: dict = field(default_factory=dict)
     steps: int = None
@@ -127,17 +118,17 @@ class Trajectory:
             self.steps = len(self.positions) - 1
 
     def stops_at(self, ks) -> list:
-        """The Stops after each step count in ``ks``: recorded ones, or
-        computed from the path when the run kept it."""
+        """The Stops after each step count in ``ks``: the recorded ones,
+        and the others computed from the path when the run kept it."""
         if any(not 0 <= k <= self.steps for k in ks):
             raise ValueError(f"stops must lie in [0, {self.steps}], got {ks}")
-        if self.positions is not None:
-            return stops_from_path(self.positions, ks)
         missing = [k for k in ks if k not in self.stops]
-        if missing:
+        if missing and self.positions is None:
             raise ValueError(f"the run kept no path and recorded no stop at "
                              f"step {missing[0]}")
-        return [self.stops[k] for k in ks]
+        derived = stops_from_path(self.positions, missing)
+        stops = self.stops | dict(zip(missing, derived))
+        return [stops[k] for k in ks]
 
 
 def stops_from_path(positions, ks) -> list:
@@ -176,38 +167,40 @@ class _KernelWalk:
         self.kernel = kernels.stuck_walk_steps
         self.alpha, self.tb = params.alpha, 2.0 * params.beta
         # pos, lo, hi, first, last, key, counter[4], buffer[4], used
-        self.state = np.array([0, 0, 0, 0, 1, seed % 2 ** 64, *[0] * 8, 4],
+        self.state = np.array([0, 0, 0, 0, 0, seed % 2 ** 64, *[0] * 8, 4],
                               dtype=np.uint64).view(np.int64)
         self.state_addr = self.state.ctypes.data
-        self.lt = np.zeros(2, dtype=np.int64)   # edges lo..hi+1 = 0..1
-        self._resize(_WINDOW0)
+        self.lt = np.zeros(_WINDOW0, dtype=np.int64)
+        first = -1 - (_WINDOW0 - 4) // 2        # edges -1..2 centred
+        self.state[3:5] = first, first + _WINDOW0 - 1
+        self.origin = self.lt.ctypes.data - 8 * first   # address of edge 0
         self.out = np.zeros(steps + 1, dtype=np.int64) if keep_path else None
-        self.done = 0
+        # address of the next position the kernel writes, X_1 first
+        self.next_out = self.out.ctypes.data + 8 if keep_path else None
 
-    def _resize(self, size):
+    def _resize(self):
+        """Double the window, centred on edges lo-1..hi+2 (the kernel returns
+        once they outgrow it by one edge, so doubling makes room)."""
         _, lo, hi, first, _ = self.state[:5].tolist()
-        need = hi - lo + 4                      # edges lo-1..hi+2
-        while size < need:
-            size *= 2
-        new_first = lo - 1 - (size - need) // 2
+        size = 2 * len(self.lt)
+        new_first = lo - 1 - (size - (hi - lo + 4)) // 2
         lt = np.zeros(size, dtype=np.int64)
         lt[lo - new_first:hi + 2 - new_first] = \
             self.lt[lo - first:hi + 2 - first]
         self.lt = lt
         self.state[3:5] = new_first, new_first + size - 1
-        self.origin = lt.ctypes.data - 8 * new_first   # address of edge 0
+        self.origin = lt.ctypes.data - 8 * new_first
 
     def advance(self, n):
         while n:
-            out = (None if self.out is None
-                   else self.out.ctypes.data + 8 * (self.done + 1))
             k = self.kernel(self.alpha, self.tb, self.origin, n,
-                            self.state_addr, out)
+                            self.state_addr, self.next_out)
             n -= k
-            self.done += k
+            if self.next_out is not None:
+                self.next_out += 8 * k
             _, lo, hi, first, last = self.state[:5].tolist()
             if lo - 1 < first or hi + 2 > last:
-                self._resize(2 * len(self.lt))
+                self._resize()
 
     def record(self, step_no):
         pos, lo, hi, first, _ = self.state[:5].tolist()
@@ -289,7 +282,7 @@ def simulate(params: Params, steps: int, seed: int, engine: str = "direct",
     else:
         walker = _ReferenceWalk(params, seed, keep_path)
     records = _drive(walker, steps, sorted(set(stops)))
-    return Trajectory(positions=walker.path(), seed=seed, params=params,
+    return Trajectory(positions=walker.path(), params=params,
                       stops={k: records[k] for k in stops}, steps=steps)
 
 

@@ -22,7 +22,7 @@ def oscillating_trajectory(sites, total=2000, params=P21):
         nxt = cycle[(i + 1) % len(cycle)]
         positions.append(nxt)
         i += 1
-    return walk.Trajectory(positions=positions, seed=0, params=params)
+    return walk.Trajectory(positions=positions, params=params)
 
 
 def test_detect_oscillation_three_sites():
@@ -36,7 +36,7 @@ def test_detect_oscillation_three_sites():
 def test_detect_zigzag():
     positions = [0, 1] * 1000
     positions = [positions[i % 2] for i in range(2001)]
-    traj = walk.Trajectory(positions=positions, seed=0, params=P21)
+    traj = walk.Trajectory(positions=positions, params=P21)
     s = analysis.detect_localization(traj, 0.5)
     assert s.window == (0, 1)
     assert s.localized
@@ -44,7 +44,7 @@ def test_detect_zigzag():
 
 
 def test_detect_too_short():
-    traj = walk.Trajectory(positions=[0, 1] * 100, seed=0, params=P21)
+    traj = walk.Trajectory(positions=[0, 1] * 100, params=P21)
     with pytest.raises(TooShort):
         analysis.detect_localization(traj, 0.5)
 
@@ -71,7 +71,7 @@ def test_detect_translation_invariance(shift):
     base = walk.simulate(P21, 5000, seed=21)
     s0 = analysis.detect_localization(base, 0.5)
     shifted = walk.Trajectory(
-        positions=[p + shift for p in base.positions], seed=0, params=P21)
+        positions=[p + shift for p in base.positions], params=P21)
     s1 = analysis.detect_localization(shifted, 0.5)
     assert s1.window == (s0.window[0] + shift, s0.window[1] + shift)
     assert s1.profile == s0.profile

@@ -385,12 +385,48 @@ def test_simulate_rejects_non_finite_parameters(capsys, flag, value):
      "horizon must be >= 1"),
     (["batch", "--alpha", "2", "--beta", "1", "--steps", "2000", "--runs",
       "2", "--seed", "1", "--workers", "0"], "workers must be >= 1"),
+    (["thresholds", "--max-L", "0"], "max_L must be >= 1"),
+    (["thresholds", "--max-L", "-3"], "max_L must be >= 1"),
 ])
 def test_size_options_below_one_are_errors(capsys, argv, message):
     assert run(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"stuckwalk: error: {message}, got" in captured.err
+
+
+@pytest.mark.parametrize("tail, message", [
+    ("1e-9", "a tail_fraction of 1e-09 of 2000 steps holds no step"),
+    ("0.0004", "a tail_fraction of 0.0004 of 2000 steps holds no step"),
+    ("1.5", "tail_fraction must be in (0,1), got 1.5")])
+@pytest.mark.parametrize("command", ["batch", "analyze"])
+def test_tail_without_steps_is_error(tmp_path, capsys, command, tail,
+                                     message):
+    if command == "batch":
+        # the config check fails before any run starts
+        argv = ["batch", "--steps", "2000", "--runs", "5", "--seed", "1"]
+    else:
+        path = tmp_path / "walk.csv"
+        path.write_text("step,position\n" + "".join(
+            f"{k},{k % 2}\n" for k in range(2001)))
+        argv = ["analyze", "--in", str(path)]
+    assert run(argv + ["--alpha", "2", "--beta", "1", "--tail", tail]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"stuckwalk: error: {message}\n"
+
+
+@pytest.mark.parametrize("flags, value", [
+    (["--alpha", "2", "--lk2", "nan"], "lK2=nan"),
+    (["--alpha", "nan"], "got nan"),
+    (["--alpha", "inf"], "got inf"),
+    (["--alpha", "nan", "--lk2", "1"], "alpha=nan"),
+])
+def test_linsys_rejects_non_finite_input(capsys, flags, value):
+    assert run(["linsys", "--K", "1", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err and value in captured.err
 
 
 # ------------------------------------------------------------ dropped options

@@ -64,6 +64,11 @@ def test_config_validation():
         small_config(workers=0)
     with pytest.raises(ValueError):
         small_config(engine="bogus")
+    # the tail is checked with the config, before any run
+    with pytest.raises(ValueError, match="must be in"):
+        small_config(tail_fraction=1.5)
+    with pytest.raises(ValueError, match="holds no step"):
+        small_config(tail_fraction=1e-4)
 
 
 def test_single_run_equals_pipeline():

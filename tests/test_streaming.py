@@ -78,6 +78,10 @@ def check_streamed_equals_path(params, steps, seed, tail_fraction, engine):
 @settings(max_examples=60, deadline=None)
 def test_streamed_summary_equals_path_summary(alpha, beta, steps, seed,
                                               tail_fraction, engine, window):
+    if int(steps * tail_fraction) == 0:
+        with pytest.raises(ValueError, match="holds no step"):
+            analysis.tail_start(steps, tail_fraction)
+        return
     with mock.patch.object(walk, "_WINDOW0", window):
         check_streamed_equals_path(Params.make(alpha, beta), steps, seed,
                                    tail_fraction, engine)
@@ -105,9 +109,9 @@ def test_tiny_window_grows_many_times():
     resizes = []
     resize = walk._KernelWalk._resize
 
-    def counting(self, size):
-        resizes.append(size)
-        resize(self, size)
+    def counting(self):
+        resizes.append(len(self.lt))
+        resize(self)
 
     with mock.patch.object(walk, "_WINDOW0", 4), \
             mock.patch.object(walk._KernelWalk, "_resize", counting):
@@ -126,8 +130,10 @@ def test_tiny_window_grows_many_times():
 def test_stops_from_path_match_recorded_stops():
     stops = (0, 1, 999, 1000, 4096)
     traj = walk.simulate(Params.make(0.8, 1.0), 4096, 5, stops=stops)
-    for got, want in zip(traj.stops_at(stops),
-                         walk.stops_from_path(traj.positions, stops)):
+    recorded = [traj.stops[k] for k in stops]
+    assert all(a is b for a, b in zip(traj.stops_at(stops), recorded))
+    derived = walk.stops_from_path(traj.positions, stops)
+    for got, want in zip(recorded, derived):
         assert (got.step, got.pos, got.lo, got.hi) == (want.step, want.pos,
                                                        want.lo, want.hi)
         assert got.lt.tolist() == want.lt.tolist()

@@ -6,18 +6,23 @@ import importlib.util
 import pathlib
 import shlex
 
-from stuckwalk.cli import build_parser
+from stuckwalk.cli import build_parser, parse_and_dispatch
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
 
 
-def test_perfbench_probe_targets_resolve():
-    # perfbench --trace 1 patches these attributes by name; a renamed
-    # function would otherwise only break the traced benchmark run
+def _spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_perfbench_probe_targets_resolve():
+    # perfbench --trace 1 patches these attributes by name; a renamed
+    # function would otherwise only break the traced benchmark run
+    spans = _spans()
     assert spans.PROBES
     for module, attr, name, _ in spans.PROBES:
         target = importlib.import_module(module)
@@ -25,6 +30,27 @@ def test_perfbench_probe_targets_resolve():
             assert hasattr(target, part), (module, attr, name)
             target = getattr(target, part)
         assert callable(target), (module, attr, name)
+
+
+def test_perfbench_probes_read_traced_runs():
+    # the probes also read what the probed calls return (the failure
+    # reason of mc._run_one, the steps of a trajectory): a changed return
+    # shape would otherwise only break perfbench --trace 1
+    spans = _spans()
+    tracer = spans.Tracer()
+    dispatch = tracer.wrap("cli.dispatch", parse_and_dispatch)
+    with tracer.probes():
+        for argv in (["batch", "--alpha", "2", "--beta", "1", "--steps",
+                      "2000", "--runs", "8", "--seed", "5", "--workers", "1"],
+                     ["verify", "--suite", "all", "--horizon", "4",
+                      "--runs", "20000"]):
+            tracer.begin_pass()
+            assert dispatch(argv) == 0, argv
+    metrics = spans.layer_metrics(tracer.spans, 1, 1.0)
+    assert metrics["mc.runs"] == 8
+    assert metrics["mc.failed_runs"] == 0
+    assert metrics["rubin.jumps"] > 0
+    assert metrics["walk.steps"] > 0
 
 
 def test_readme_cli_lines_parse():
