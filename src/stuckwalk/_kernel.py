@@ -3,11 +3,11 @@ embedded-path sampler, built on first use.
 
 ``stuck_walk_steps`` repeats, step for step, the arithmetic of
 ``walk.step``: the same evaluation order of the local stream, the same
-saturation branches and libm ``exp``.  It draws its uniforms itself
-from a port of numpy's Philox4x64-10, so its stream is the bytes of
-``rng.philox(seed).random``; the port multiplies in ``__uint128_t``,
-and a compiler without that type fails the build, leaving the Python
-stepper.  ``stuck_rubin_races`` repeats
+saturation branches and libm ``exp``, bar the steps a table fixes.  It
+draws its uniforms itself from a port of numpy's Philox4x64-10, so its
+stream is the bytes of ``rng.philox(seed).random``; the port multiplies
+in ``__uint128_t``, and a compiler without that type fails the build,
+leaving the Python stepper.  ``stuck_rubin_races`` repeats
 ``rubin.RubinEngine.race_step`` over the clocks of a
 ``rubin.KeyedClockSource``: the same splitmix64 chain, the same
 ``log_f``, ``log_w`` and ``_logaddexp`` evaluation order, and libm
@@ -62,11 +62,14 @@ static void philox4x64(uint64_t key, const uint64_t *ctr, uint64_t *buf)
     buf[3] = c3;
 }
 
-static double step_prob(double alpha, double tb, const int64_t *l)
+static double step_x(double alpha, double tb, const int64_t *l)
 {
-    double delta = ((-alpha * (double)l[-1] + (double)l[0])
-                    - (double)l[1]) + alpha * (double)l[2];
-    double x = tb * delta;
+    return tb * (((-alpha * (double)l[-1] + (double)l[0]) - (double)l[1])
+                 + alpha * (double)l[2]);
+}
+
+static double logistic(double x)
+{
     if (x > SAT)
         return 1.0;
     if (x < -SAT)
@@ -74,12 +77,45 @@ static double step_prob(double alpha, double tb, const int64_t *l)
     return 1.0 / (1.0 + exp(-x));
 }
 
+/* bracket[i] = {p(a) - 1e-12, p(a + 1/16) + 1e-12}, a = -SAT + i/16 and
+   p = logistic, for the 1280 cells of width 1/16 on [-SAT, SAT].  p is
+   increasing, so u below the first bound steps right and u at or above
+   the second steps left, as u < p(x) would decide: x + SAT rounds by at
+   most 7e-15, which moves p by at most 2e-15 (p' <= 1/4), and libm exp
+   and the divide are off by a few ulp, all far inside 1e-12.  Only the
+   u between the bounds, at most about 1/64 of the steps, need exp.
+   Filled when the library is loaded, before any walk can run. */
+#define CELLS 1280
+static double bracket[CELLS][2];
+
+__attribute__((constructor))
+static void fill_bracket(void)
+{
+    int i;
+    for (i = 0; i < CELLS; i++) {
+        bracket[i][0] = logistic(-SAT + i / 16.0) - 1e-12;
+        bracket[i][1] = logistic(-SAT + (i + 1) / 16.0) + 1e-12;
+    }
+}
+
+/* u < logistic(x), read from the bracket of x's cell where it can be. */
+static int steps_right(double u, double x)
+{
+    if (x >= -SAT && x <= SAT) {
+        const int64_t i = (int64_t)((x + SAT) * 16.0);
+        const double *b = bracket[i < CELLS ? i : CELLS - 1];
+        if (u < b[0] || u >= b[1])
+            return u < b[0];
+    }
+    return u < logistic(x);
+}
+
 /* The probability that the walk at edge pointer l (l[0] the local time
    of the edge left of the walker) steps right, as stuck_walk_steps
    computes it. */
 double stuck_step_prob(double alpha, double tb, const int64_t *l)
 {
-    return step_prob(alpha, tb, l);
+    return logistic(step_x(alpha, tb, l));
 }
 
 /* Advance the walk up to n steps and return the number taken.  lt
@@ -115,7 +151,7 @@ int64_t stuck_walk_steps(double alpha, double tb, int64_t *lt, int64_t n,
             used = 0;
         }
         u = (double)(buf[used++] >> 11) * 0x1p-53;
-        if (u < step_prob(alpha, tb, l)) {
+        if (steps_right(u, step_x(alpha, tb, l))) {
             l[1] += 1;
             pos += 1;
             if (pos > hi) {

@@ -8,6 +8,7 @@ and uses integer counters, never order-sensitive floating-point
 accumulation.
 """
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -19,6 +20,10 @@ from .spectrum import Params
 from .walk import ENGINES, simulate
 
 __all__ = ["BatchConfig", "derive_seed", "run_batch", "run_one"]
+
+# Direct batches of fewer steps in all run serially: on 2 cores the serial
+# and 2-worker walls cross between 2e6 and 3e6 steps (BENCH_11.json).
+_POOL_MIN_STEPS = 2_500_000
 
 
 @dataclass(frozen=True)
@@ -48,7 +53,6 @@ class BatchResult:
     summaries: list                 # index-ordered; None where a run failed
     aggregate: object               # BatchAggregate
     failures: list = field(default_factory=list)  # {run, seed, reason}
-    first_step_right: int = 0
 
 
 def run_one(params: Params, steps: int, seed: int, engine: str,
@@ -74,31 +78,31 @@ def run_one(params: Params, steps: int, seed: int, engine: str,
 
 
 def _run_one(config: BatchConfig, index: int):
-    """``run_one`` for run ``index`` of a batch, with its step-1 stop, as
-    (index, seed, summary, first step right, failure).  Top-level so it
-    pickles."""
+    """``run_one`` for run ``index`` of a batch, as (index, seed, summary,
+    None, failure); perfbench reads the failure at index 4.  Top-level so
+    it pickles."""
     seed = derive_seed(config.master_seed, index)
     try:
-        summary, traj = run_one(config.params, config.steps, seed,
-                                config.engine, config.tail_fraction,
-                                stops=(1,))
-        first_right = 1 if traj.stops_at([1])[0].pos == 1 else 0
-        return index, seed, summary, first_right, None
+        summary, _ = run_one(config.params, config.steps, seed,
+                             config.engine, config.tail_fraction)
+        return index, seed, summary, None, None
     except StuckWalkError as exc:
-        return index, seed, None, 0, f"{type(exc).__name__}: {exc}"
+        return index, seed, None, None, f"{type(exc).__name__}: {exc}"
 
 
 def run_batch(config: BatchConfig) -> BatchResult:
-    """Execute all runs (in parallel if workers > 1) and aggregate.
+    """Run the batch on at most min(workers, runs, cpus) processes; aggregate.
 
     Per-run failures are recorded with their seed for replay; the batch
     itself fails only if more than 1% of runs fail.
     """
     indices = range(config.runs)
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+    workers = min(config.workers, config.runs, os.cpu_count() or 1)
+    if workers > 1 and (config.engine != "direct"
+                        or config.runs * config.steps >= _POOL_MIN_STEPS):
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             raw = list(pool.map(_run_one, [config] * config.runs, indices,
-                                chunksize=max(1, config.runs // (4 * config.workers))))
+                                chunksize=max(1, config.runs // (4 * workers))))
     else:
         raw = [_run_one(config, i) for i in indices]
 
@@ -112,5 +116,5 @@ def run_batch(config: BatchConfig) -> BatchResult:
         summaries=summaries,
         aggregate=batch_stats([s for s in summaries if s is not None],
                               config.params),
-        failures=failures, first_step_right=sum(r[3] for r in raw))
+        failures=failures)
 

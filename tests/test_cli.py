@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from stuckwalk import cli
+from stuckwalk import cli, mc
 from stuckwalk.cli import load_config_file, parse_and_dispatch
 
 
@@ -89,7 +89,9 @@ def test_simulate_golden_stability(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_batch_worker_invariance(tmp_path):
+def test_batch_worker_invariance(tmp_path, monkeypatch):
+    # 6 x 2000 steps is under the pool's cut-over: --workers 4 runs here
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", None)
     outs = []
     for i, workers in enumerate(("1", "4")):
         path = tmp_path / f"agg{i}.json"
@@ -103,6 +105,19 @@ def test_batch_worker_invariance(tmp_path):
     assert payload["runs"] == 6
     assert payload["seed"] == 99 if "seed" in payload else True
     assert "failures" in payload
+
+
+def test_batch_pool_gives_serial_bytes(tmp_path, monkeypatch):
+    monkeypatch.setattr(mc, "_POOL_MIN_STEPS", 0)
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
+    outs = []
+    for workers in ("2", "1"):
+        path = tmp_path / f"agg{workers}.json"
+        assert run(["batch", "--alpha", "0.8", "--beta", "1", "--steps",
+                    "2000", "--runs", "6", "--seed", "99", "--workers",
+                    workers, "--out", str(path)]) == 0
+        outs.append(path.read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_batch_requires_seed():

@@ -102,9 +102,45 @@ def test_batch_reproducible():
 
 def test_first_step_balance():
     cfg = small_config(runs=64, steps=1000)
-    res = mc.run_batch(cfg)
-    frac = res.first_step_right / cfg.runs
+    right = 0
+    for i in range(cfg.runs):
+        _, traj = mc.run_one(cfg.params, cfg.steps,
+                             derive_seed(cfg.master_seed, i), cfg.engine,
+                             cfg.tail_fraction, stops=(1,))
+        right += traj.stops_at([1])[0].pos == 1
+    frac = right / cfg.runs
     assert abs(frac - 0.5) <= 3 * 0.5 / np.sqrt(cfg.runs)
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps serially
+    and starts no process."""
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("runs, cpus, size", [(1, 2, None), (3, 2, 2),
+                                              (3, 16, 3)])
+def test_pool_size_is_capped(monkeypatch, runs, cpus, size):
+    # a huge --workers must not fork that many processes
+    monkeypatch.setattr(mc, "_POOL_MIN_STEPS", 0)
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    res = mc.run_batch(small_config(runs=runs, workers=100000))
+    assert RecordingPool.sizes == ([] if size is None else [size])
+    assert res.aggregate.runs == runs
 
 
 def test_rubin_engine_batch():

@@ -149,11 +149,14 @@ def test_path_free_trajectory_needs_its_stops():
 
 def test_batch_first_step_matches_path():
     cfg = mc.BatchConfig(params=P21, runs=16, steps=1000, master_seed=9)
-    res = mc.run_batch(cfg)
-    expected = sum(
-        walk.simulate(P21, 1, mc.derive_seed(9, i)).positions[1] == 1
-        for i in range(cfg.runs))
-    assert res.first_step_right == expected
+    got, expected = [], []
+    for i in range(cfg.runs):
+        seed = mc.derive_seed(9, i)
+        _, traj = mc.run_one(P21, cfg.steps, seed, cfg.engine,
+                             cfg.tail_fraction, stops=(1,))
+        got.append(traj.stops_at([1])[0].pos)
+        expected.append(walk.simulate(P21, 1, seed).positions[1])
+    assert got == expected
 
 
 @needs_cc

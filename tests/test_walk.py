@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import stuckwalk
 from stuckwalk import _kernel, rng, walk
@@ -136,6 +136,13 @@ needs_cc = pytest.mark.skipif(shutil.which(_kernel.COMPILER) is None,
        beta=st.floats(min_value=0.01, max_value=30.0),
        lts=st.lists(st.integers(min_value=0, max_value=10 ** 6),
                     min_size=4, max_size=4))
+# x = 2 beta Delta: at alpha = 2, beta = 1 an integer, so on a cell edge
+# of the kernel's bracket; then -40 and 40, and 2^-40 inside each
+@example(alpha=2.0, beta=1.0, lts=[0, 3, 1, 0])
+@example(alpha=2.0, beta=1.0, lts=[0, 0, 20, 0])
+@example(alpha=2.0, beta=1.0, lts=[0, 20, 0, 0])
+@example(alpha=2.0, beta=20.0 - 2.0 ** -41, lts=[0, 0, 1, 0])
+@example(alpha=2.0, beta=20.0 - 2.0 ** -41, lts=[0, 1, 0, 0])
 @settings(max_examples=300, deadline=None)
 def test_kernel_step_probability_is_bit_identical(alpha, beta, lts):
     # stuck_step_prob is the p that stuck_walk_steps compares u with
