@@ -186,6 +186,15 @@ static uint64_t splitmix64(uint64_t x)
     return z ^ (z >> 31);
 }
 
+/* rubin.WeightSpec.log_f for clock i of oriented edge (y, d) */
+static double log_f(double alpha, double beta, int64_t i, int64_t y,
+                    int64_t d)
+{
+    return 2.0 * beta * (2.0 * (1.0 + alpha) * (double)i
+                         - alpha * (double)(y + d == 0)
+                         + (1.0 + alpha) * (double)(d * y < 0));
+}
+
 static double logaddexp(double a, double b)
 {
     if (a == -INFINITY)
@@ -253,10 +262,7 @@ int64_t stuck_rubin_races(double alpha, double beta, uint64_t seed,
                 double u = (double)(h >> 11) * 0x1p-53;
                 draw = log(-log(u > 0.0 ? u : 0x1p-53));
             }
-            log_res[e] = 2.0 * beta * (2.0 * (1.0 + alpha) * (double)i
-                                       - alpha * (double)(y + d == 0)
-                                       + (1.0 + alpha) * (double)(d * y < 0))
-                         + draw;
+            log_res[e] = log_f(alpha, beta, i, y, d) + draw;
             log_pend[e] = -INFINITY;
         }
         ring_p = log_res[ep] - lw * (double)z[y + 1 + off];
@@ -344,11 +350,8 @@ int64_t stuck_sampler_step(double alpha, double beta, int64_t h,
             double ring_p, ring_m;
             for (k = 0; k < 2; k++) {
                 const int64_t e = 2 * pos + k, dir = 2 * k - 1;
-                const double fresh =
-                    2.0 * beta * (2.0 * (1.0 + alpha) * (double)index[e]
-                                  - alpha * (double)(y + dir == 0)
-                                  + (1.0 + alpha) * (double)(dir * y < 0))
-                    + draws[k * stride + r];
+                const double fresh = log_f(alpha, beta, index[e], y, dir)
+                                     + draws[k * stride + r];
                 res[e] = isnan(res[e]) ? fresh : res[e];
             }
             ring_m = res[2 * pos] - lw * (double)z[pos - 1];

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import NoTheory, TooShort
-from .linsys import solve_closed
+from .linsys import interior_streams, solve_closed
 from .spectrum import Params
 from .walk import Trajectory
 
@@ -49,12 +49,6 @@ class RunSummary:
             "stream_rate": {str(j): v for j, v in self.stream_rate.items()},
             "range_final": list(self.range_final),
         }
-
-
-def _stream(lt, i, alpha):
-    """Delta(j) from a list of edge local times in which lt[i] is the
-    local time of edge {j-1, j}; the arithmetic of ``walk.local_stream``."""
-    return -alpha * lt[i - 1] + lt[i] - lt[i + 1] + alpha * lt[i + 2]
 
 
 def tail_start(steps: int, tail_fraction: float) -> int:
@@ -104,9 +98,10 @@ def detect_localization(traj: Trajectory, tail_fraction: float = 0.5) -> RunSumm
     total = sum(inner)
     profile = [c / total for c in inner] if total else [0.0] * len(inner)
 
-    lt_final = end.lt.tolist()
-    stream_rate = {j: abs(_stream(lt_final, j - lo, traj.params.alpha)) / steps
-                   for j in range(a + 1, b)}
+    # Delta(j) for j = a+1..b-1 from the local times of edges a..b+1
+    streams = interior_streams(end.lt[a - lo:b + 2 - lo], traj.params.alpha)
+    stream_rate = {j: abs(d) / steps
+                   for j, d in zip(range(a + 1, b), streams.tolist())}
 
     return RunSummary(
         window=(a, b), size=size, localized=localized,
@@ -146,8 +141,9 @@ def compare_profile(summary: RunSummary, params: Params) -> RunSummary:
     return summary
 
 
-def wilson_interval(successes: int, n: int, z: float = WILSON_Z):
+def wilson_interval(successes: int, n: int):
     """Wilson score confidence interval for a binomial fraction."""
+    z = WILSON_Z
     if n == 0:
         return (0.0, 1.0)
     p = successes / n

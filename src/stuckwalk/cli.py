@@ -192,7 +192,7 @@ def cmd_simulate(parser, args):
     if every < 0:
         raise ValueError(f"snapshot_every must be >= 0, got {every}")
     if every and engine == "rubin":
-        parser.error("--snapshot-every needs --engine direct or reference")
+        parser.error("--snapshot-every needs --engine direct")
     if every and not cfg["out"]:
         parser.error("--snapshot-every needs --out: the snapshots go to "
                      "<out>.snapshots.json")
@@ -210,8 +210,7 @@ def cmd_simulate(parser, args):
     else:
         # a snapshot is the Stop at each multiple of snapshot_every
         marks = range(every, cfg["steps"] + 1, every) if every else ()
-        traj = simulate(params, cfg["steps"], cfg["seed"], engine=engine,
-                        stops=marks)
+        traj = simulate(params, cfg["steps"], cfg["seed"], stops=marks)
         if marks:
             _emit_json(_metadata({"seed": cfg["seed"]}) | {"snapshots": [
                 traj.stops[k].snapshot() for k in marks]},

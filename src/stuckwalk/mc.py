@@ -21,8 +21,9 @@ from .walk import ENGINES, simulate
 
 __all__ = ["BatchConfig", "derive_seed", "run_batch", "run_one"]
 
-# Direct batches of fewer steps in all run serially: on 2 cores the serial
+# Kernel batches of fewer steps in all run serially: on 2 cores the serial
 # and 2-worker walls cross between 2e6 and 3e6 steps (BENCH_11.json).
+# Batches in Python (rubin, or direct where no kernel loads) always pool.
 _POOL_MIN_STEPS = 2_500_000
 
 
@@ -59,8 +60,8 @@ def run_one(params: Params, steps: int, seed: int, engine: str,
             tail_fraction: float, stops=()):
     """Simulate and analyze one run; returns (summary, trajectory).
 
-    A direct or reference run keeps no path: it stops at each step count
-    of ``stops``, at the tail start and at the end, which is all the
+    A direct run keeps no path: it stops at each step count of
+    ``stops``, at the tail start and at the end, which is all the
     analysis and the caller read.  A rubin run keeps its path, from which
     any stop can be read.
     """
@@ -69,8 +70,8 @@ def run_one(params: Params, steps: int, seed: int, engine: str,
         traj, _ty = simulate_rubin(params, steps, seed)
     else:
         t0 = tail_start(steps, tail_fraction)
-        traj = simulate(params, steps, seed, engine=engine,
-                        stops=(*stops, t0, steps), keep_path=False)
+        traj = simulate(params, steps, seed, stops=(*stops, t0, steps),
+                        keep_path=False)
     summary = detect_localization(traj, tail_fraction)
     if summary.localized and 0 <= summary.size - 2 <= params.L + 1:
         compare_profile(summary, params)
@@ -96,10 +97,13 @@ def run_batch(config: BatchConfig) -> BatchResult:
     Per-run failures are recorded with their seed for replay; the batch
     itself fails only if more than 1% of runs fail.
     """
+    from . import _kernel  # here, so that importing mc loads no kernel
+
     indices = range(config.runs)
     workers = min(config.workers, config.runs, os.cpu_count() or 1)
-    if workers > 1 and (config.engine != "direct"
-                        or config.runs * config.steps >= _POOL_MIN_STEPS):
+    if workers > 1 and (config.engine == "rubin"
+                        or config.runs * config.steps >= _POOL_MIN_STEPS
+                        or _kernel.load() is None):
         with ProcessPoolExecutor(max_workers=workers) as pool:
             raw = list(pool.map(_run_one, [config] * config.runs, indices,
                                 chunksize=max(1, config.runs // (4 * workers))))

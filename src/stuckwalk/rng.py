@@ -16,7 +16,7 @@ from numpy.random import Generator, Philox
 
 PRNG_ID = "philox4x64(numpy) + splitmix64 key mix"
 
-BLOCK = 1 << 14  # uniforms per Philox call of the reference stepper
+BLOCK = 1 << 14  # uniforms per Philox call of the Python stepper
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 

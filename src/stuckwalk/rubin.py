@@ -57,10 +57,6 @@ class WeightSpec:
         self.alpha = alpha
         self.beta = beta
 
-    @classmethod
-    def for_params(cls, params: Params) -> "WeightSpec":
-        return cls(params.alpha, params.beta)
-
     def log_f(self, y, direction: int, n):
         a, b = self.alpha, self.beta
         target_origin = (y + direction) == 0
@@ -130,7 +126,7 @@ class RubinEngine:
 
     def __init__(self, params: Params, clock_source):
         self.params = params
-        self.weights = WeightSpec.for_params(params)
+        self.weights = WeightSpec(params.alpha, params.beta)
         self.source = clock_source
         self.pos = 0
         self.log_time = -inf
@@ -504,7 +500,7 @@ def _kernel_codes(kernels, params: Params, horizon: int, runs: int, rng):
 
 def _lockstep_codes(params: Params, horizon: int, runs: int, rng):
     """``_kernel_codes`` in numpy, all runs advanced in lockstep."""
-    ws = WeightSpec.for_params(params)
+    ws = WeightSpec(params.alpha, params.beta)
     S = 2 * horizon + 3
     origin = horizon + 1
     coords = np.arange(S) - origin

@@ -33,13 +33,15 @@ def omega(alpha: float) -> float:
     return math.acos((1.0 - alpha) / (2.0 * alpha))
 
 
-def classify(alpha: float, tol: float = DEFAULT_CRITICAL_TOL) -> int:
+def classify(alpha: float) -> int:
     """The unique L with alpha_threshold(L+1) < alpha < alpha_threshold(L).
 
-    ``tol`` is a relative tolerance: alpha within tol of a finite threshold
-    raises CriticalValue (critical couplings are excluded), and alpha within
-    tol of 1/3 raises DomainError, as does a non-finite alpha.
+    With the relative tolerance tol = DEFAULT_CRITICAL_TOL, alpha within
+    tol of a finite threshold raises CriticalValue (critical couplings are
+    excluded), and alpha within tol of 1/3 raises DomainError, as does a
+    non-finite alpha.
     """
+    tol = DEFAULT_CRITICAL_TOL
     if not ALPHA_MIN + tol < alpha < math.inf:
         raise DomainError(f"classify requires a finite alpha > 1/3 (+tol), "
                           f"got {alpha}")
@@ -69,12 +71,11 @@ class Params:
     omega: float
 
     @classmethod
-    def make(cls, alpha: float, beta: float,
-             tol: float = DEFAULT_CRITICAL_TOL) -> "Params":
+    def make(cls, alpha: float, beta: float) -> "Params":
         if not (math.isfinite(alpha) and math.isfinite(beta)):
             raise DomainError(f"alpha and beta must be finite, got "
                               f"alpha={alpha}, beta={beta}")
         if beta <= 0.0:
             raise DomainError(f"beta must be > 0, got {beta}")
-        return cls(alpha=alpha, beta=beta, L=classify(alpha, tol=tol),
+        return cls(alpha=alpha, beta=beta, L=classify(alpha),
                    omega=omega(alpha))

@@ -5,12 +5,11 @@ Delta(j) = -alpha l(j-1) + l(j) - l(j+1) + alpha l(j+2), where l(j) is the
 local time on the non-oriented edge {j-1, j}, and steps right with
 probability 1 / (1 + exp(-2 beta Delta)).
 
-Two engines produce bit-identical trajectories from the same seed: a
-compiled step kernel (``"direct"``, see ``_kernel``) and a
-bookkeeping-complete ``WalkState`` stepper (``"reference"``), kept as the
-reference, as the fallback where no kernel can be built, and for the exact
-small-horizon path-law oracle.  The third engine, ``"rubin"``, is the clock
-race of ``rubin.simulate_rubin``.
+The ``"direct"`` engine steps in a compiled kernel (see ``_kernel``) and,
+where no kernel can be built, in a bookkeeping-complete ``WalkState``
+stepper; both give bit-identical trajectories from the same seed, and the
+stepper also serves the exact small-horizon path-law oracle.  The
+``"rubin"`` engine is the clock race of ``rubin.simulate_rubin``.
 """
 
 from dataclasses import dataclass, field
@@ -22,7 +21,7 @@ from .errors import CapacityError
 from .rng import BLOCK, philox
 from .spectrum import Params
 
-ENGINES = ("direct", "reference", "rubin")
+ENGINES = ("direct", "rubin")
 
 _SAT = 40.0  # |2 beta Delta| beyond which the logistic saturates in double
 
@@ -255,28 +254,25 @@ def _drive(walker, steps, marks):
     return records
 
 
-def simulate(params: Params, steps: int, seed: int, engine: str = "direct",
-             stops=(), keep_path: bool = True) -> Trajectory:
+def simulate(params: Params, steps: int, seed: int, stops=(),
+             keep_path: bool = True) -> Trajectory:
     """Run one trajectory, deterministic in (params, steps, seed).
 
     The walk records a Stop after each step count in ``stops`` (kept in
     ``Trajectory.stops``).  With ``keep_path=False`` the trajectory has no
     position path and the run's memory grows with the visited range only.
 
-    ``engine="direct"`` runs the compiled kernel of ``_kernel`` and falls
-    back to the WalkState stepper (``engine="reference"``) when no kernel
-    can be built; both consume the same Philox stream and produce
-    identical paths and stops.
+    The walk runs in the compiled kernel of ``_kernel``, or in the
+    WalkState stepper when no kernel can be built; both consume the same
+    Philox stream and produce identical paths and stops.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     if any(not 0 <= k <= steps for k in stops):
         raise ValueError(f"stops must lie in [0, {steps}], got {stops}")
-    if engine not in ("direct", "reference"):
-        raise ValueError(f"unknown walk engine {engine!r}")
     from . import _kernel  # here, so that importing walk loads no kernel
 
-    kernels = _kernel.load() if engine == "direct" else None
+    kernels = _kernel.load()
     if kernels is not None:
         walker = _KernelWalk(kernels, params, steps, seed, keep_path)
     else:

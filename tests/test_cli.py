@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import os
@@ -9,6 +10,9 @@ import pytest
 
 from stuckwalk import cli, mc
 from stuckwalk.cli import load_config_file, parse_and_dispatch
+from stuckwalk.walk import ENGINES
+
+from conftest import needs_cc, python_engines
 
 
 def run(argv):
@@ -89,8 +93,10 @@ def test_simulate_golden_stability(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@needs_cc
 def test_batch_worker_invariance(tmp_path, monkeypatch):
-    # 6 x 2000 steps is under the pool's cut-over: --workers 4 runs here
+    # with the kernel, 6 x 2000 steps is under the pool's cut-over:
+    # --workers 4 runs here
     monkeypatch.setattr(mc, "ProcessPoolExecutor", None)
     outs = []
     for i, workers in enumerate(("1", "4")):
@@ -193,10 +199,10 @@ def test_verify_walk_suite(tmp_path, capsys):
     ("simulate", "alpha = 2\nbeta = 1\nsteps = 1e5\nseed = 1\n",
      "steps = '1e5' is not a valid int"),
     ("simulate", "alpha = 2\nbeta = 1\nsteps = 10\nseed = 1\nengine = bogus\n",
-     "engine = 'bogus' is not one of direct, reference, rubin"),
+     "engine = 'bogus' is not one of direct, rubin"),
     ("batch", "alpha = 2\nbeta = 1\nsteps = 2000\nruns = 2\nseed = 1\n"
      "engine = bogus\n",
-     "engine = 'bogus' is not one of direct, reference, rubin"),
+     "engine = 'bogus' is not one of direct, rubin"),
 ])
 def test_config_file_bad_key_or_value_is_usage_error(tmp_path, capsys,
                                                      command, text, named):
@@ -265,14 +271,14 @@ INVOCATIONS = [
     ("linsys", {"alpha": "2", "K": "2", "lk2": "0.1", "out": "o.json"}),
     ("linsys", {"alpha": "0.8", "scan_to": "4"}),
     ("simulate", {"alpha": "0.8", "beta": "1", "steps": "2000", "seed": "3",
-                  "engine": "reference", "snapshot_every": "700",
+                  "engine": "direct", "snapshot_every": "700",
                   "out": "o.csv"}),
     ("simulate", {"alpha": "2", "beta": "1", "steps": "300", "seed": "3",
                   "engine": "rubin", "ty_out": "ty.json"}),
     ("analyze", {"infile": "walk.csv", "alpha": "2", "beta": "1",
                  "tail": "0.4", "out": "o.json"}),
     ("batch", {"alpha": "2", "beta": "1", "steps": "1000", "runs": "2",
-               "seed": "5", "workers": "2", "engine": "reference",
+               "seed": "5", "workers": "2", "engine": "direct",
                "tail": "0.4", "out": "o.json"}),
     ("verify", {"suite": "linsys", "horizon": "3", "runs": "10",
                 "seed": "7", "out": "o.json"}),
@@ -316,37 +322,40 @@ def test_config_value_equals_flag(tmp_path, monkeypatch, capsys, command,
     assert results[0][0] in (0, 1)      # verify exits 1 on a failed suite
 
 
-def test_batch_reference_engine_matches_direct(capsys):
-    docs = []
-    for engine in ("direct", "reference"):
-        assert run(["batch", "--alpha", "2", "--beta", "1", "--steps",
-                    "2000", "--runs", "3", "--seed", "8",
-                    "--engine", engine]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["config"].pop("engine") == engine
-        docs.append(doc)
-    assert docs[0] == docs[1]
+def test_batch_fallback_matches_kernel(capsys):
+    outs = []
+    for engines in (contextlib.nullcontext, python_engines):
+        with engines():
+            assert run(["batch", "--alpha", "2", "--beta", "1", "--steps",
+                        "2000", "--runs", "3", "--seed", "8"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 # sha256 of the CSV and the .snapshots.json written by
-# `simulate --snapshot-every` before snapshots became stops
-@pytest.mark.parametrize("argv, csv_sha, snapshots_sha", [
+# `simulate --snapshot-every` before snapshots became stops; the last case
+# runs the Python stepper
+SNAPSHOT_A2 = (
+    ["--alpha", "2", "--steps", "3000", "--seed", "11",
+     "--snapshot-every", "1000"],
+    "b5e39df7f5c1ac8c69626f03dcb88b3fbd2c79a0bd66315678c9dc0772809220",
+    "cd160161704ef0d963227e23d962bf0aa262bad7fe898f75fdb684fa8212c893")
+
+
+@pytest.mark.parametrize("argv, csv_sha, snapshots_sha, engines", [
     (["--alpha", "0.8", "--steps", "20000", "--seed", "5",
       "--snapshot-every", "7000"],
      "194eefc5f707d9cb65503cdc1f725e488dd778a97bf1d8a7dd88688b93bcdb86",
-     "968b68d9996da88a8682bf35b23acad921a500fbbabc02090cfeeb1ec65789d5"),
-    (["--alpha", "2", "--steps", "3000", "--seed", "11",
-      "--snapshot-every", "1000"],
-     "b5e39df7f5c1ac8c69626f03dcb88b3fbd2c79a0bd66315678c9dc0772809220",
-     "cd160161704ef0d963227e23d962bf0aa262bad7fe898f75fdb684fa8212c893"),
-    (["--alpha", "2", "--steps", "3000", "--seed", "11",
-      "--snapshot-every", "1000", "--engine", "reference"],
-     "bb905dfb9f5d3fa1774acca8212b30670ee0dbfdea0d4c15fff33e9c9dec9eb6",
-     "cd160161704ef0d963227e23d962bf0aa262bad7fe898f75fdb684fa8212c893"),
+     "968b68d9996da88a8682bf35b23acad921a500fbbabc02090cfeeb1ec65789d5",
+     contextlib.nullcontext),
+    (*SNAPSHOT_A2, contextlib.nullcontext),
+    (*SNAPSHOT_A2, python_engines),
 ])
-def test_snapshot_golden(tmp_path, argv, csv_sha, snapshots_sha):
+def test_snapshot_golden(tmp_path, argv, csv_sha, snapshots_sha, engines):
     out = tmp_path / "g.csv"
-    assert run(["simulate", "--beta", "1", *argv, "--out", str(out)]) == 0
+    with engines():
+        assert run(["simulate", "--beta", "1", *argv, "--out",
+                    str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
     snapshots = tmp_path / "g.csv.snapshots.json"
     assert hashlib.sha256(snapshots.read_bytes()).hexdigest() == snapshots_sha
@@ -455,7 +464,7 @@ SIMULATE = {"alpha": "2", "beta": "1", "steps": "300", "seed": "3"}
      "--snapshot-every"),
     ({"snapshot_every": "100"}, "--snapshot-every"),
     ({"ty_out": "ty.json"}, "--ty-out"),
-    ({"engine": "reference", "ty_out": "ty.json", "out": "o.csv"},
+    ({"engine": "direct", "ty_out": "ty.json", "out": "o.csv"},
      "--ty-out"),
 ])
 @pytest.mark.parametrize("via_config", [False, True])
@@ -478,7 +487,7 @@ def test_simulate_option_the_engine_drops_is_usage_error(
         ["cfg.txt"] if via_config else [])
 
 
-@pytest.mark.parametrize("engine", ["direct", "reference", "rubin"])
+@pytest.mark.parametrize("engine", ENGINES)
 def test_negative_snapshot_every_is_error_for_every_engine(tmp_path, capsys,
                                                            engine):
     assert run(["simulate", "--alpha", "2", "--beta", "1", "--steps", "300",

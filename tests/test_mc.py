@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 
@@ -10,6 +11,8 @@ from stuckwalk.analysis import detect_localization
 from stuckwalk.rng import derive_seed
 from stuckwalk.spectrum import Params
 from stuckwalk.walk import simulate
+
+from conftest import python_engines
 
 P21 = Params.make(2.0, 1.0)
 
@@ -143,6 +146,17 @@ def test_pool_size_is_capped(monkeypatch, runs, cpus, size):
     assert res.aggregate.runs == runs
 
 
+def test_small_batch_pools_without_kernel(monkeypatch):
+    # the Python stepper takes about 1 us a step, so any batch pools
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    with python_engines():
+        res = mc.run_batch(small_config(runs=3, workers=2))
+    assert RecordingPool.sizes == [2]
+    assert res.aggregate.runs == 3
+
+
 def test_rubin_engine_batch():
     cfg = small_config(engine="rubin", runs=4)
     res = mc.run_batch(cfg)
@@ -169,22 +183,24 @@ def test_range_saturation_alpha2():
 # sha256 of each run's summary, sustain threshold and checkpoint ranges,
 # as the criterion 6-8 fixture of tests/test_acceptance.py records them,
 # taken before that fixture and the batch shared ``run_one``
-@pytest.mark.parametrize("engine", ["direct", "reference"])
+@pytest.mark.parametrize("engines", [contextlib.nullcontext, python_engines],
+                         ids=["kernel", "fallback"])
 @pytest.mark.parametrize("alpha, steps, master, checkpoints, digest", [
     (2.0, 20000, 424242, (2000, 20000),
      "54d1653c44a3359a914043e38fb81dace6b95ca18657ad3964b073cddb150e2e"),
     (0.8, 30000, 434343, (3000, 30000),
      "3fdf114f0f38f3f4ca68b19a276f3e2c7da92fe2b9757060bd61966a945dec9c"),
 ])
-def test_run_one_golden(engine, alpha, steps, master, checkpoints, digest):
+def test_run_one_golden(engines, alpha, steps, master, checkpoints, digest):
     params = Params.make(alpha, 1.0)
     records = []
-    for i in range(20):
-        summary, traj = mc.run_one(params, steps, derive_seed(master, i),
-                                   engine, 0.5, stops=checkpoints)
-        records.append({
-            "summary": summary.as_dict(),
-            "sustain_threshold": summary.sustain_threshold,
-            "ranges": [(s.lo, s.hi) for s in traj.stops_at(checkpoints)]})
+    with engines():
+        for i in range(20):
+            summary, traj = mc.run_one(params, steps, derive_seed(master, i),
+                                       "direct", 0.5, stops=checkpoints)
+            records.append({
+                "summary": summary.as_dict(),
+                "sustain_threshold": summary.sustain_threshold,
+                "ranges": [(s.lo, s.hi) for s in traj.stops_at(checkpoints)]})
     text = json.dumps(records, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest

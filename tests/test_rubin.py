@@ -1,6 +1,6 @@
+import contextlib
 import hashlib
 import math
-import shutil
 
 import numpy as np
 import pytest
@@ -11,18 +11,17 @@ from stuckwalk.errors import ConstructionFailure
 from stuckwalk.rng import keyed_std_exponential, philox
 from stuckwalk.spectrum import Params
 
+from conftest import needs_cc, python_engines
+
 P21 = Params.make(2.0, 1.0)
 P205 = Params.make(2.0, 0.5)
-
-needs_cc = pytest.mark.skipif(shutil.which(_kernel.COMPILER) is None,
-                              reason="no C compiler on PATH")
 
 
 # ------------------------------------------------------------ weights
 
 
 def test_weight_spec_defaults():
-    ws = rubin.WeightSpec.for_params(P21)
+    ws = rubin.WeightSpec(P21.alpha, P21.beta)
     # at the origin both first clocks have mean 1
     assert ws.log_f(0, 1, 0) == 0.0
     assert ws.log_f(0, -1, 0) == 0.0
@@ -41,7 +40,7 @@ def test_weight_spec_defaults():
 def test_weight_identity_joint_replay():
     # log w(Z_k(y+1)) - log f+(y, N_k(y, y+1)) must equal
     # 2 beta (-l_k(y+1) + alpha l_k(y+2)) at every visited state
-    ws = rubin.WeightSpec.for_params(P21)
+    ws = rubin.WeightSpec(P21.alpha, P21.beta)
     traj, _ = rubin.simulate_rubin(P21, 2000, seed=31)
     pos = traj.positions
     a, b = 2.0, 1.0
@@ -253,12 +252,12 @@ def test_sampler_block_size_does_not_change_counts(monkeypatch, block):
     assert rubin.sample_embedded_paths(P21, 6, 2500, seed=17) == expected
 
 
-def test_equivalence_report_fallback_is_identical(monkeypatch):
+def test_equivalence_report_fallback_is_identical():
     compiled = [rubin.equivalence_report(p, 5, 20000, seed=s)
                 for p, s in ((P21, 3), (P205, 2 ** 64 - 1))]
-    monkeypatch.setattr(_kernel, "load", lambda: None)
-    assert [rubin.equivalence_report(p, 5, 20000, seed=s)
-            for p, s in ((P21, 3), (P205, 2 ** 64 - 1))] == compiled
+    with python_engines():
+        assert [rubin.equivalence_report(p, 5, 20000, seed=s)
+                for p, s in ((P21, 3), (P205, 2 ** 64 - 1))] == compiled
 
 
 class _UnitExponentials:
@@ -274,28 +273,26 @@ class _UnitExponentials:
 @pytest.mark.parametrize("compiled", [True, False])
 def test_sampler_tie_raises(monkeypatch, compiled):
     # at site 0 both first clocks have log_f = 0, so equal draws tie
-    if not compiled:
-        monkeypatch.setattr(_kernel, "load", lambda: None)
     monkeypatch.setattr(rubin, "philox", lambda seed: _UnitExponentials())
-    with pytest.raises(ConstructionFailure,
-                       match="^exact clock tie in vectorized sampler$"):
+    with (contextlib.nullcontext() if compiled else python_engines()), \
+            pytest.raises(ConstructionFailure,
+                          match="^exact clock tie in vectorized sampler$"):
         rubin.sample_embedded_paths(P21, 3, 10, seed=1)
 
 
 @pytest.mark.parametrize("compiled", [True, False])
-def test_sampler_input_checks_and_long_horizons(monkeypatch, compiled):
-    if not compiled:
-        monkeypatch.setattr(_kernel, "load", lambda: None)
-    for horizon, runs in ((-1, 10), (63, 1), (5, 0)):
-        with pytest.raises(ValueError):
-            rubin.sample_embedded_paths(P21, horizon, runs, seed=1)
-    # codes are counted without a 2**horizon array
-    emp = rubin.sample_embedded_paths(P21, 62, 3, seed=1)
-    assert sum(emp.values()) == 3
-    for path in emp:
-        assert len(path) == 62
-        assert all(abs(b - a) == 1 for a, b in zip((0, *path), path))
-    assert rubin.sample_embedded_paths(P21, 0, 5, seed=1) == {(): 5}
+def test_sampler_input_checks_and_long_horizons(compiled):
+    with contextlib.nullcontext() if compiled else python_engines():
+        for horizon, runs in ((-1, 10), (63, 1), (5, 0)):
+            with pytest.raises(ValueError):
+                rubin.sample_embedded_paths(P21, horizon, runs, seed=1)
+        # codes are counted without a 2**horizon array
+        emp = rubin.sample_embedded_paths(P21, 62, 3, seed=1)
+        assert sum(emp.values()) == 3
+        for path in emp:
+            assert len(path) == 62
+            assert all(abs(b - a) == 1 for a, b in zip((0, *path), path))
+        assert rubin.sample_embedded_paths(P21, 0, 5, seed=1) == {(): 5}
 
 
 # ------------------------------------------------------------ coupling
@@ -377,14 +374,14 @@ def test_couple_rejects_bad_input():
         rubin.couple(0, 0.3, 0.5, shared_seed=1, jumps=-1, params=P21)
 
 
-def test_couple_fallback_gives_same_report(monkeypatch):
+def test_couple_fallback_gives_same_report():
     cases = [(0, 0.2, 0.9, 11, 300), (2, 1e-300, 3.0, 2 ** 64 - 1, 200),
              (-1, 0.5, 0.5, 7, 0), (0, 0.01, 0.02, 12, 1)]
     compiled = [rubin.couple(h, u1, u2, s, j, P21)
                 for h, u1, u2, s, j in cases]
-    monkeypatch.setattr(_kernel, "load", lambda: None)
-    assert [rubin.couple(h, u1, u2, s, j, P21)
-            for h, u1, u2, s, j in cases] == compiled
+    with python_engines():
+        assert [rubin.couple(h, u1, u2, s, j, P21)
+                for h, u1, u2, s, j in cases] == compiled
 
 
 # ------------------------------------------------------------ race kernel

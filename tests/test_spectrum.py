@@ -59,9 +59,9 @@ def test_classify_examples():
 
 def test_classify_critical_value():
     with pytest.raises(CriticalValue):
-        classify(1.0, tol=1e-9)
+        classify(1.0)
     with pytest.raises(CriticalValue):
-        classify(alpha_threshold(3), tol=1e-9)
+        classify(alpha_threshold(3))
 
 
 def test_classify_near_one_third_raises():

@@ -1,8 +1,8 @@
 """Path-free runs: kernel stops, the growing local-time window, and the
 summaries built from stops instead of the position path."""
 
+import contextlib
 import json
-import shutil
 import tracemalloc
 from unittest import mock
 
@@ -14,10 +14,9 @@ from stuckwalk import _kernel, analysis, mc, walk
 from stuckwalk.rng import BLOCK
 from stuckwalk.spectrum import Params
 
-P21 = Params.make(2.0, 1.0)
+from conftest import needs_cc, python_engines
 
-needs_cc = pytest.mark.skipif(shutil.which(_kernel.COMPILER) is None,
-                              reason="no C compiler on PATH")
+P21 = Params.make(2.0, 1.0)
 
 
 def summary_from_path(traj, tail_fraction):
@@ -49,11 +48,11 @@ def summary_from_path(traj, tail_fraction):
     }, threshold
 
 
-def check_streamed_equals_path(params, steps, seed, tail_fraction, engine):
+def check_streamed_equals_path(params, steps, seed, tail_fraction):
     t0 = analysis.tail_start(steps, tail_fraction)
-    streamed = walk.simulate(params, steps, seed, engine=engine,
-                             stops=(1, t0, steps), keep_path=False)
-    full = walk.simulate(params, steps, seed, engine=engine)
+    streamed = walk.simulate(params, steps, seed, stops=(1, t0, steps),
+                             keep_path=False)
+    full = walk.simulate(params, steps, seed)
     assert streamed.positions is None and streamed.steps == steps
     s = analysis.detect_localization(streamed, tail_fraction)
     f = analysis.detect_localization(full, tail_fraction)
@@ -73,25 +72,25 @@ def check_streamed_equals_path(params, steps, seed, tail_fraction, engine):
        | st.integers(min_value=1000, max_value=6000),
        seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
        tail_fraction=st.sampled_from([0.5, 0.3, 0.77, 0.999, 0.0004]),
-       engine=st.sampled_from(["direct", "reference"]),
+       engines=st.sampled_from([contextlib.nullcontext, python_engines]),
        window=st.sampled_from([walk._WINDOW0, 4]))
 @settings(max_examples=60, deadline=None)
 def test_streamed_summary_equals_path_summary(alpha, beta, steps, seed,
-                                              tail_fraction, engine, window):
+                                              tail_fraction, engines, window):
     if int(steps * tail_fraction) == 0:
         with pytest.raises(ValueError, match="holds no step"):
             analysis.tail_start(steps, tail_fraction)
         return
-    with mock.patch.object(walk, "_WINDOW0", window):
+    with mock.patch.object(walk, "_WINDOW0", window), engines():
         check_streamed_equals_path(Params.make(alpha, beta), steps, seed,
-                                   tail_fraction, engine)
+                                   tail_fraction)
 
 
 def test_streamed_summary_of_non_localized_runs():
     # about a quarter of 1500-step runs at alpha = 0.45 have settled
     params = Params.make(0.45, 1.0)
-    localized = [check_streamed_equals_path(params, 1500, seed, 0.5,
-                                            "direct").localized
+    localized = [check_streamed_equals_path(params, 1500, seed,
+                                            0.5).localized
                  for seed in range(30)]
     assert not all(localized) and any(localized)
 
@@ -100,8 +99,9 @@ def test_tail_start_off_block_boundary():
     steps = 2 * BLOCK + 7
     t0 = analysis.tail_start(steps, 0.5)
     assert t0 % BLOCK
-    check_streamed_equals_path(P21, steps, 11, 0.5, "direct")
-    check_streamed_equals_path(P21, steps, 11, 0.5, "reference")
+    check_streamed_equals_path(P21, steps, 11, 0.5)
+    with python_engines():
+        check_streamed_equals_path(P21, steps, 11, 0.5)
 
 
 def test_tiny_window_grows_many_times():
@@ -117,7 +117,8 @@ def test_tiny_window_grows_many_times():
             mock.patch.object(walk._KernelWalk, "_resize", counting):
         stops = (1, 777, 5000, 20000)
         a = walk.simulate(params, 20000, 8, stops=stops, keep_path=False)
-    b = walk.simulate(params, 20000, 8, stops=stops, engine="reference")
+    with python_engines():
+        b = walk.simulate(params, 20000, 8, stops=stops)
     if _kernel.load() is not None:
         assert len(resizes) >= 4
     for k in stops:

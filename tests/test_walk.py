@@ -1,7 +1,6 @@
 import ctypes
 import math
 import os
-import shutil
 import subprocess
 import sys
 
@@ -14,6 +13,8 @@ from stuckwalk import _kernel, rng, walk
 from stuckwalk.cli import parse_and_dispatch
 from stuckwalk.errors import CapacityError
 from stuckwalk.spectrum import Params
+
+from conftest import needs_cc, python_engines
 
 P21 = Params.make(2.0, 1.0)
 P205 = Params.make(2.0, 0.5)
@@ -100,8 +101,9 @@ def test_simulate_deterministic():
 
 
 def test_engines_agree():
-    a = walk.simulate(P21, 3000, seed=99, engine="direct")
-    b = walk.simulate(P21, 3000, seed=99, engine="reference")
+    a = walk.simulate(P21, 3000, seed=99)
+    with python_engines():
+        b = walk.simulate(P21, 3000, seed=99)
     assert a.positions == b.positions
 
 
@@ -117,18 +119,15 @@ def test_kernel_matches_reference(alpha, beta, steps, seed, period):
     every = max(1, steps // 50) if period is None else period
     marks = range(every, steps + 1, every) if every else ()
     params = Params.make(alpha, beta)
-    a, b = (walk.simulate(params, steps, seed, engine=engine, stops=marks)
-            for engine in ("direct", "reference"))
+    a = walk.simulate(params, steps, seed, stops=marks)
+    with python_engines():
+        b = walk.simulate(params, steps, seed, stops=marks)
     assert a.positions == b.positions
     assert ([a.stops[k].snapshot() for k in marks]
             == [b.stops[k].snapshot() for k in marks])
 
 
 # ------------------------------------------------------------ kernel build
-
-needs_cc = pytest.mark.skipif(shutil.which(_kernel.COMPILER) is None,
-                              reason="no C compiler on PATH")
-
 
 @needs_cc
 @given(alpha=st.sampled_from([2.0, 0.8, 0.45, 0.36])
@@ -182,7 +181,7 @@ def test_kernel_step_probability_is_bit_identical(alpha, beta, lts):
 @settings(max_examples=60, deadline=None)
 def test_kernel_draws_numpys_philox_stream(alpha, beta, seed, steps, marks):
     # after the walk the kernel's generator words are numpy's state after
-    # random(steps), and the walk is the reference engine's
+    # random(steps), and the walk is the Python stepper's
     params = Params.make(alpha, beta)
     marks = sorted({k % (steps + 1) for k in marks})
     walker = walk._KernelWalk(_kernel.load(), params, steps, seed, True)
@@ -196,7 +195,8 @@ def test_kernel_draws_numpys_philox_stream(alpha, beta, seed, steps, marks):
     assert words[1:5] == want["state"]["counter"].tolist()
     assert words[5:9] == want["buffer"].tolist()
     assert words[9] == want["buffer_pos"]
-    ref = walk.simulate(params, steps, seed, engine="reference", stops=marks)
+    with python_engines():
+        ref = walk.simulate(params, steps, seed, stops=marks)
     assert walker.path() == ref.positions
     assert ([records[k].snapshot() for k in marks]
             == [ref.stops[k].snapshot() for k in marks])
@@ -242,10 +242,10 @@ def _cli_bytes(tmp_path, tag):
             (out, tmp_path / f"{tag}.csv.snapshots.json", agg)]
 
 
-def test_fallback_gives_same_bytes(tmp_path, monkeypatch):
+def test_fallback_gives_same_bytes(tmp_path):
     compiled = _cli_bytes(tmp_path, "kernel")
-    monkeypatch.setattr(_kernel, "load", lambda: None)
-    assert _cli_bytes(tmp_path, "fallback") == compiled
+    with python_engines():
+        assert _cli_bytes(tmp_path, "fallback") == compiled
 
 
 def _env_with_src(**extra):
@@ -275,7 +275,8 @@ def test_concurrent_cold_builds(tmp_path):
              for _ in range(2)]
     results = [p.communicate(timeout=120) for p in procs]
     assert [p.returncode for p in procs] == [0, 0], results
-    expected = walk.simulate(P21, 3000, 99, engine="reference").positions[-1]
+    with python_engines():
+        expected = walk.simulate(P21, 3000, 99).positions[-1]
     assert [int(out) for out, _ in results] == [expected, expected]
     files = list((tmp_path / "stuckwalk").iterdir())
     assert len(files) == 1 and files[0].suffix == ".so"
