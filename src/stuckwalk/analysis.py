@@ -82,26 +82,27 @@ def detect_localization(traj: Trajectory, tail_fraction: float = 0.5) -> RunSumm
     t0 = tail_start(steps, tail_fraction)
     start, end = traj.stops_at([t0, steps])
     lo, hi = end.lo, end.hi
-    crossings = end.lt.copy()                           # edges lo..hi+1
-    crossings[start.lo - lo:start.hi + 2 - lo] -= start.lt  # t0 range inside
-    twice = crossings[:-1] + crossings[1:]              # sites lo..hi
+    end_lt = end.lt.tolist()
+    crossings = end_lt[:]                               # edges lo..hi+1
+    for i, c in enumerate(start.lt.tolist(), start.lo - lo):  # t0 range
+        crossings[i] -= c
+    twice = [x + y for x, y in zip(crossings, crossings[1:])]  # sites lo..hi
     twice[start.pos - lo] += 1
     twice[end.pos - lo] += 1
-    visits = twice // 2
-    seen = np.flatnonzero(visits)
-    a, b = lo + int(seen[0]), lo + int(seen[-1])
+    visits = [t // 2 for t in twice]
+    seen = [i for i, v in enumerate(visits) if v]
+    a, b = lo + seen[0], lo + seen[-1]
     size = b - a + 1
     threshold = (steps - t0) / (SUSTAIN_DIVISOR * size)
-    localized = bool(np.all(visits[a - lo:b - lo + 1] >= threshold))
+    localized = all(v >= threshold for v in visits[a - lo:b - lo + 1])
 
-    inner = crossings[a + 1 - lo:b + 1 - lo].tolist()   # edges a+1..b
+    inner = crossings[a + 1 - lo:b + 1 - lo]            # edges a+1..b
     total = sum(inner)
     profile = [c / total for c in inner] if total else [0.0] * len(inner)
 
     # Delta(j) for j = a+1..b-1 from the local times of edges a..b+1
-    streams = interior_streams(end.lt[a - lo:b + 2 - lo], traj.params.alpha)
-    stream_rate = {j: abs(d) / steps
-                   for j, d in zip(range(a + 1, b), streams.tolist())}
+    streams = interior_streams(end_lt[a - lo:b + 2 - lo], traj.params.alpha)
+    stream_rate = {j: abs(d) / steps for j, d in zip(range(a + 1, b), streams)}
 
     return RunSummary(
         window=(a, b), size=size, localized=localized,
@@ -110,12 +111,12 @@ def detect_localization(traj: Trajectory, tail_fraction: float = 0.5) -> RunSumm
 
 
 @functools.lru_cache(maxsize=64)
-def _closed_profile(K: int, alpha: float) -> np.ndarray:
-    """Interior edges of the closed-form profile; read-only, shared by
-    every run of a batch."""
-    target = np.asarray(solve_closed(K, alpha).l[1:K + 2])
-    target.setflags(write=False)
-    return target
+def _closed_profile(K: int, alpha: float) -> tuple:
+    """Interior edges of the closed-form profile, shared by every run of a
+    batch.  For K <= L+1 each is finite and positive: with omega in
+    (2 pi/(L+3), 2 pi/(L+2)), both sine factors of l_1..l_{K+1} have
+    arguments in (0, pi)."""
+    return solve_closed(K, alpha).l[1:K + 2]
 
 
 def compare_profile(summary: RunSummary, params: Params) -> RunSummary:
@@ -133,11 +134,11 @@ def compare_profile(summary: RunSummary, params: Params) -> RunSummary:
     if K < 0:
         raise NoTheory(f"window size {summary.size} too small to compare")
     target = _closed_profile(K, params.alpha)
-    prof = np.asarray(summary.profile)
+    prof = summary.profile
     if len(prof) != len(target):
         raise NoTheory(
             f"profile length {len(prof)} does not match K = {K}")
-    summary.deviation = float(np.max(np.abs(prof - target)))
+    summary.deviation = max(abs(x - y) for x, y in zip(prof, target))
     return summary
 
 

@@ -53,10 +53,10 @@ class AffineSolution:
     c: tuple
 
 
-def interior_streams(l, alpha: float) -> np.ndarray:
+def interior_streams(l, alpha: float) -> list:
     """d_j for j = 1..K given the full vector l_0..l_{K+2}."""
-    l = np.asarray(l, dtype=float)
-    return -alpha * l[:-3] + l[1:-2] - l[2:-1] + alpha * l[3:]
+    return [-alpha * a + b - c + alpha * d
+            for a, b, c, d in zip(l, l[1:], l[2:], l[3:])]
 
 
 def boundary_streams(l, alpha: float):

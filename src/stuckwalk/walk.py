@@ -122,7 +122,9 @@ class Trajectory:
         if any(not 0 <= k <= self.steps for k in ks):
             raise ValueError(f"stops must lie in [0, {self.steps}], got {ks}")
         missing = [k for k in ks if k not in self.stops]
-        if missing and self.positions is None:
+        if not missing:
+            return [self.stops[k] for k in ks]
+        if self.positions is None:
             raise ValueError(f"the run kept no path and recorded no stop at "
                              f"step {missing[0]}")
         derived = stops_from_path(self.positions, missing)
@@ -165,14 +167,16 @@ class _KernelWalk:
     def __init__(self, kernels, params, steps, seed, keep_path):
         self.kernel = kernels.stuck_walk_steps
         self.alpha, self.tb = params.alpha, 2.0 * params.beta
-        # pos, lo, hi, first, last, key, counter[4], buffer[4], used
-        self.state = np.array([0, 0, 0, 0, 0, seed % 2 ** 64, *[0] * 8, 4],
-                              dtype=np.uint64).view(np.int64)
-        self.state_addr = self.state.ctypes.data
-        self.lt = np.zeros(_WINDOW0, dtype=np.int64)
+        # one buffer: pos, lo, hi, first, last, key, counter[4], buffer[4],
+        # used, then the local times of the first window
+        buf = np.zeros(15 + _WINDOW0, dtype=np.int64)
+        self.state, self.lt = buf[:15], buf[15:]
+        self.state_addr = buf.ctypes.data
+        buf.view(np.uint64)[5] = seed % 2 ** 64
         first = -1 - (_WINDOW0 - 4) // 2        # edges -1..2 centred
-        self.state[3:5] = first, first + _WINDOW0 - 1
-        self.origin = self.lt.ctypes.data - 8 * first   # address of edge 0
+        buf[3:5] = first, first + _WINDOW0 - 1
+        buf[14] = 4
+        self.origin = self.state_addr + 8 * (15 - first)  # address of edge 0
         self.out = np.zeros(steps + 1, dtype=np.int64) if keep_path else None
         # address of the next position the kernel writes, X_1 first
         self.next_out = self.out.ctypes.data + 8 if keep_path else None

@@ -1,11 +1,15 @@
 import math
+import random
+from collections import Counter
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stuckwalk import analysis, walk
 from stuckwalk.errors import NoTheory, TooShort
-from stuckwalk.spectrum import Params
+from stuckwalk.linsys import solve_closed
+from stuckwalk.spectrum import Params, alpha_threshold
 
 P21 = Params.make(2.0, 1.0)
 P081 = Params.make(0.8, 1.0)
@@ -78,6 +82,88 @@ def test_detect_translation_invariance(shift):
     assert s1.localized == s0.localized
 
 
+def drifting_path(seed, legs):
+    """X_0 = 0 and then, for each (steps, p) of ``legs``, that many +-1
+    steps that go right with probability p; padded to MIN_TRAJECTORY
+    steps with a fair leg."""
+    rnd = random.Random(seed)
+    short = analysis.MIN_TRAJECTORY - sum(n for n, _ in legs)
+    positions = [0]
+    for n, p in legs + [(max(0, short), 0.5)]:
+        for _ in range(n):
+            positions.append(positions[-1] + (1 if rnd.random() < p else -1))
+    return positions
+
+
+def recount_summary(positions, params, tail_fraction):
+    """The tail summary recounted from the path: visits and window from a
+    Counter over the tail positions, crossings from max(X_m, X_m+1), the
+    streams from ``walk.recount_local_times``."""
+    steps = len(positions) - 1
+    t0 = steps - int(steps * tail_fraction)
+    visits = Counter(positions[t0:])
+    a, b = min(visits), max(visits)
+    size = b - a + 1
+    threshold = (steps - t0) / (analysis.SUSTAIN_DIVISOR * size)
+    crossed = Counter(max(x, y) for x, y in zip(positions[t0:],
+                                                positions[t0 + 1:]))
+    inner = [crossed[j] for j in range(a + 1, b + 1)]
+    lt = Counter(walk.recount_local_times(positions))
+    al = params.alpha
+    rates = {j: abs(-al * lt[j - 1] + lt[j] - lt[j + 1] + al * lt[j + 2])
+             / steps for j in range(a + 1, b)}
+    deviation = float("nan")
+    K = size - 2
+    if K <= params.L + 1:
+        target = np.asarray(solve_closed(K, al).l[1:K + 2])
+        deviation = float(np.max(np.abs(np.asarray(inner) / sum(inner)
+                                        - target)))
+    return {"window": (a, b), "size": size,
+            "localized": all(visits[j] >= threshold
+                             for j in range(a, b + 1)),
+            "profile": [c / sum(inner) for c in inner],
+            "stream_rate": rates, "deviation": deviation,
+            "range_final": (min(positions), max(positions))}
+
+
+LEGS = st.lists(st.tuples(st.integers(min_value=1, max_value=1500),
+                          st.sampled_from([0.0, 0.03, 0.5, 0.97, 1.0])),
+                min_size=1, max_size=5)
+
+
+@given(seed=st.integers(min_value=0, max_value=2 ** 32), legs=LEGS,
+       params=st.sampled_from([P21, P081, Params.make(0.45, 0.2)]),
+       tail_fraction=st.sampled_from([0.5, 0.3, 0.9, 0.001]))
+@example(seed=1, legs=[(600, 1.0), (900, 0.0)], params=P21,
+         tail_fraction=0.5)                 # 901 sites, tail to the left end
+@example(seed=2, legs=[(700, 0.0), (700, 0.97)], params=P081,
+         tail_fraction=0.5)                 # tail from the left end of 700
+@example(seed=3, legs=[(200, 0.5), (900, 0.03)], params=P081,
+         tail_fraction=0.3)                 # tail at the end of the range
+@example(seed=4, legs=[(1200, 0.5)], params=P21, tail_fraction=0.001)
+@settings(max_examples=80, deadline=None)
+def test_summary_matches_path_recount(seed, legs, params, tail_fraction):
+    # random +-1 paths, with the path kept and path-free from their two
+    # stops, against a recount from scratch; floats compare by repr
+    positions = drifting_path(seed, legs)
+    steps = len(positions) - 1
+    t0 = analysis.tail_start(steps, tail_fraction)
+    want = recount_summary(positions, params, tail_fraction)
+    path_free = walk.Trajectory(
+        positions=None, params=params, steps=steps,
+        stops=dict(zip((t0, steps), walk.stops_from_path(positions,
+                                                         [t0, steps]))))
+    for traj in (walk.Trajectory(positions=positions, params=params),
+                 path_free):
+        s = analysis.detect_localization(traj, tail_fraction)
+        if s.size - 2 <= params.L + 1:
+            analysis.compare_profile(s, params)
+        got = {"window": s.window, "size": s.size, "localized": s.localized,
+               "profile": s.profile, "stream_rate": s.stream_rate,
+               "deviation": s.deviation, "range_final": s.range_final}
+        assert repr(got) == repr(want)
+
+
 # ------------------------------------------------------------ compare
 
 
@@ -99,6 +185,20 @@ def test_compare_profile_K2_target():
         deviation=float("nan"), stream_rate={}, range_final=(0, 3))
     analysis.compare_profile(s, P081)
     assert s.deviation == pytest.approx(0.0, abs=1e-12)
+
+
+def test_closed_profiles_are_finite_and_positive():
+    # compare_profile takes max() over the deviation, which, unlike
+    # np.max, would not propagate a NaN target
+    for L in range(1, 13):
+        lo = alpha_threshold(L + 1)
+        hi = alpha_threshold(L) if L > 1 else 1e6
+        for alpha in (lo * (1 + 1e-8), (lo + min(hi, 3.0)) / 2,
+                      hi * (1 - 1e-8)):
+            for K in range(L + 2):
+                target = analysis._closed_profile(K, alpha)
+                assert len(target) == K + 1
+                assert all(math.isfinite(x) and x > 0.0 for x in target)
 
 
 def test_compare_profile_no_theory():

@@ -61,6 +61,24 @@ def test_closed_symmetry_and_d01():
                     < 1e-10 if K else True
 
 
+def numpy_interior_streams(l, alpha):
+    """interior_streams as one numpy expression over the whole vector."""
+    l = np.asarray(l, dtype=float)
+    return -alpha * l[:-3] + l[1:-2] - l[2:-1] + alpha * l[3:]
+
+
+@given(l=st.lists(st.integers(min_value=0, max_value=2 ** 40), max_size=40),
+       alpha=st.floats(min_value=0.3, max_value=5.0, exclude_min=True,
+                       exclude_max=True))
+@settings(max_examples=200, deadline=None)
+def test_interior_streams_match_numpy_bit_for_bit(l, alpha):
+    want = repr(numpy_interior_streams(l, alpha).tolist())
+    assert repr(linsys.interior_streams(l, alpha)) == want
+    floats = [x / 3.0 for x in l]
+    assert repr(linsys.interior_streams(floats, alpha)) == \
+        repr(numpy_interior_streams(floats, alpha).tolist())
+
+
 # ------------------------------------------------------------ solve_direct
 
 
