@@ -389,7 +389,7 @@ def _library_path(compiler: str) -> str:
 
 
 def _compile(compiler: str, lib: str) -> None:
-    """Build ``lib``; parallel builds race harmlessly via os.replace."""
+    """Build ``lib`` or raise OSError; os.replace makes racing builds safe."""
     import subprocess
     import tempfile
 
@@ -402,6 +402,8 @@ def _compile(compiler: str, lib: str) -> None:
                        input=SOURCE.encode(), capture_output=True,
                        check=True, timeout=_BUILD_TIMEOUT_S)
         os.replace(tmp, lib)
+    except subprocess.SubprocessError as exc:
+        raise OSError(exc) from exc
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
@@ -413,7 +415,6 @@ def load():
     None if it cannot be had here."""
     import ctypes
     import shutil
-    import subprocess
 
     compiler = shutil.which(COMPILER)
     if compiler is None:
@@ -424,7 +425,7 @@ def load():
         if not os.path.exists(lib):
             _compile(compiler, lib)
         kernels = ctypes.CDLL(lib)
-    except (OSError, subprocess.SubprocessError) as exc:
+    except OSError as exc:
         warnings.warn(f"cannot build the walk kernels ({exc}); using the "
                       "slower Python engines", RuntimeWarning)
         return None

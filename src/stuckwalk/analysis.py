@@ -10,8 +10,6 @@ from dataclasses import dataclass
 import functools
 import math
 
-import numpy as np
-
 from .errors import NoTheory, TooShort
 from .linsys import interior_streams, solve_closed
 from .spectrum import Params
@@ -82,21 +80,25 @@ def detect_localization(traj: Trajectory, tail_fraction: float = 0.5) -> RunSumm
     t0 = tail_start(steps, tail_fraction)
     start, end = traj.stops_at([t0, steps])
     lo, hi = end.lo, end.hi
-    end_lt = end.lt.tolist()
-    crossings = end_lt[:]                               # edges lo..hi+1
-    for i, c in enumerate(start.lt.tolist(), start.lo - lo):  # t0 range
-        crossings[i] -= c
-    twice = [x + y for x, y in zip(crossings, crossings[1:])]  # sites lo..hi
-    twice[start.pos - lo] += 1
-    twice[end.pos - lo] += 1
-    visits = [t // 2 for t in twice]
-    seen = [i for i, v in enumerate(visits) if v]
-    a, b = lo + seen[0], lo + seen[-1]
+    end_lt = end.lt.tolist()                            # edges lo..hi+1
+    t0_lt = [0] * (start.lo - lo) + start.lt.tolist() + [0] * (hi - start.hi)
+    # the tail crosses exactly the edges a+1..b of its window [a, b]
+    i, j = 1, hi - lo
+    while end_lt[i] == t0_lt[i]:
+        i += 1
+    while end_lt[j] == t0_lt[j]:
+        j -= 1
+    a, b = lo + i - 1, lo + j
+    crossings = [x - y for x, y in zip(end_lt[i - 1:j + 2],
+                                       t0_lt[i - 1:j + 2])]  # edges a..b+1
+    twice = [x + y for x, y in zip(crossings, crossings[1:])]  # sites a..b
+    twice[start.pos - a] += 1
+    twice[end.pos - a] += 1
     size = b - a + 1
     threshold = (steps - t0) / (SUSTAIN_DIVISOR * size)
-    localized = all(v >= threshold for v in visits[a - lo:b - lo + 1])
+    localized = all(t // 2 >= threshold for t in twice)
 
-    inner = crossings[a + 1 - lo:b + 1 - lo]            # edges a+1..b
+    inner = crossings[1:-1]                             # edges a+1..b
     total = sum(inner)
     profile = [c / total for c in inner] if total else [0.0] * len(inner)
 
@@ -183,6 +185,25 @@ class BatchAggregate:
         }
 
 
+def _pairwise_sum(x) -> float:
+    """The sum of ``x`` in numpy's float64 pairwise order, so that dividing
+    by len(x) gives ``np.mean(x)`` bit for bit: in order below 8 items, in 8
+    accumulators up to 128, and over halves split at a multiple of 8 above."""
+    n = len(x)
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _pairwise_sum(x[:half]) + _pairwise_sum(x[half:])
+    s, rest = 0.0, x
+    if n >= 8:
+        r, rest = x[:8], x[n - n % 8:]
+        for i in range(8, n - n % 8, 8):
+            r = [u + v for u, v in zip(r, x[i:i + 8])]
+        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for v in rest:
+        s += v
+    return s
+
+
 def batch_stats(summaries, params: Params) -> BatchAggregate:
     """Histogram of localization sizes, fractions at L+2 / L+3 with Wilson
     intervals, and the profile deviations, which ``compare_profile`` has
@@ -208,5 +229,5 @@ def batch_stats(summaries, params: Params) -> BatchAggregate:
         runs=n, size_histogram=hist,
         frac_localized=n_loc / n, frac_L2=n_l2 / n, frac_L3=n_l3 / n,
         ci_L2=wilson_interval(n_l2, n), ci_L3=wilson_interval(n_l3, n),
-        mean_deviation=float(np.mean(devs)) if devs else float("nan"),
-        max_deviation=float(np.max(devs)) if devs else float("nan"))
+        mean_deviation=_pairwise_sum(devs) / n_l2 if devs else float("nan"),
+        max_deviation=max(devs) if devs else float("nan"))

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 import functools
 import math
 
-import numpy as np
-
 from .errors import DomainError, IdentityError, Infeasible, RegimeError
 from .spectrum import alpha_threshold, classify, omega
 
@@ -99,8 +97,9 @@ def solve_closed(K: int, alpha: float) -> SystemSolution:
                           unique=True)
 
 
-def _system_matrix(K: int, alpha: float) -> np.ndarray:
+def _system_matrix(K: int, alpha: float):
     """Rows: l_0, l_{K+2}, interior sum, then d_1..d_K (matrix M for K = L)."""
+    import numpy as np
     n = K + 3
     A = np.zeros((n, n))
     A[0, 0] = 1.0
@@ -121,6 +120,7 @@ def solve_direct(K: int, alpha: float, lK2: float = 0.0) -> SystemSolution:
     2 pi at critical alpha) return the minimum-norm representative with
     unique=False; inconsistent ones raise Infeasible.
     """
+    import numpy as np
     if K < 0:
         raise ValueError(f"K must be >= 0, got {K}")
     if not (math.isfinite(alpha) and math.isfinite(lK2)):
@@ -147,6 +147,7 @@ def identity_sweep(points):
     min(d0, -dK1) for K >= L: positive exactly when d0 < 0 < dK1 for
     K < L and dK1 < 0 < d0 for K >= L.
     """
+    import numpy as np
     dev = sym = d01 = 0.0
     margin = math.inf
     for L, alpha in points:
@@ -169,6 +170,7 @@ def solve_affine(L: int, alpha: float, d_in) -> AffineSolution:
     c_k = -(0..0, -alpha, 1, 0) M^{-1} e_{3+k}, so that
     d_{L+1} = -d0(L) - sum_k c_k d_k  and  d_0 = d0(L) - sum_k c_{L+1-k} d_k.
     """
+    import numpy as np
     if L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
     if not alpha_threshold(L + 1) < alpha < alpha_threshold(L):
@@ -203,6 +205,7 @@ def solution_family(K: int, alpha: float):
     {l_0 = 0, interior sum = 1, d_1..d_K = 0}.  Memoized: both arrays are
     read-only and shared by every caller with the same (K, alpha).
     """
+    import numpy as np
     n = K + 3
     A = np.delete(_system_matrix(K, alpha), 1, axis=0)   # l_{K+2} is free
     b = np.zeros(n - 1)

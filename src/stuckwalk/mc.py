@@ -9,7 +9,6 @@ accumulation.
 """
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .analysis import (batch_stats, compare_profile, detect_localization,
@@ -104,6 +103,9 @@ def run_batch(config: BatchConfig) -> BatchResult:
     if workers > 1 and (config.engine == "rubin"
                         or config.runs * config.steps >= _POOL_MIN_STEPS
                         or _kernel.load() is None):
+        # here, so that a serial batch imports no process machinery
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             raw = list(pool.map(_run_one, [config] * config.runs, indices,
                                 chunksize=max(1, config.runs // (4 * workers))))

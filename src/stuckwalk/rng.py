@@ -12,8 +12,6 @@ Two primitives are used throughout:
 
 from math import log
 
-from numpy.random import Generator, Philox
-
 PRNG_ID = "philox4x64(numpy) + splitmix64 key mix"
 
 BLOCK = 1 << 14  # uniforms per Philox call of the Python stepper
@@ -40,7 +38,10 @@ def derive_seed(master: int, run_index: int) -> int:
     return splitmix64((master + run_index * _GOLDEN) & _MASK64)
 
 
-def philox(seed: int) -> Generator:
+def philox(seed: int):
+    # here, so that the walk kernel's callers import no numpy
+    from numpy.random import Generator, Philox
+
     return Generator(Philox(key=seed & _MASK64))
 
 

@@ -12,10 +12,9 @@ stepper also serves the exact small-horizon path-law oracle.  The
 ``"rubin"`` engine is the clock race of ``rubin.simulate_rubin``.
 """
 
+from array import array
 from dataclasses import dataclass, field
 from math import exp
-
-import numpy as np
 
 from .errors import CapacityError
 from .rng import BLOCK, philox
@@ -82,13 +81,13 @@ def step(state: WalkState, u: float) -> WalkState:
 @dataclass
 class Stop:
     """The walk after ``step`` steps: its position, its visited range
-    [lo, hi] and the local times ``lt`` of edges lo..hi+1 (int64 array)."""
+    [lo, hi] and the local times ``lt`` of edges lo..hi+1 (``array("q")``)."""
 
     step: int
     pos: int
     lo: int
     hi: int
-    lt: np.ndarray
+    lt: array
 
     def snapshot(self) -> dict:
         return {
@@ -135,6 +134,8 @@ class Trajectory:
 def stops_from_path(positions, ks) -> list:
     """The Stops after each step count in ``ks`` (each within the path),
     with the local times of all of them from one ``np.bincount``."""
+    import numpy as np
+
     marks = sorted(set(ks))
     if not marks:
         return []
@@ -149,7 +150,8 @@ def stops_from_path(positions, ks) -> list:
     edges = np.maximum(pos[:-1], pos[1:]) - lo + width * segment
     lt = np.bincount(edges, minlength=width * len(marks)).reshape(
         len(marks), width).cumsum(axis=0)
-    by_step = {k: Stop(k, int(pos[k]), a, b, lt[i, a - lo:b - lo + 2])
+    by_step = {k: Stop(k, int(pos[k]), a, b,
+                       array("q", lt[i, a - lo:b - lo + 2].tolist()))
                for i, (k, a, b) in enumerate(zip(marks, lows, highs))}
     return [by_step[k] for k in ks]
 
@@ -169,17 +171,17 @@ class _KernelWalk:
         self.alpha, self.tb = params.alpha, 2.0 * params.beta
         # one buffer: pos, lo, hi, first, last, key, counter[4], buffer[4],
         # used, then the local times of the first window
-        buf = np.zeros(15 + _WINDOW0, dtype=np.int64)
-        self.state, self.lt = buf[:15], buf[15:]
-        self.state_addr = buf.ctypes.data
-        buf.view(np.uint64)[5] = seed % 2 ** 64
+        buf = array("q", [0]) * (15 + _WINDOW0)
+        view = memoryview(buf)
+        self.state, self.lt = view[:15], view[15:]
+        self.state_addr = buf.buffer_info()[0]
+        view.cast("B").cast("Q")[5] = seed % 2 ** 64
         first = -1 - (_WINDOW0 - 4) // 2        # edges -1..2 centred
-        buf[3:5] = first, first + _WINDOW0 - 1
-        buf[14] = 4
+        view[3], view[4], view[14] = first, first + _WINDOW0 - 1, 4
         self.origin = self.state_addr + 8 * (15 - first)  # address of edge 0
-        self.out = np.zeros(steps + 1, dtype=np.int64) if keep_path else None
+        self.out = array("q", [0]) * (steps + 1) if keep_path else None
         # address of the next position the kernel writes, X_1 first
-        self.next_out = self.out.ctypes.data + 8 if keep_path else None
+        self.next_out = self.out.buffer_info()[0] + 8 if keep_path else None
 
     def _resize(self):
         """Double the window, centred on edges lo-1..hi+2 (the kernel returns
@@ -187,12 +189,12 @@ class _KernelWalk:
         _, lo, hi, first, _ = self.state[:5].tolist()
         size = 2 * len(self.lt)
         new_first = lo - 1 - (size - (hi - lo + 4)) // 2
-        lt = np.zeros(size, dtype=np.int64)
+        lt = memoryview(array("q", [0]) * size)
         lt[lo - new_first:hi + 2 - new_first] = \
             self.lt[lo - first:hi + 2 - first]
         self.lt = lt
-        self.state[3:5] = new_first, new_first + size - 1
-        self.origin = lt.ctypes.data - 8 * new_first
+        self.state[3], self.state[4] = new_first, new_first + size - 1
+        self.origin = lt.obj.buffer_info()[0] - 8 * new_first
 
     def advance(self, n):
         while n:
@@ -208,7 +210,7 @@ class _KernelWalk:
     def record(self, step_no):
         pos, lo, hi, first, _ = self.state[:5].tolist()
         return Stop(step_no, pos, lo, hi,
-                    self.lt[lo - first:hi + 2 - first].copy())
+                    array("q", self.lt[lo - first:hi + 2 - first].tobytes()))
 
     def path(self):
         return None if self.out is None else self.out.tolist()
@@ -238,8 +240,7 @@ class _ReferenceWalk:
         s = self.state
         lo, hi = s.min_site, s.max_site
         return Stop(step_no, s.pos, lo, hi,
-                    np.array([s.lt(j) for j in range(lo, hi + 2)],
-                             dtype=np.int64))
+                    array("q", [s.lt(j) for j in range(lo, hi + 2)]))
 
     def path(self):
         return self.positions

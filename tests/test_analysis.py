@@ -250,6 +250,36 @@ def test_batch_stats_mixed():
     assert 0.0 <= agg.ci_L2[0] <= 0.8 <= agg.ci_L2[1] <= 1.0
 
 
+def _decades(n):
+    """n positive floats spread over eight decades."""
+    return [(1.0 + k * 0.6180339887 % 9.0) * 10.0 ** (k % 8 - 6)
+            for k in range(n)]
+
+
+# the lengths where numpy's pairwise summation changes its order: 8
+# accumulators from 8 items, halves split at a multiple of 8 above 128
+@example(_decades(1))
+@example(_decades(7))
+@example(_decades(8))
+@example(_decades(9))
+@example(_decades(127))
+@example(_decades(128))
+@example(_decades(129))
+@example(_decades(136))
+@example(_decades(256))
+@example(_decades(257))
+@given(st.lists(st.builds(lambda m, e: m * 10.0 ** e,
+                          st.floats(min_value=1.0, max_value=10.0),
+                          st.integers(min_value=-8, max_value=2)),
+                min_size=1, max_size=1000))
+@settings(max_examples=150, deadline=None)
+def test_batch_stats_deviations_match_numpy(devs):
+    # batch_stats sums in numpy's order without numpy, bit for bit
+    agg = analysis.batch_stats([_summary(3, deviation=d) for d in devs], P21)
+    assert repr(agg.mean_deviation) == repr(float(np.mean(devs)))
+    assert repr(agg.max_deviation) == repr(float(np.max(devs)))
+
+
 def test_batch_stats_empty_raises():
     with pytest.raises(ValueError):
         analysis.batch_stats([], P21)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import hashlib
 import json
@@ -97,7 +98,7 @@ def test_simulate_golden_stability(tmp_path):
 def test_batch_worker_invariance(tmp_path, monkeypatch):
     # with the kernel, 6 x 2000 steps is under the pool's cut-over:
     # --workers 4 runs here
-    monkeypatch.setattr(mc, "ProcessPoolExecutor", None)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
     outs = []
     for i, workers in enumerate(("1", "4")):
         path = tmp_path / f"agg{i}.json"

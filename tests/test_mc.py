@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import hashlib
 import json
@@ -138,7 +139,8 @@ class RecordingPool:
 def test_pool_size_is_capped(monkeypatch, runs, cpus, size):
     # a huge --workers must not fork that many processes
     monkeypatch.setattr(mc, "_POOL_MIN_STEPS", 0)
-    monkeypatch.setattr(mc, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
     monkeypatch.setattr(mc.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     res = mc.run_batch(small_config(runs=runs, workers=100000))
@@ -148,7 +150,8 @@ def test_pool_size_is_capped(monkeypatch, runs, cpus, size):
 
 def test_small_batch_pools_without_kernel(monkeypatch):
     # the Python stepper takes about 1 us a step, so any batch pools
-    monkeypatch.setattr(mc, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
     monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     with python_engines():

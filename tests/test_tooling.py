@@ -3,10 +3,16 @@ package."""
 
 import importlib
 import importlib.util
+import os
 import pathlib
 import shlex
+import subprocess
+import sys
 
+import stuckwalk
 from stuckwalk.cli import build_parser, parse_and_dispatch
+
+from conftest import needs_cc
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -98,3 +104,35 @@ def test_kernel_prototypes_match_argtypes():
         function = getattr(kernels, name)
         assert list(function.argtypes) == want, name
         assert function.restype == c_types[ret], name
+
+
+def _run_fresh(code, cwd):
+    """Run ``code`` in a fresh interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(stuckwalk.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_batch_modules_import_no_numpy(tmp_path):
+    # numpy is about 170 ms of a cold start; one top-level import of it
+    # on the batch path would put that back on every batch
+    _run_fresh("import sys, stuckwalk, stuckwalk.cli, stuckwalk.mc, "
+               "stuckwalk.analysis\n"
+               "assert 'numpy' not in sys.modules\n", tmp_path)
+
+
+@needs_cc
+def test_kernel_batch_runs_without_numpy(tmp_path):
+    _run_fresh(
+        "import sys\n"
+        "from stuckwalk import _kernel\n"
+        "from stuckwalk.cli import parse_and_dispatch\n"
+        "assert parse_and_dispatch(['batch', '--alpha', '2', '--beta', '1', "
+        "'--steps', '2000', '--runs', '4', '--seed', '5', '--engine', "
+        "'direct', '--out', 'agg.json']) == 0\n"
+        "assert _kernel.load() is not None\n"
+        "assert 'numpy' not in sys.modules\n", tmp_path)
+    assert (tmp_path / "agg.json").stat().st_size > 0

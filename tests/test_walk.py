@@ -189,7 +189,7 @@ def test_kernel_draws_numpys_philox_stream(alpha, beta, seed, steps, marks):
     gen = rng.philox(seed)
     gen.random(steps)
     want = gen.bit_generator.state
-    words = walker.state[5:].view(np.uint64).tolist()
+    words = np.asarray(walker.state)[5:].view(np.uint64).tolist()
     assert [words[0], 0] == want["state"]["key"].tolist()
     assert words[0] == seed % 2 ** 64
     assert words[1:5] == want["state"]["counter"].tolist()
