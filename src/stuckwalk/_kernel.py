@@ -32,6 +32,7 @@ give the same results.  Nothing here runs at import time.
 import functools
 import os
 import warnings
+import zlib  # names the cached library; hashlib would load OpenSSL
 
 SOURCE = r"""
 #include <math.h>
@@ -379,12 +380,10 @@ def _cache_dir() -> str:
 
 
 def _library_path(compiler: str) -> str:
-    import hashlib
-
     st = os.stat(compiler)
     key = "\0".join([SOURCE, compiler, str(st.st_size), str(st.st_mtime_ns),
-                     *FLAGS])
-    digest = hashlib.sha256(key.encode()).hexdigest()[:20]
+                     *FLAGS]).encode()
+    digest = f"{zlib.crc32(key):08x}{zlib.adler32(key):08x}"
     return os.path.join(_cache_dir(), f"walk-{digest}.so")
 
 

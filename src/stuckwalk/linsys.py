@@ -53,7 +53,9 @@ class AffineSolution:
 
 def interior_streams(l, alpha: float) -> list:
     """d_j for j = 1..K given the full vector l_0..l_{K+2}."""
-    return [-alpha * a + b - c + alpha * d
+    # floats first: the same bits below 2**53, no per-operation conversion
+    l, minus = list(map(float, l)), -alpha
+    return [minus * a + b - c + alpha * d
             for a, b, c, d in zip(l, l[1:], l[2:], l[3:])]
 
 

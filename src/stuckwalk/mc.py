@@ -3,9 +3,9 @@
 Every run gets its own seed derived from (master_seed, run_index) by a
 fixed avalanche mix, so the batch output is a pure function of its config:
 identical across platforms, worker counts, and scheduling orders.
-Aggregation reads the runs in index order, as ``pool.map`` returns them,
-and uses integer counters, never order-sensitive floating-point
-accumulation.
+Runs are analyzed and aggregated in index order, whichever thread or
+process walked them, with integer counters, never order-sensitive
+floating-point accumulation.
 """
 
 import os
@@ -19,11 +19,6 @@ from .spectrum import Params
 from .walk import ENGINES, simulate
 
 __all__ = ["BatchConfig", "derive_seed", "run_batch", "run_one"]
-
-# Kernel batches of fewer steps in all run serially: on 2 cores the serial
-# and 2-worker walls cross between 2e6 and 3e6 steps (BENCH_11.json).
-# Batches in Python (rubin, or direct where no kernel loads) always pool.
-_POOL_MIN_STEPS = 2_500_000
 
 
 @dataclass(frozen=True)
@@ -71,46 +66,81 @@ def run_one(params: Params, steps: int, seed: int, engine: str,
         t0 = tail_start(steps, tail_fraction)
         traj = simulate(params, steps, seed, stops=(*stops, t0, steps),
                         keep_path=False)
+    return _analyze(traj, tail_fraction), traj
+
+
+def _analyze(traj, tail_fraction: float):
     summary = detect_localization(traj, tail_fraction)
-    if summary.localized and 0 <= summary.size - 2 <= params.L + 1:
-        compare_profile(summary, params)
-    return summary, traj
+    if summary.localized and 0 <= summary.size - 2 <= traj.params.L + 1:
+        compare_profile(summary, traj.params)
+    return summary
 
 
-def _run_one(config: BatchConfig, index: int):
-    """``run_one`` for run ``index`` of a batch, as (index, seed, summary,
-    None, failure); perfbench reads the failure at index 4.  Top-level so
-    it pickles."""
+def _run_one(config: BatchConfig, index: int, traj=None):
+    """Run ``index`` of a batch as (index, seed, summary, None, failure);
+    ``traj`` is its walk (or StuckWalkError) if walked already.  perfbench
+    reads the failure at index 4.  Top-level so it pickles."""
     seed = derive_seed(config.master_seed, index)
     try:
-        summary, _ = run_one(config.params, config.steps, seed,
-                             config.engine, config.tail_fraction)
+        if isinstance(traj, StuckWalkError):
+            raise traj
+        summary = (run_one(config.params, config.steps, seed, config.engine,
+                           config.tail_fraction)[0] if traj is None
+                   else _analyze(traj, config.tail_fraction))
         return index, seed, summary, None, None
     except StuckWalkError as exc:
         return index, seed, None, None, f"{type(exc).__name__}: {exc}"
 
 
 def run_batch(config: BatchConfig) -> BatchResult:
-    """Run the batch on at most min(workers, runs, cpus) processes; aggregate.
+    """Run the batch on at most min(workers, runs, cpus) threads (kernel
+    walks, analyzed here in index order) or processes (Python engines).
 
     Per-run failures are recorded with their seed for replay; the batch
     itself fails only if more than 1% of runs fail.
     """
+    import threading  # loaded at start-up already
     from . import _kernel  # here, so that importing mc loads no kernel
 
-    indices = range(config.runs)
     workers = min(config.workers, config.runs, os.cpu_count() or 1)
-    if workers > 1 and (config.engine == "rubin"
-                        or config.runs * config.steps >= _POOL_MIN_STEPS
-                        or _kernel.load() is None):
-        # here, so that a serial batch imports no process machinery
+    if config.engine == "direct" and _kernel.load() is not None:
+        # threads walk in parallel: the kernel call releases the GIL
+        t0 = tail_start(config.steps, config.tail_fraction)
+        walks, errors = [None] * config.runs, []
+        claims = iter(range(config.runs))   # next() is atomic under the GIL
+        def walk():
+            for i in claims:
+                if errors:
+                    break
+                try:
+                    walks[i] = simulate(config.params, config.steps,
+                                        derive_seed(config.master_seed, i),
+                                        stops=(t0, config.steps),
+                                        keep_path=False)
+                except StuckWalkError as exc:
+                    walks[i] = exc
+                except BaseException as exc:
+                    errors.append(exc)
+
+        threads = [threading.Thread(target=walk) for _ in range(workers - 1)]
+        for thread in threads:
+            thread.start()
+        walk()
+        for thread in threads:
+            thread.join()
+        if errors:
+            raise errors[0]
+        raw = [_run_one(config, i, traj) for i, traj in enumerate(walks)]
+    elif workers > 1:
+        # here, so that a kernel batch imports no process machinery
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(_run_one, [config] * config.runs, indices,
+            raw = list(pool.map(_run_one, [config] * config.runs,
+                                range(config.runs),
                                 chunksize=max(1, config.runs // (4 * workers))))
     else:
-        raw = [_run_one(config, i) for i in indices]
+        raw = [_run_one(config, i) for i in range(config.runs)]
 
     summaries = [summary for _, _, summary, _, _ in raw]
     failures = [{"run": index, "seed": seed, "reason": reason}
@@ -123,4 +153,3 @@ def run_batch(config: BatchConfig) -> BatchResult:
         aggregate=batch_stats([s for s in summaries if s is not None],
                               config.params),
         failures=failures)
-

@@ -9,9 +9,9 @@ import sys
 
 import pytest
 
-from stuckwalk import cli, mc
+from stuckwalk import cli, errors, mc
 from stuckwalk.cli import load_config_file, parse_and_dispatch
-from stuckwalk.walk import ENGINES
+from stuckwalk.walk import ENGINES, simulate as walk_simulate
 
 from conftest import needs_cc, python_engines
 
@@ -96,8 +96,7 @@ def test_simulate_golden_stability(tmp_path):
 
 @needs_cc
 def test_batch_worker_invariance(tmp_path, monkeypatch):
-    # with the kernel, 6 x 2000 steps is under the pool's cut-over:
-    # --workers 4 runs here
+    # with the kernel, --workers 4 walks on threads and starts no pool
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
     outs = []
     for i, workers in enumerate(("1", "4")):
@@ -115,16 +114,42 @@ def test_batch_worker_invariance(tmp_path, monkeypatch):
 
 
 def test_batch_pool_gives_serial_bytes(tmp_path, monkeypatch):
-    monkeypatch.setattr(mc, "_POOL_MIN_STEPS", 0)
+    # the Python stepper runs whole runs in a process pool
     monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
     outs = []
-    for workers in ("2", "1"):
+    with python_engines():
+        for workers in ("2", "1"):
+            path = tmp_path / f"agg{workers}.json"
+            assert run(["batch", "--alpha", "0.8", "--beta", "1", "--steps",
+                        "2000", "--runs", "6", "--seed", "99", "--workers",
+                        workers, "--out", str(path)]) == 0
+            outs.append(path.read_bytes())
+    assert outs[0] == outs[1]
+
+
+@needs_cc
+def test_batch_threads_give_serial_bytes(tmp_path, monkeypatch):
+    # one run's walk fails; its failure record must not depend on which
+    # thread walked it
+    failing = mc.derive_seed(99, 37)
+
+    def simulate(params, steps, seed, **kwargs):
+        if seed == failing:
+            raise errors.CapacityError("walk failed")
+        return walk_simulate(params, steps, seed, **kwargs)
+
+    monkeypatch.setattr(mc, "simulate", simulate)
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
+    outs = []
+    for workers in ("1", "2", "4"):
         path = tmp_path / f"agg{workers}.json"
-        assert run(["batch", "--alpha", "0.8", "--beta", "1", "--steps",
-                    "2000", "--runs", "6", "--seed", "99", "--workers",
+        assert run(["batch", "--alpha", "2", "--beta", "1", "--steps",
+                    "1000", "--runs", "100", "--seed", "99", "--workers",
                     workers, "--out", str(path)]) == 0
         outs.append(path.read_bytes())
-    assert outs[0] == outs[1]
+    assert outs[0] == outs[1] == outs[2]
+    assert json.loads(outs[0])["failures"] == [
+        {"run": 37, "seed": failing, "reason": "CapacityError: walk failed"}]
 
 
 def test_batch_requires_seed():

@@ -2,6 +2,8 @@ import concurrent.futures
 import contextlib
 import hashlib
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from stuckwalk.rng import derive_seed
 from stuckwalk.spectrum import Params
 from stuckwalk.walk import simulate
 
-from conftest import python_engines
+from conftest import needs_cc, python_engines
 
 P21 = Params.make(2.0, 1.0)
 
@@ -138,14 +140,107 @@ class RecordingPool:
                                               (3, 16, 3)])
 def test_pool_size_is_capped(monkeypatch, runs, cpus, size):
     # a huge --workers must not fork that many processes
-    monkeypatch.setattr(mc, "_POOL_MIN_STEPS", 0)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         RecordingPool)
     monkeypatch.setattr(mc.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(RecordingPool, "sizes", [])
-    res = mc.run_batch(small_config(runs=runs, workers=100000))
+    with python_engines():
+        res = mc.run_batch(small_config(runs=runs, workers=100000))
     assert RecordingPool.sizes == ([] if size is None else [size])
     assert res.aggregate.runs == runs
+
+
+class RecordingThread:
+    """Stands in for threading.Thread: counts the walkers made and runs
+    each one's target when it starts, so no thread starts."""
+    made = 0
+
+    def __init__(self, target):
+        type(self).made += 1
+        self.target = target
+
+    def start(self):
+        self.target()
+
+    def join(self):
+        pass
+
+
+@needs_cc
+@pytest.mark.parametrize("runs, cpus, workers, threads", [
+    (1, 2, 100000, 0), (3, 2, 100000, 1), (3, 16, 100000, 2),
+    (8, 16, 1, 0), (8, 16, 3, 2)])
+def test_walker_count_is_capped(monkeypatch, runs, cpus, workers, threads):
+    # the calling thread walks too, so min(workers, runs, cpus) - 1 threads
+    monkeypatch.setattr(threading, "Thread", RecordingThread)
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(RecordingThread, "made", 0)
+    res = mc.run_batch(small_config(runs=runs, workers=workers))
+    assert RecordingThread.made == threads
+    assert res.aggregate.runs == runs
+
+
+@needs_cc
+def test_walkers_claim_each_run_once(monkeypatch):
+    # more walkers than cores, switching threads as often as the
+    # interpreter allows: a run claimed twice or lost shows in the seeds
+    # walked or in the summaries
+    seeds = []
+
+    def counting_simulate(params, steps, seed, **kwargs):
+        seeds.append(seed)
+        return simulate(params, steps, seed, **kwargs)
+
+    cfg = small_config(runs=120, steps=1000)
+    serial = mc.run_batch(cfg)
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(mc, "simulate", counting_simulate)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = mc.run_batch(small_config(runs=120, steps=1000, workers=8))
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(seeds) == sorted(derive_seed(555, i) for i in range(120))
+    assert json.dumps([s.as_dict() for s in threaded.summaries]) == \
+        json.dumps([s.as_dict() for s in serial.summaries])
+
+
+@needs_cc
+def test_walker_error_surfaces(monkeypatch):
+    # an error other than StuckWalkError in another thread's walk stops the
+    # batch: the calling thread waits in its first walk until it is raised
+    caller = threading.current_thread()
+    raised = threading.Event()
+
+    def failing_simulate(*args, **kwargs):
+        if threading.current_thread() is caller:
+            raised.wait(timeout=30)
+            return simulate(*args, **kwargs)
+        raised.set()
+        raise RuntimeError("walker failed")
+
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(mc, "simulate", failing_simulate)
+    with pytest.raises(RuntimeError, match="walker failed"):
+        mc.run_batch(small_config(runs=50, workers=2))
+    assert raised.is_set()
+
+
+@needs_cc
+def test_walker_error_stops_claims(monkeypatch):
+    calls = []
+
+    def failing_simulate(*args, **kwargs):
+        calls.append(args[2])
+        if len(calls) == 3:
+            raise RuntimeError("walker failed")
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(mc, "simulate", failing_simulate)
+    with pytest.raises(RuntimeError, match="walker failed"):
+        mc.run_batch(small_config(runs=8, workers=1))
+    assert calls == [derive_seed(555, i) for i in range(3)]
 
 
 def test_small_batch_pools_without_kernel(monkeypatch):

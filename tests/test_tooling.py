@@ -106,6 +106,21 @@ def test_kernel_prototypes_match_argtypes():
         assert function.restype == c_types[ret], name
 
 
+def test_kernel_library_path_covers_its_build_inputs(monkeypatch):
+    # a cached library built from other source, flags or compiler must not
+    # be loaded; any existing file stands in for the compiler
+    from stuckwalk import _kernel
+
+    base = _kernel._library_path(sys.executable)
+    assert base == _kernel._library_path(sys.executable)
+    assert _kernel._library_path(str(SPANS)) != base
+    monkeypatch.setattr(_kernel, "SOURCE", _kernel.SOURCE + "\n")
+    assert _kernel._library_path(sys.executable) != base
+    monkeypatch.undo()
+    monkeypatch.setattr(_kernel, "FLAGS", (*_kernel.FLAGS, "-g"))
+    assert _kernel._library_path(sys.executable) != base
+
+
 def _run_fresh(code, cwd):
     """Run ``code`` in a fresh interpreter that imports this package."""
     src = os.path.dirname(os.path.dirname(stuckwalk.__file__))
@@ -126,13 +141,17 @@ def test_batch_modules_import_no_numpy(tmp_path):
 
 @needs_cc
 def test_kernel_batch_runs_without_numpy(tmp_path):
+    # nor a process pool (its walkers are threads) nor OpenSSL (the
+    # kernel library's cache name needs no sha256)
     _run_fresh(
         "import sys\n"
         "from stuckwalk import _kernel\n"
         "from stuckwalk.cli import parse_and_dispatch\n"
         "assert parse_and_dispatch(['batch', '--alpha', '2', '--beta', '1', "
         "'--steps', '2000', '--runs', '4', '--seed', '5', '--engine', "
-        "'direct', '--out', 'agg.json']) == 0\n"
+        "'direct', '--workers', '2', '--out', 'agg.json']) == 0\n"
         "assert _kernel.load() is not None\n"
-        "assert 'numpy' not in sys.modules\n", tmp_path)
+        "for name in ('numpy', 'concurrent.futures', 'multiprocessing', "
+        "'_hashlib'):\n"
+        "    assert name not in sys.modules, name\n", tmp_path)
     assert (tmp_path / "agg.json").stat().st_size > 0
