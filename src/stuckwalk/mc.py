@@ -9,6 +9,7 @@ floating-point accumulation.
 """
 
 import os
+import threading
 from dataclasses import dataclass, field
 
 from .analysis import (batch_stats, compare_profile, detect_localization,
@@ -78,12 +79,12 @@ def _analyze(traj, tail_fraction: float):
 
 def _run_one(config: BatchConfig, index: int, traj=None):
     """Run ``index`` of a batch as (index, seed, summary, None, failure);
-    ``traj`` is its walk (or StuckWalkError) if walked already.  perfbench
-    reads the failure at index 4.  Top-level so it pickles."""
+    ``traj`` is its walk if walked already, or that walk's failure.
+    perfbench reads the failure at index 4.  Top-level so it pickles."""
     seed = derive_seed(config.master_seed, index)
+    if isinstance(traj, str):
+        return index, seed, None, None, traj
     try:
-        if isinstance(traj, StuckWalkError):
-            raise traj
         summary = (run_one(config.params, config.steps, seed, config.engine,
                            config.tail_fraction)[0] if traj is None
                    else _analyze(traj, config.tail_fraction))
@@ -99,14 +100,13 @@ def run_batch(config: BatchConfig) -> BatchResult:
     Per-run failures are recorded with their seed for replay; the batch
     itself fails only if more than 1% of runs fail.
     """
-    import threading  # loaded at start-up already
     from . import _kernel  # here, so that importing mc loads no kernel
 
     workers = min(config.workers, config.runs, os.cpu_count() or 1)
     if config.engine == "direct" and _kernel.load() is not None:
         # threads walk in parallel: the kernel call releases the GIL
         t0 = tail_start(config.steps, config.tail_fraction)
-        walks, errors = [None] * config.runs, []
+        walks, errors = {}, []   # each walk is dropped once analyzed
         claims = iter(range(config.runs))   # next() is atomic under the GIL
         def walk():
             for i in claims:
@@ -118,7 +118,7 @@ def run_batch(config: BatchConfig) -> BatchResult:
                                         stops=(t0, config.steps),
                                         keep_path=False)
                 except StuckWalkError as exc:
-                    walks[i] = exc
+                    walks[i] = f"{type(exc).__name__}: {exc}"
                 except BaseException as exc:
                     errors.append(exc)
 
@@ -130,7 +130,7 @@ def run_batch(config: BatchConfig) -> BatchResult:
             thread.join()
         if errors:
             raise errors[0]
-        raw = [_run_one(config, i, traj) for i, traj in enumerate(walks)]
+        raw = [_run_one(config, i, walks.pop(i)) for i in range(config.runs)]
     elif workers > 1:
         # here, so that a kernel batch imports no process machinery
         from concurrent.futures import ProcessPoolExecutor

@@ -4,6 +4,7 @@ import hashlib
 import json
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -228,7 +229,10 @@ def test_walker_error_surfaces(monkeypatch):
 
 
 @needs_cc
-def test_walker_error_stops_claims(monkeypatch):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_walker_error_stops_claims(monkeypatch, workers):
+    # at 2 workers the recorder runs the first walker to its end before the
+    # calling thread walks: neither may walk a run after the error
     calls = []
 
     def failing_simulate(*args, **kwargs):
@@ -237,10 +241,38 @@ def test_walker_error_stops_claims(monkeypatch):
             raise RuntimeError("walker failed")
         return simulate(*args, **kwargs)
 
+    monkeypatch.setattr(threading, "Thread", RecordingThread)
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(mc, "simulate", failing_simulate)
     with pytest.raises(RuntimeError, match="walker failed"):
-        mc.run_batch(small_config(runs=8, workers=1))
+        mc.run_batch(small_config(runs=8, workers=workers))
     assert calls == [derive_seed(555, i) for i in range(3)]
+
+
+@needs_cc
+def test_threads_drop_each_walk_once_analyzed(monkeypatch):
+    # the batch holds each run's walk or its summary, never all walks and
+    # all summaries: when run i is analyzed, runs before it hold no walk
+    walks = []
+    live = []
+
+    def recording_simulate(*args, **kwargs):
+        traj = simulate(*args, **kwargs)
+        walks.append(weakref.ref(traj))
+        return traj
+
+    def recording_analyze(traj, tail_fraction):
+        live.append(sum(ref() is not None for ref in walks))
+        return analyze(traj, tail_fraction)
+
+    analyze = mc._analyze
+    monkeypatch.setattr(threading, "Thread", RecordingThread)
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(mc, "simulate", recording_simulate)
+    monkeypatch.setattr(mc, "_analyze", recording_analyze)
+    res = mc.run_batch(small_config(runs=20, workers=2))
+    assert res.aggregate.runs == 20
+    assert live == list(range(20, 0, -1))
 
 
 def test_small_batch_pools_without_kernel(monkeypatch):
