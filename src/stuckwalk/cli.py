@@ -256,18 +256,12 @@ def _read_trajectory_csv(path, params):
 
 
 def cmd_analyze(parser, args):
-    from .analysis import compare_profile, detect_localization
-    from .errors import NoTheory
+    from .mc import _analyze
 
     cfg = _resolve(parser, args)
     params = Params.make(cfg["alpha"], cfg["beta"])
     traj = _read_trajectory_csv(cfg["infile"], params)
-    summary = detect_localization(traj, cfg["tail"])
-    if summary.localized:
-        try:
-            compare_profile(summary, params)
-        except NoTheory:
-            pass
+    summary = _analyze(traj, cfg["tail"])
     payload = _metadata({"in": cfg["infile"], "alpha": cfg["alpha"],
                          "beta": cfg["beta"], "tail": cfg["tail"]})
     payload.update(summary.as_dict())

@@ -91,11 +91,9 @@ def solve_closed(K: int, alpha: float) -> SystemSolution:
     l = [v / z for v in raw]
     l[0] = 0.0
     l[K + 2] = 0.0
-    sol = _solution_from_l(K, alpha, l, unique=True)
-    # report the trigonometric boundary value; it agrees with the recomputed
-    # one to rounding, and using it keeps d0 = -dK1 exact
+    # the trigonometric boundary value keeps d0 = -dK1 exact
     d0 = -alpha * math.sin((K + 3) * w / 2.0) * math.sin(w / 2.0) / z
-    return SystemSolution(K=K, alpha=alpha, l=sol.l, d0=d0, dK1=-d0,
+    return SystemSolution(K=K, alpha=alpha, l=tuple(l), d0=d0, dK1=-d0,
                           unique=True)
 
 

@@ -3,21 +3,21 @@
 Every run gets its own seed derived from (master_seed, run_index) by a
 fixed avalanche mix, so the batch output is a pure function of its config:
 identical across platforms, worker counts, and scheduling orders.
-Runs are analyzed and aggregated in index order, whichever thread or
-process walked them, with integer counters, never order-sensitive
-floating-point accumulation.
+A batch first walks every run to the Stops its analysis reads, on threads
+or processes, then analyzes and aggregates the runs in index order with
+integer counters, never order-sensitive floating-point accumulation.
 """
 
 import os
 import threading
 from dataclasses import dataclass, field
 
-from .analysis import (batch_stats, compare_profile, detect_localization,
-                       tail_start)
+from .analysis import (MIN_TRAJECTORY, batch_stats, compare_profile,
+                       detect_localization, tail_start)
 from .errors import StuckWalkError
 from .rng import derive_seed
 from .spectrum import Params
-from .walk import ENGINES, simulate
+from .walk import ENGINES, Trajectory, simulate
 
 __all__ = ["BatchConfig", "derive_seed", "run_batch", "run_one"]
 
@@ -35,8 +35,9 @@ class BatchConfig:
     def __post_init__(self):
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
-        if self.steps < 1000:
-            raise ValueError(f"steps must be >= 1000, got {self.steps}")
+        if self.steps < MIN_TRAJECTORY:
+            raise ValueError(
+                f"steps must be >= {MIN_TRAJECTORY}, got {self.steps}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.engine not in ENGINES:
@@ -51,22 +52,24 @@ class BatchResult:
     failures: list = field(default_factory=list)  # {run, seed, reason}
 
 
-def run_one(params: Params, steps: int, seed: int, engine: str,
-            tail_fraction: float, stops=()):
-    """Simulate and analyze one run; returns (summary, trajectory).
-
-    A direct run keeps no path: it stops at each step count of
-    ``stops``, at the tail start and at the end, which is all the
-    analysis and the caller read.  A rubin run keeps its path, from which
-    any stop can be read.
-    """
+def _walk(params: Params, steps: int, seed: int, engine: str, stops):
+    """One run's walk as a Trajectory holding only its ``stops``: a rubin
+    walk's path is read for them and dropped here."""
     if engine == "rubin":
         from .rubin import simulate_rubin
-        traj, _ty = simulate_rubin(params, steps, seed)
-    else:
-        t0 = tail_start(steps, tail_fraction)
-        traj = simulate(params, steps, seed, stops=(*stops, t0, steps),
-                        keep_path=False)
+        path, _ty = simulate_rubin(params, steps, seed)
+        return Trajectory(positions=None, params=params, steps=steps,
+                          stops=dict(zip(stops, path.stops_at(stops))))
+    return simulate(params, steps, seed, stops=stops, keep_path=False)
+
+
+def run_one(params: Params, steps: int, seed: int, engine: str,
+            tail_fraction: float, stops=()):
+    """Walk and analyze one run; returns (summary, trajectory).  The
+    trajectory keeps no path, only the Stops after each step count of
+    ``stops``, at the tail start and at the end."""
+    traj = _walk(params, steps, seed, engine,
+                 (*stops, tail_start(steps, tail_fraction), steps))
     return _analyze(traj, tail_fraction), traj
 
 
@@ -77,25 +80,34 @@ def _analyze(traj, tail_fraction: float):
     return summary
 
 
-def _run_one(config: BatchConfig, index: int, traj=None):
-    """Run ``index`` of a batch as (index, seed, summary, None, failure);
-    ``traj`` is its walk if walked already, or that walk's failure.
-    perfbench reads the failure at index 4.  Top-level so it pickles."""
+def _walk_run(config: BatchConfig, index: int):
+    """Run ``index`` of a batch walked to the Stops its analysis reads, or
+    that walk's failure.  Top-level so it pickles."""
+    try:
+        return _walk(config.params, config.steps,
+                     derive_seed(config.master_seed, index), config.engine,
+                     (tail_start(config.steps, config.tail_fraction),
+                      config.steps))
+    except StuckWalkError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _run_one(config: BatchConfig, index: int, traj):
+    """Run ``index`` of a batch analyzed from its walk ``traj``, or that
+    walk's failure, as (index, seed, summary, None, failure).  perfbench
+    reads the failure at index 4."""
     seed = derive_seed(config.master_seed, index)
     if isinstance(traj, str):
         return index, seed, None, None, traj
     try:
-        summary = (run_one(config.params, config.steps, seed, config.engine,
-                           config.tail_fraction)[0] if traj is None
-                   else _analyze(traj, config.tail_fraction))
-        return index, seed, summary, None, None
+        return index, seed, _analyze(traj, config.tail_fraction), None, None
     except StuckWalkError as exc:
         return index, seed, None, None, f"{type(exc).__name__}: {exc}"
 
 
 def run_batch(config: BatchConfig) -> BatchResult:
-    """Run the batch on at most min(workers, runs, cpus) threads (kernel
-    walks, analyzed here in index order) or processes (Python engines).
+    """Walk the runs on at most min(workers, runs, cpus) threads, or
+    processes for Python walks, then analyze them here in index order.
 
     Per-run failures are recorded with their seed for replay; the batch
     itself fails only if more than 1% of runs fail.
@@ -103,22 +115,24 @@ def run_batch(config: BatchConfig) -> BatchResult:
     from . import _kernel  # here, so that importing mc loads no kernel
 
     workers = min(config.workers, config.runs, os.cpu_count() or 1)
-    if config.engine == "direct" and _kernel.load() is not None:
-        # threads walk in parallel: the kernel call releases the GIL
-        t0 = tail_start(config.steps, config.tail_fraction)
-        walks, errors = {}, []   # each walk is dropped once analyzed
+    if workers > 1 and (config.engine != "direct" or _kernel.load() is None):
+        # here, so that a kernel batch imports no process machinery
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            walks = dict(enumerate(pool.map(
+                _walk_run, [config] * config.runs, range(config.runs),
+                chunksize=max(1, config.runs // (4 * workers)))))
+    else:
+        # the kernel call releases the GIL; one walker starts no thread
+        walks, errors = {}, []
         claims = iter(range(config.runs))   # next() is atomic under the GIL
         def walk():
             for i in claims:
                 if errors:
                     break
                 try:
-                    walks[i] = simulate(config.params, config.steps,
-                                        derive_seed(config.master_seed, i),
-                                        stops=(t0, config.steps),
-                                        keep_path=False)
-                except StuckWalkError as exc:
-                    walks[i] = f"{type(exc).__name__}: {exc}"
+                    walks[i] = _walk_run(config, i)
                 except BaseException as exc:
                     errors.append(exc)
 
@@ -130,17 +144,8 @@ def run_batch(config: BatchConfig) -> BatchResult:
             thread.join()
         if errors:
             raise errors[0]
-        raw = [_run_one(config, i, walks.pop(i)) for i in range(config.runs)]
-    elif workers > 1:
-        # here, so that a kernel batch imports no process machinery
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(_run_one, [config] * config.runs,
-                                range(config.runs),
-                                chunksize=max(1, config.runs // (4 * workers))))
-    else:
-        raw = [_run_one(config, i) for i in range(config.runs)]
+    # each walk is dropped once analyzed
+    raw = [_run_one(config, i, walks.pop(i)) for i in range(config.runs)]
 
     summaries = [summary for _, _, summary, _, _ in raw]
     failures = [{"run": index, "seed": seed, "reason": reason}

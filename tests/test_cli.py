@@ -288,6 +288,22 @@ def test_analyze_non_localized_output_is_strict_json(tmp_path):
     assert payload["deviation"] is None
 
 
+def test_analyze_window_without_closed_form(tmp_path):
+    # 3000 steps bouncing over sites 0..5: a localized window of 6 sites,
+    # beyond L+3 = 4 at alpha 2, so no profile to compare
+    positions = [5 - abs(5 - k % 10) for k in range(3001)]
+    csv = tmp_path / "walk.csv"
+    csv.write_text("step,position\n" + "".join(
+        f"{k},{p}\n" for k, p in enumerate(positions)))
+    out = tmp_path / "summary.json"
+    assert run(["analyze", "--in", str(csv), "--alpha", "2", "--beta", "1",
+                "--out", str(out)]) == 0
+    payload = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert payload["localized"] is True
+    assert payload["size"] == 6
+    assert payload["deviation"] is None
+
+
 # ------------------------------------------------------------ option table
 
 # Small-size invocations that together set every option of every
@@ -404,11 +420,14 @@ def test_rubin_simulate_golden(tmp_path):
         "0fcfacd28b0847b80deee423d27eaea20fef6f49f37b8251d9635defd5381a1e"
 
 
-def test_rubin_batch_golden(tmp_path):
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_rubin_batch_golden(tmp_path, monkeypatch, workers):
+    # at 2 workers the rubin walks run in the process pool
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
     out = tmp_path / "agg.json"
     assert run(["batch", "--engine", "rubin", "--alpha", "2", "--beta", "1",
                 "--runs", "4", "--steps", "2000", "--seed", "3",
-                "--out", str(out)]) == 0
+                "--workers", workers, "--out", str(out)]) == 0
     assert _sha(out) == \
         "ad571088ca0bc47ee8fa15af957d1c9494d02041b28d0b5d49c4dbb1778279a8"
 

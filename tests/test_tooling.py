@@ -41,19 +41,23 @@ def test_perfbench_probe_targets_resolve():
 def test_perfbench_probes_read_traced_runs():
     # the probes also read what the probed calls return (the failure
     # reason of mc._run_one, the steps of a trajectory): a changed return
-    # shape would otherwise only break perfbench --trace 1
+    # shape would otherwise only break perfbench --trace 1.  Both batch
+    # engines share a pass, as the per-pass metrics are medians over passes
     spans = _spans()
     tracer = spans.Tracer()
     dispatch = tracer.wrap("cli.dispatch", parse_and_dispatch)
+    batch = ["batch", "--alpha", "2", "--beta", "1", "--steps", "2000",
+             "--seed", "5", "--workers", "1"]
     with tracer.probes():
-        for argv in (["batch", "--alpha", "2", "--beta", "1", "--steps",
-                      "2000", "--runs", "8", "--seed", "5", "--workers", "1"],
-                     ["verify", "--suite", "all", "--horizon", "4",
-                      "--runs", "20000"]):
+        for argvs in ([batch + ["--runs", "8"],
+                       batch + ["--engine", "rubin", "--runs", "4"]],
+                      [["verify", "--suite", "all", "--horizon", "4",
+                        "--runs", "20000"]]):
             tracer.begin_pass()
-            assert dispatch(argv) == 0, argv
+            for argv in argvs:
+                assert dispatch(argv) == 0, argv
     metrics = spans.layer_metrics(tracer.spans, 1, 1.0)
-    assert metrics["mc.runs"] == 8
+    assert metrics["mc.runs"] == 12
     assert metrics["mc.failed_runs"] == 0
     assert metrics["rubin.jumps"] > 0
     assert metrics["walk.steps"] > 0
