@@ -191,14 +191,14 @@ def cmd_simulate(parser, args):
     engine, every = cfg["engine"], cfg["snapshot_every"]
     if every < 0:
         raise ValueError(f"snapshot_every must be >= 0, got {every}")
-    if every and engine == "rubin":
-        parser.error("--snapshot-every needs --engine direct")
     if every and not cfg["out"]:
         parser.error("--snapshot-every needs --out: the snapshots go to "
                      "<out>.snapshots.json")
     if cfg["ty_out"] and engine != "rubin":
         parser.error("--ty-out needs --engine rubin")
     params = Params.make(cfg["alpha"], cfg["beta"])
+    # a snapshot is the Stop at each multiple of snapshot_every
+    marks = range(every, cfg["steps"] + 1, every) if every else ()
     if engine == "rubin":
         from .rubin import simulate_rubin
         traj, ty = simulate_rubin(params, cfg["steps"], cfg["seed"])
@@ -208,13 +208,11 @@ def cmd_simulate(parser, args):
             payload["ty"] = {str(y): r for y, r in ty.items()}
             _emit_json(payload, cfg["ty_out"])
     else:
-        # a snapshot is the Stop at each multiple of snapshot_every
-        marks = range(every, cfg["steps"] + 1, every) if every else ()
         traj = simulate(params, cfg["steps"], cfg["seed"], stops=marks)
-        if marks:
-            _emit_json(_metadata({"seed": cfg["seed"]}) | {"snapshots": [
-                traj.stops[k].snapshot() for k in marks]},
-                cfg["out"] + ".snapshots.json")
+    if marks:
+        _emit_json(_metadata({"seed": cfg["seed"]}) | {"snapshots": [
+            s.snapshot() for s in traj.stops_at(marks)]},
+            cfg["out"] + ".snapshots.json")
     comments = [
         f"tool={PROG} version={__version__}",
         f"prng={PRNG_ID}",

@@ -3,9 +3,10 @@
 Every run gets its own seed derived from (master_seed, run_index) by a
 fixed avalanche mix, so the batch output is a pure function of its config:
 identical across platforms, worker counts, and scheduling orders.
-A batch first walks every run to the Stops its analysis reads, on threads
-or processes, then analyzes and aggregates the runs in index order with
-integer counters, never order-sensitive floating-point accumulation.
+A batch first walks every run, path-free, with ``walk.simulate`` to the
+Stops its analysis reads, on threads or processes, then analyzes and
+aggregates the runs in index order with integer counters, never
+order-sensitive floating-point accumulation.
 """
 
 import os
@@ -17,7 +18,7 @@ from .analysis import (MIN_TRAJECTORY, batch_stats, compare_profile,
 from .errors import StuckWalkError
 from .rng import derive_seed
 from .spectrum import Params
-from .walk import ENGINES, Trajectory, simulate
+from .walk import ENGINES, kernel_for, simulate
 
 __all__ = ["BatchConfig", "derive_seed", "run_batch", "run_one"]
 
@@ -52,24 +53,14 @@ class BatchResult:
     failures: list = field(default_factory=list)  # {run, seed, reason}
 
 
-def _walk(params: Params, steps: int, seed: int, engine: str, stops):
-    """One run's walk as a Trajectory holding only its ``stops``: a rubin
-    walk's path is read for them and dropped here."""
-    if engine == "rubin":
-        from .rubin import simulate_rubin
-        path, _ty = simulate_rubin(params, steps, seed)
-        return Trajectory(positions=None, params=params, steps=steps,
-                          stops=dict(zip(stops, path.stops_at(stops))))
-    return simulate(params, steps, seed, stops=stops, keep_path=False)
-
-
 def run_one(params: Params, steps: int, seed: int, engine: str,
             tail_fraction: float, stops=()):
     """Walk and analyze one run; returns (summary, trajectory).  The
     trajectory keeps no path, only the Stops after each step count of
     ``stops``, at the tail start and at the end."""
-    traj = _walk(params, steps, seed, engine,
-                 (*stops, tail_start(steps, tail_fraction), steps))
+    traj = simulate(params, steps, seed,
+                    stops=(*stops, tail_start(steps, tail_fraction), steps),
+                    keep_path=False, engine=engine)
     return _analyze(traj, tail_fraction), traj
 
 
@@ -84,10 +75,11 @@ def _walk_run(config: BatchConfig, index: int):
     """Run ``index`` of a batch walked to the Stops its analysis reads, or
     that walk's failure.  Top-level so it pickles."""
     try:
-        return _walk(config.params, config.steps,
-                     derive_seed(config.master_seed, index), config.engine,
-                     (tail_start(config.steps, config.tail_fraction),
-                      config.steps))
+        return simulate(config.params, config.steps,
+                        derive_seed(config.master_seed, index),
+                        stops=(tail_start(config.steps, config.tail_fraction),
+                               config.steps),
+                        keep_path=False, engine=config.engine)
     except StuckWalkError as exc:
         return f"{type(exc).__name__}: {exc}"
 
@@ -112,10 +104,8 @@ def run_batch(config: BatchConfig) -> BatchResult:
     Per-run failures are recorded with their seed for replay; the batch
     itself fails only if more than 1% of runs fail.
     """
-    from . import _kernel  # here, so that importing mc loads no kernel
-
     workers = min(config.workers, config.runs, os.cpu_count() or 1)
-    if workers > 1 and (config.engine != "direct" or _kernel.load() is None):
+    if workers > 1 and kernel_for(config.engine) is None:
         # here, so that a kernel batch imports no process machinery
         from concurrent.futures import ProcessPoolExecutor
 

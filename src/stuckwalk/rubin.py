@@ -17,6 +17,7 @@ precision after a few dozen visits, while log-domain depletion keeps
 an exact tie) raises ConstructionFailure rather than silently clamping.
 """
 
+from array import array
 from dataclasses import dataclass
 from math import exp, expm1, inf, isfinite, log, log1p
 
@@ -25,7 +26,7 @@ import numpy as np
 from .errors import ConstructionFailure
 from .rng import keyed_std_exponential, philox
 from .spectrum import Params
-from .walk import Trajectory
+from .walk import Stop, Trajectory
 
 
 def _logaddexp(a: float, b: float) -> float:
@@ -121,16 +122,17 @@ class Clock:
 
 
 class RubinEngine:
-    """One continuous-time walk driven by a clock source; ``clocks`` maps
-    each oriented edge (y, direction) the walk has raced on to its Clock."""
+    """A ``walk._drive`` walker in continuous time over a clock source;
+    ``clocks`` maps each oriented edge (y, direction) raced on to its Clock."""
 
-    def __init__(self, params: Params, clock_source):
+    def __init__(self, params: Params, clock_source, keep_path=True):
         self.params = params
         self.weights = WeightSpec(params.alpha, params.beta)
         self.source = clock_source
         self.pos = 0
         self.log_time = -inf
-        self.positions = [0]
+        self.jumps = 0
+        self.positions = [0] if keep_path else None
         self.visits = {}  # Z: visit counts, start at 0 excluded
         self.clocks = {}
 
@@ -155,7 +157,7 @@ class RubinEngine:
         ring_p = cp.log_residual - self.weights.log_w(z(y + 1, 0))
         ring_m = cm.log_residual - self.weights.log_w(z(y - 1, 0))
         if ring_p == ring_m:
-            raise _failure(_TIE, y, len(self.positions) - 1)
+            raise _failure(_TIE, y, self.jumps)
         if ring_p < ring_m:
             direction, winner, loser, log_e, ring_l = 1, cp, cm, ring_p, ring_m
         else:
@@ -163,7 +165,7 @@ class RubinEngine:
         # deplete the loser: its raw amount shrinks by the consumed fraction
         frac = exp(log_e - ring_l)
         if frac >= 1.0:
-            raise _failure(_EXHAUSTED, y, len(self.positions) - 1)
+            raise _failure(_EXHAUSTED, y, self.jumps)
         loser.log_residual += log1p(-frac)
         loser.log_pending = _logaddexp(loser.log_pending, log_e)
         winner.log_consumed = _logaddexp(
@@ -174,8 +176,26 @@ class RubinEngine:
         self.log_time = _logaddexp(self.log_time, log_e)
         self.pos = y + direction
         self.visits[self.pos] = z(self.pos, 0) + 1
-        self.positions.append(self.pos)
+        self.jumps += 1
+        if self.positions is not None:
+            self.positions.append(self.pos)
         return direction, log_e
+
+    def advance(self, n):
+        for _ in range(n):
+            self.race_step()
+
+    def record(self, step):
+        """The Stop after ``step`` jumps: edge {j-1, j} was crossed once
+        per ring of clock (j-1, +1) or (j, -1), counted by their index."""
+        sites, c = self.visits.keys() | {0}, self.clocks
+        lo, hi = min(sites), max(sites)
+        return Stop(step, self.pos, lo, hi, array("q", [
+            getattr(c.get((j - 1, 1)), "index", 0)
+            + getattr(c.get((j, -1)), "index", 0) for j in range(lo, hi + 2)]))
+
+    def path(self):
+        return self.positions
 
 
 _TIE, _EXHAUSTED = "exact clock tie", "loser residual exhausted"
@@ -227,11 +247,9 @@ def simulate_rubin(params: Params, jumps: int, seed: int):
         raise ValueError(f"jumps must be >= 0, got {jumps}")
     engine = RubinEngine(params, SequentialClockSource(seed))
     mark = (9 * jumps) // 10
-    for _ in range(mark):
-        engine.race_step()
+    engine.advance(mark)
     at_mark = {key: c.log_consumed for key, c in engine.clocks.items()}
-    for _ in range(jumps - mark):
-        engine.race_step()
+    engine.advance(jumps - mark)
     at_end = {key: c.log_consumed for key, c in engine.clocks.items()}
     ty = {}
     for y in sorted({y for y, _ in at_end}):
@@ -248,8 +266,7 @@ def simulate_rubin(params: Params, jumps: int, seed: int):
             frac = max(0.0, -expm1(log_mark - log_total))
         ty[y] = {"t_plus": _safe_exp(lp), "t_minus": _safe_exp(lm),
                  "log_t_plus": lp, "log_t_minus": lm, "tail_fraction": frac}
-    traj = Trajectory(positions=engine.positions, params=params)
-    return traj, ty
+    return Trajectory(positions=engine.positions, params=params), ty
 
 
 @dataclass
@@ -331,8 +348,7 @@ def couple(hold_out: int, u1: float, u2: float, shared_seed: int,
         else:
             eng = RubinEngine(params, KeyedClockSource(
                 shared_seed, overrides={(hold_out, 1, 0): u}))
-            for _ in range(jumps):
-                eng.race_step()
+            eng.advance(jumps)
             positions = eng.positions
         paths.append(positions)
     compared, violations = _matched_crossings(*paths)

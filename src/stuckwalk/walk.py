@@ -5,11 +5,11 @@ Delta(j) = -alpha l(j-1) + l(j) - l(j+1) + alpha l(j+2), where l(j) is the
 local time on the non-oriented edge {j-1, j}, and steps right with
 probability 1 / (1 + exp(-2 beta Delta)).
 
-The ``"direct"`` engine steps in a compiled kernel (see ``_kernel``) and,
-where no kernel can be built, in a bookkeeping-complete ``WalkState``
-stepper; both give bit-identical trajectories from the same seed, and the
-stepper also serves the exact small-horizon path-law oracle.  The
-``"rubin"`` engine is the clock race of ``rubin.simulate_rubin``.
+Every Stop is recorded by a walker under ``_drive``: the compiled kernel
+of the ``"direct"`` engine (see ``_kernel``), or the ``WalkState`` stepper
+where no kernel can be built (bit-identical from the same seed); the
+``"rubin"`` engine's ``rubin.RubinEngine``; or the stepper's bookkeeping
+replaying a kept path.  The stepper also serves the exact path-law oracle.
 """
 
 from array import array
@@ -117,43 +117,14 @@ class Trajectory:
 
     def stops_at(self, ks) -> list:
         """The Stops after each step count in ``ks``: the recorded ones,
-        and the others computed from the path when the run kept it."""
-        if any(not 0 <= k <= self.steps for k in ks):
-            raise ValueError(f"stops must lie in [0, {self.steps}], got {ks}")
-        missing = [k for k in ks if k not in self.stops]
-        if not missing:
-            return [self.stops[k] for k in ks]
-        if self.positions is None:
+        and the others from a replay of the path when the run kept it."""
+        missing = sorted({k for k in ks if k not in self.stops})
+        if missing and self.positions is None:
             raise ValueError(f"the run kept no path and recorded no stop at "
                              f"step {missing[0]}")
-        derived = stops_from_path(self.positions, missing)
-        stops = self.stops | dict(zip(missing, derived))
+        stops = self.stops | (_drive(_PathWalk(self.positions), self.steps,
+                                     missing) if missing else {})
         return [stops[k] for k in ks]
-
-
-def stops_from_path(positions, ks) -> list:
-    """The Stops after each step count in ``ks`` (each within the path),
-    with the local times of all of them from one ``np.bincount``."""
-    import numpy as np
-
-    marks = sorted(set(ks))
-    if not marks:
-        return []
-    pos = np.asarray(positions[:marks[-1] + 1], dtype=np.int64)
-    lows = np.minimum.accumulate(pos)[marks].tolist()
-    highs = np.maximum.accumulate(pos)[marks].tolist()
-    lo, hi = lows[-1], highs[-1]
-    width = hi - lo + 2                     # edges lo..hi+1
-    # step m+1 crosses edge max(X_m, X_m+1) and counts from the first
-    # mark at or after it on
-    segment = np.repeat(np.arange(len(marks)), np.diff(marks, prepend=0))
-    edges = np.maximum(pos[:-1], pos[1:]) - lo + width * segment
-    lt = np.bincount(edges, minlength=width * len(marks)).reshape(
-        len(marks), width).cumsum(axis=0)
-    by_step = {k: Stop(k, int(pos[k]), a, b,
-                       array("q", lt[i, a - lo:b - lo + 2].tolist()))
-               for i, (k, a, b) in enumerate(zip(marks, lows, highs))}
-    return [by_step[k] for k in ks]
 
 
 _WINDOW0 = 64  # edges in the kernel's first local-time array
@@ -246,10 +217,30 @@ class _ReferenceWalk:
         return self.positions
 
 
+class _PathWalk(_ReferenceWalk):
+    """The stepper's bookkeeping replaying a kept path from its first
+    position, which need not be 0; no step is drawn, alpha goes unread."""
+
+    def __init__(self, positions):
+        x0 = positions[0]
+        self.state = WalkState(0.0, 0.0, pos=x0, min_site=x0, max_site=x0)
+        self.positions, self.done = positions, 0
+
+    def advance(self, n):
+        path, state = self.positions, self.state
+        for i in range(self.done, self.done + n):
+            if abs(move := path[i + 1] - path[i]) != 1:
+                raise ValueError(f"path step {i + 1} goes from {path[i]} "
+                                 f"to {path[i + 1]}, not by +-1")
+            state.apply_move(move)
+        self.done += n
+
+
 def _drive(walker, steps, marks):
-    """Walk ``steps`` steps in segments that end at each step count of
-    ``marks`` (sorted, within 0..steps), and return the Stops recorded
-    there by step count."""
+    """Walk ``steps`` steps; return the Stops recorded after each step
+    count of ``marks`` (sorted, within 0..steps, else ValueError)."""
+    if marks and not 0 <= marks[0] <= marks[-1] <= steps:
+        raise ValueError(f"stops must lie in [0, {steps}], got {marks}")
     records, done = {}, 0
     for target in marks:
         walker.advance(target - done)
@@ -260,31 +251,38 @@ def _drive(walker, steps, marks):
 
 
 def simulate(params: Params, steps: int, seed: int, stops=(),
-             keep_path: bool = True) -> Trajectory:
-    """Run one trajectory, deterministic in (params, steps, seed).
+             keep_path: bool = True, engine: str = "direct") -> Trajectory:
+    """Run one ``engine`` walk, deterministic in (params, steps, seed).
 
     The walk records a Stop after each step count in ``stops`` (kept in
     ``Trajectory.stops``).  With ``keep_path=False`` the trajectory has no
     position path and the run's memory grows with the visited range only.
 
-    The walk runs in the compiled kernel of ``_kernel``, or in the
-    WalkState stepper when no kernel can be built; both consume the same
-    Philox stream and produce identical paths and stops.
+    A ``"direct"`` walk runs in the compiled kernel of ``_kernel``, or in
+    the WalkState stepper when no kernel can be built; both consume the
+    same Philox stream and produce identical paths and stops.  A
+    ``"rubin"`` walk of ``steps`` jumps is that of ``rubin.simulate_rubin``.
     """
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    if any(not 0 <= k <= steps for k in stops):
-        raise ValueError(f"stops must lie in [0, {steps}], got {stops}")
-    from . import _kernel  # here, so that importing walk loads no kernel
-
-    kernels = _kernel.load()
-    if kernels is not None:
+    if (kernels := kernel_for(engine)) is not None:
         walker = _KernelWalk(kernels, params, steps, seed, keep_path)
+    elif engine == "rubin":
+        from .rubin import RubinEngine, SequentialClockSource
+        walker = RubinEngine(params, SequentialClockSource(seed), keep_path)
     else:
         walker = _ReferenceWalk(params, seed, keep_path)
     records = _drive(walker, steps, sorted(set(stops)))
     return Trajectory(positions=walker.path(), params=params,
                       stops={k: records[k] for k in stops}, steps=steps)
+
+
+def kernel_for(engine: str):
+    """The kernel library that walks ``engine`` (no GIL held), or None."""
+    from . import _kernel  # here, so that importing walk loads no kernel
+    return _kernel.load() if engine == "direct" else None
 
 
 MAX_EXACT_HORIZON = 14
@@ -312,14 +310,12 @@ def exact_path_law(params: Params, horizon: int) -> dict:
         p_right = step_prob_right(state)
         y = state.pos
         for direction, p in ((1, p_right), (-1, 1.0 - p_right)):
-            edge = y + (1 if direction > 0 else 0)
-            state.edge_lt[edge] = state.edge_lt.get(edge, 0) + 1
-            state.pos = y + direction
+            state.apply_move(direction)
             path.append(state.pos)
             recurse(prob * p)
             path.pop()
             state.pos = y
-            state.edge_lt[edge] -= 1
+            state.edge_lt[y + (direction > 0)] -= 1
 
     recurse(1.0)
     return law

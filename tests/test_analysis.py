@@ -78,8 +78,23 @@ def test_detect_translation_invariance(shift):
         positions=[p + shift for p in base.positions], params=P21)
     s1 = analysis.detect_localization(shifted, 0.5)
     assert s1.window == (s0.window[0] + shift, s0.window[1] + shift)
+    assert s1.range_final == (s0.range_final[0] + shift,
+                              s0.range_final[1] + shift)
     assert s1.profile == s0.profile
     assert s1.localized == s0.localized
+
+
+@pytest.mark.parametrize("positions, step", [
+    ([0, 2] + [1, 2] * 1000, 1),            # a step of +2 first
+    ([5, 6, 7, 7] + [6, 7] * 1000, 3),      # a step of 0, shifted start
+    ([0, 1] * 1000 + [0, -3], 2001),        # a step of -3 last
+])
+def test_replay_rejects_malformed_path(positions, step):
+    # a path that does not move by +-1 is no walk: its replay fails at
+    # the first bad step instead of counting a window from it
+    traj = walk.Trajectory(positions=positions, params=P21)
+    with pytest.raises(ValueError, match=f"path step {step} goes from"):
+        analysis.detect_localization(traj, 0.5)
 
 
 def drifting_path(seed, legs):
@@ -149,10 +164,10 @@ def test_summary_matches_path_recount(seed, legs, params, tail_fraction):
     steps = len(positions) - 1
     t0 = analysis.tail_start(steps, tail_fraction)
     want = recount_summary(positions, params, tail_fraction)
+    replayed = walk.Trajectory(positions=positions, params=params)
     path_free = walk.Trajectory(
         positions=None, params=params, steps=steps,
-        stops=dict(zip((t0, steps), walk.stops_from_path(positions,
-                                                         [t0, steps]))))
+        stops=dict(zip((t0, steps), replayed.stops_at([t0, steps]))))
     for traj in (walk.Trajectory(positions=positions, params=params),
                  path_free):
         s = analysis.detect_localization(traj, tail_fraction)

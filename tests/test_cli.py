@@ -11,6 +11,7 @@ import pytest
 
 from stuckwalk import cli, errors, mc
 from stuckwalk.cli import load_config_file, parse_and_dispatch
+from stuckwalk.spectrum import Params
 from stuckwalk.walk import ENGINES, simulate as walk_simulate
 
 from conftest import needs_cc, python_engines
@@ -420,6 +421,22 @@ def test_rubin_simulate_golden(tmp_path):
         "0fcfacd28b0847b80deee423d27eaea20fef6f49f37b8251d9635defd5381a1e"
 
 
+def test_rubin_snapshots_are_the_recorded_stops(tmp_path):
+    # the same run as test_rubin_simulate_golden, with snapshots: they are
+    # the Stops a rubin walk records, and the CSV does not change
+    out = tmp_path / "r.csv"
+    assert run(["simulate", "--engine", "rubin", "--alpha", "0.8", "--beta",
+                "1", "--steps", "3000", "--seed", "7", "--snapshot-every",
+                "700", "--out", str(out)]) == 0
+    assert _sha(out) == \
+        "fae82f03958397f7593a35a0b35c7441739276012c399edb349b5136d37cbb0c"
+    marks = range(700, 3001, 700)
+    traj = walk_simulate(Params.make(0.8, 1.0), 3000, 7, stops=marks,
+                         keep_path=False, engine="rubin")
+    payload = json.loads((tmp_path / "r.csv.snapshots.json").read_text())
+    assert payload["snapshots"] == [traj.stops[k].snapshot() for k in marks]
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_rubin_batch_golden(tmp_path, monkeypatch, workers):
     # at 2 workers the rubin walks run in the process pool
@@ -505,8 +522,7 @@ SIMULATE = {"alpha": "2", "beta": "1", "steps": "300", "seed": "3"}
 
 
 @pytest.mark.parametrize("values, flag", [
-    ({"engine": "rubin", "snapshot_every": "100", "out": "o.csv"},
-     "--snapshot-every"),
+    ({"engine": "rubin", "snapshot_every": "100"}, "--snapshot-every"),
     ({"snapshot_every": "100"}, "--snapshot-every"),
     ({"ty_out": "ty.json"}, "--ty-out"),
     ({"engine": "direct", "ty_out": "ty.json", "out": "o.csv"},

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,6 +131,48 @@ def test_simulate_rubin_deterministic():
 def test_no_construction_failure_long_run():
     traj, _ = rubin.simulate_rubin(P21, 100000, seed=17)
     assert len(traj.positions) == 100001
+
+
+@given(params=st.sampled_from([P21, Params.make(0.8, 1.0)]),
+       seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
+       jumps=st.integers(min_value=0, max_value=3000),
+       fractions=st.lists(st.floats(min_value=0.0, max_value=1.0),
+                          max_size=4))
+@settings(max_examples=30, deadline=None)
+def test_rubin_walker_records_the_stops_of_its_path(params, seed, jumps,
+                                                    fractions):
+    # the Stops counted from the clocks' ring counts are those of the
+    # path's replay, with or without the path kept
+    stops = sorted({0, jumps, *(int(f * jumps) for f in fractions)})
+    kept = walk.simulate(params, jumps, seed, stops=stops, engine="rubin")
+    free = walk.simulate(params, jumps, seed, stops=stops, keep_path=False,
+                         engine="rubin")
+    assert kept.positions == rubin.simulate_rubin(params, jumps,
+                                                  seed)[0].positions
+    assert free.positions is None and free.steps == jumps
+    replayed = walk.Trajectory(positions=kept.positions,
+                               params=params).stops_at(stops)
+    assert [kept.stops[k] for k in stops] == replayed
+    assert [free.stops[k] for k in stops] == replayed
+
+
+def test_path_free_rubin_memory_does_not_grow_with_jumps():
+    walk.simulate(P21, 10, 1, engine="rubin")      # import the engine first
+
+    def peak(jumps):
+        tracemalloc.start()
+        try:
+            walk.simulate(P21, jumps, 3, stops=(1, jumps // 2, jumps),
+                          keep_path=False, engine="rubin")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # both sizes draw more than one block of 4096 clocks, whose refill
+    # holds two blocks at once
+    small, large = peak(5 * 10 ** 3), peak(5 * 10 ** 4)
+    assert large <= small + 16 * 1024
+    assert large < 1 << 20
 
 
 def test_ty_accounting_identity():

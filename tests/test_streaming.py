@@ -133,7 +133,8 @@ def test_stops_from_path_match_recorded_stops():
     traj = walk.simulate(Params.make(0.8, 1.0), 4096, 5, stops=stops)
     recorded = [traj.stops[k] for k in stops]
     assert all(a is b for a, b in zip(traj.stops_at(stops), recorded))
-    derived = walk.stops_from_path(traj.positions, stops)
+    derived = walk.Trajectory(positions=traj.positions,
+                              params=traj.params).stops_at(stops)
     for got, want in zip(recorded, derived):
         assert (got.step, got.pos, got.lo, got.hi) == (want.step, want.pos,
                                                        want.lo, want.hi)

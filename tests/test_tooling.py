@@ -143,6 +143,20 @@ def test_batch_modules_import_no_numpy(tmp_path):
                "assert 'numpy' not in sys.modules\n", tmp_path)
 
 
+def test_analyze_runs_without_numpy(tmp_path):
+    # a kept path is replayed in Python for its Stops: no numpy on the
+    # analyze path either
+    rows = "".join(f"{k},{k % 2}\n" for k in range(3001))
+    (tmp_path / "walk.csv").write_text("step,position\n" + rows)
+    _run_fresh(
+        "import sys\n"
+        "from stuckwalk.cli import parse_and_dispatch\n"
+        "assert parse_and_dispatch(['analyze', '--in', 'walk.csv', "
+        "'--alpha', '2', '--beta', '1', '--out', 's.json']) == 0\n"
+        "assert 'numpy' not in sys.modules\n", tmp_path)
+    assert (tmp_path / "s.json").stat().st_size > 0
+
+
 @needs_cc
 def test_kernel_batch_runs_without_numpy(tmp_path):
     # nor a process pool (its walkers are threads) nor OpenSSL (the

@@ -94,6 +94,11 @@ def test_simulate_rejects_negative_arguments(capsys):
     assert "snapshot_every must be >= 0, got -5" in capsys.readouterr().err
 
 
+def test_simulate_rejects_unknown_engine():
+    with pytest.raises(ValueError, match="unknown engine 'bogus'"):
+        walk.simulate(P21, 10, seed=1, engine="bogus")
+
+
 def test_simulate_deterministic():
     a = walk.simulate(P21, 10, seed=12345)
     b = walk.simulate(P21, 10, seed=12345)
