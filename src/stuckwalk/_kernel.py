@@ -217,12 +217,12 @@ static double logaddexp(double a, double b)
    sit at z[0..2n+4], and the clock of oriented edge (y, d) at
    e = 2*(y+n+2) + (d > 0) of index, log_res, log_pend and log_cons:
        ints   = fail[2], path[n+1], z[2n+5], index[4n+10]
-       floats = log_time, log_res[4n+10], log_pend[4n+10], log_cons[4n+10]
-   path[k] is the position after k races and log_time the log of the
-   elapsed time; a NaN log_res marks an unarmed clock, as None does in
-   RubinEngine.  On an exact tie (fail[0] = 1) or an exhausted loser
-   residual (fail[0] = 2) the loop stops at that race, with the site in
-   fail[1]. */
+       floats = log_res[4n+10], log_pend[4n+10], log_cons[4n+10]
+   path[k] is the position after k races; a NaN log_res marks an unarmed
+   clock, as None does in RubinEngine, and an unarmed clock's log_pend is
+   -inf, since a clock is unarmed only when fresh or just won.  On an
+   exact tie (fail[0] = 1) or an exhausted loser residual (fail[0] = 2)
+   the loop stops at that race, with the site in fail[1]. */
 int64_t stuck_rubin_races(double alpha, double beta, uint64_t seed,
                           int64_t hold, double log_u, int64_t n,
                           int64_t *ints, double *floats)
@@ -232,10 +232,9 @@ int64_t stuck_rubin_races(double alpha, double beta, uint64_t seed,
     const uint64_t h0 = splitmix64(seed);
     int64_t *fail = ints, *path = ints + 2, *z = path + n + 1;
     int64_t *index = z + 2 * off + 1;
-    double *log_res = floats + 1, *log_pend = log_res + edges;
+    double *log_res = floats, *log_pend = log_res + edges;
     double *log_cons = log_pend + edges;
     int64_t pos = 0, k;
-    double t = -INFINITY;
     path[0] = 0;
     for (k = 0; k <= 2 * off; k++)
         z[k] = 0;
@@ -264,7 +263,6 @@ int64_t stuck_rubin_races(double alpha, double beta, uint64_t seed,
                 draw = log(-log(u > 0.0 ? u : 0x1p-53));
             }
             log_res[e] = log_f(alpha, beta, i, y, d) + draw;
-            log_pend[e] = -INFINITY;
         }
         ring_p = log_res[ep] - lw * (double)z[y + 1 + off];
         ring_m = log_res[em] - lw * (double)z[y - 1 + off];
@@ -291,12 +289,10 @@ int64_t stuck_rubin_races(double alpha, double beta, uint64_t seed,
         log_pend[win] = -INFINITY;
         log_res[win] = NAN;
         index[win] += 1;
-        t = logaddexp(t, log_e);
         pos = y + d;
         z[pos + off] += 1;
         path[k + 1] = pos;
     }
-    floats[0] = t;
     return k;
 }
 

@@ -231,10 +231,10 @@ def family_point(K: int, alpha: float, t: float) -> SystemSolution:
     return _solution_from_l(K, alpha, x0 + t * v, unique=False)
 
 
-def _feasible_interval(x0, v, lo_idx=1):
-    """t-interval where (x0 + t v)[lo_idx:] >= 0 componentwise."""
+def _feasible_interval(x0, v):
+    """t-interval where (x0 + t v)[1:] >= 0 componentwise."""
     tlo, thi = -math.inf, math.inf
-    for a, bv in zip(x0[lo_idx:], v[lo_idx:]):
+    for a, bv in zip(x0[1:], v[1:]):
         if abs(bv) < 1e-14:
             if a < -1e-12:
                 return None

@@ -71,16 +71,18 @@ class WeightSpec:
 
 class SequentialClockSource:
     """Clock draws taken in order of first use from one Philox stream, in
-    blocks of 4096 standard exponentials."""
+    blocks of 4096 standard exponentials, each logged into one reused
+    buffer when the previous block is spent."""
 
     def __init__(self, seed: int):
         self._gen = philox(seed)
-        self._buf = []
-        self._i = 0
+        self._buf = array("d", bytes(8 * 4096))
+        self._i = len(self._buf)
 
     def log_std_exponential(self, y, direction, k) -> float:
         if self._i == len(self._buf):
-            self._buf = np.log(self._gen.standard_exponential(4096)).tolist()
+            np.log(self._gen.standard_exponential(len(self._buf)),
+                   out=np.frombuffer(self._buf))
             self._i = 0
         v = self._buf[self._i]
         self._i += 1
@@ -117,7 +119,8 @@ class Clock:
 
     index: int = 0
     log_residual: float = None
-    log_pending: float = -inf   # accrued sitting time not yet committed
+    log_pending: float = -inf   # accrued sitting time not yet committed;
+    # -inf whenever the clock is unarmed: fresh, or its last race won
     log_consumed: float = -inf  # log of the T accumulator
 
 
@@ -130,7 +133,6 @@ class RubinEngine:
         self.weights = WeightSpec(params.alpha, params.beta)
         self.source = clock_source
         self.pos = 0
-        self.log_time = -inf
         self.jumps = 0
         self.positions = [0] if keep_path else None
         self.visits = {}  # Z: visit counts, start at 0 excluded
@@ -144,7 +146,6 @@ class RubinEngine:
             k = c.index
             c.log_residual = (self.weights.log_f(y, direction, k)
                               + self.source.log_std_exponential(y, direction, k))
-            c.log_pending = -inf
         return c
 
     def race_step(self):
@@ -173,7 +174,6 @@ class RubinEngine:
         winner.log_pending = -inf
         winner.log_residual = None
         winner.index += 1
-        self.log_time = _logaddexp(self.log_time, log_e)
         self.pos = y + direction
         self.visits[self.pos] = z(self.pos, 0) + 1
         self.jumps += 1
@@ -210,7 +210,7 @@ def race_kernel(kernels, params: Params, seed: int, hold_out: int, u: float,
     """RubinEngine's race loop over KeyedClockSource(seed, {(hold_out, 1,
     0): u}) in the compiled kernel (``kernels`` from ``_kernel.load()``).
 
-    Returns (positions, log_time, index, log_consumed); the last two are
+    Returns (positions, index, log_consumed); the last two are
     the clocks of sites -jumps-2..jumps+2 as (sites, 2) arrays, row
     y + jumps + 2, column 0 for the minus clock and 1 for the plus clock.
     Raises the ConstructionFailure RubinEngine would raise.
@@ -219,7 +219,7 @@ def race_kernel(kernels, params: Params, seed: int, hold_out: int, u: float,
     sites = 2 * jumps + 5
     edges = 2 * sites
     ints = np.empty(2 + (jumps + 1) + sites + edges, dtype=np.int64)
-    floats = np.empty(1 + 3 * edges)
+    floats = np.empty(3 * edges)
     # a site the walk cannot reach stands in for any far hold_out, which
     # might not fit an int64
     hold = hold_out if abs(hold_out) <= jumps + 2 else jumps + 2
@@ -228,8 +228,8 @@ def race_kernel(kernels, params: Params, seed: int, hold_out: int, u: float,
         ints.ctypes.data, floats.ctypes.data)
     if done < jumps:
         raise _failure((_TIE, _EXHAUSTED)[ints[0] - 1], int(ints[1]), done)
-    return (ints[2:jumps + 3].tolist(), float(floats[0]),
-            ints[-edges:].reshape(-1, 2), floats[-edges:].reshape(-1, 2))
+    return (ints[2:jumps + 3].tolist(), ints[-edges:].reshape(-1, 2),
+            floats[-edges:].reshape(-1, 2))
 
 
 def simulate_rubin(params: Params, jumps: int, seed: int):

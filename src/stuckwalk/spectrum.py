@@ -72,8 +72,11 @@ class Params:
 
     @classmethod
     def make(cls, alpha: float, beta: float) -> "Params":
-        if not (math.isfinite(alpha) and math.isfinite(beta)):
-            raise DomainError(f"alpha and beta must be finite, got "
+        # 2 beta x 2(1+alpha) is the largest factor either engine
+        # multiplies by; it is also inf or NaN if alpha or beta is
+        if not math.isfinite(4.0 * beta * (1.0 + alpha)):
+            raise DomainError(f"alpha and beta must be finite, with 4 beta "
+                              f"(1+alpha) not overflowing a double, got "
                               f"alpha={alpha}, beta={beta}")
         if beta <= 0.0:
             raise DomainError(f"beta must be > 0, got {beta}")

@@ -454,7 +454,7 @@ def test_rubin_batch_golden(tmp_path, monkeypatch, workers):
 
 @pytest.mark.parametrize("flag, value", [
     ("--beta", "nan"), ("--beta", "inf"), ("--alpha", "nan"),
-    ("--alpha", "inf")])
+    ("--alpha", "inf"), ("--beta", "1e308")])
 def test_simulate_rejects_non_finite_parameters(capsys, flag, value):
     # argparse keeps the last of a repeated flag
     assert run(["simulate", "--alpha", "2", "--beta", "1", flag, value,
@@ -462,6 +462,7 @@ def test_simulate_rejects_non_finite_parameters(capsys, flag, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "alpha and beta must be finite" in captured.err
+    assert "overflowing" in captured.err
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -96,3 +96,11 @@ def test_params_invariants(alpha, beta):
 def test_params_rejects_nonpositive_beta():
     with pytest.raises(DomainError):
         Params.make(2.0, 0.0)
+
+
+@pytest.mark.parametrize("alpha,beta", [(2.0, 1e308), (1e308, 1.0)])
+def test_params_rejects_overflowing_scale(alpha, beta):
+    # 2 beta x 2(1+alpha) would be inf, and 2 beta x 0 a NaN in the step
+    # probability at Delta = 0
+    with pytest.raises(DomainError, match="overflowing"):
+        Params.make(alpha, beta)

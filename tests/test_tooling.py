@@ -77,6 +77,28 @@ def test_readme_cli_lines_parse():
         assert parser.parse_args(argv[1:]).subcommand == argv[1]
 
 
+def test_readme_module_references_resolve():
+    # every backticked `module.attr` (or `module.attr(...)`) naming a
+    # stuckwalk module must name something that module still has
+    import pkgutil
+    import re
+
+    modules = {m.name for m in pkgutil.iter_modules(stuckwalk.__path__)}
+    text = (ROOT / "README.md").read_text()
+    refs = {ref for ref in re.findall(r"`(\w+(?:\.\w+)+)[`(]", text)
+            if ref.split(".")[0] in modules}
+    assert len(refs) >= 10
+    missing = []
+    for ref in sorted(refs):
+        module, *attrs = ref.split(".")
+        obj = importlib.import_module(f"stuckwalk.{module}")
+        for attr in attrs:
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            missing.append(ref)
+    assert missing == []
+
+
 def test_kernel_prototypes_match_argtypes():
     # ctypes passes whatever argtypes says: a C parameter added or dropped
     # without the matching argtypes change would corrupt memory silently
