@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 runtime error, 2 usage error.
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import __version__
@@ -77,30 +78,6 @@ def load_config_file(path: str) -> dict:
     return values
 
 
-SUITES = ("linsys", "walk", "rubin", "coupling")
-
-# Per subcommand: option -> (type, or a tuple of choices; default).  A
-# REQUIRED option must come from a flag or the config file.  The flag is
-# --<option> with "_" as "-", except infile (--in); the config key is the
-# option itself.
-REQUIRED = object()
-_PARAMS = {"alpha": (float, REQUIRED), "beta": (float, REQUIRED)}
-OPTIONS = {name: {**opts, "out": (str, None)} for name, opts in {
-    "thresholds": {"max_L": (int, REQUIRED)},
-    "linsys": {"alpha": (float, REQUIRED), "K": (int, None),
-               "lk2": (float, None), "scan_to": (int, None)},
-    "simulate": {**_PARAMS, "steps": (int, REQUIRED),
-                 "seed": (int, REQUIRED), "engine": (ENGINES, "direct"),
-                 "snapshot_every": (int, 0), "ty_out": (str, None)},
-    "analyze": {"infile": (str, REQUIRED), **_PARAMS, "tail": (float, 0.5)},
-    "batch": {**_PARAMS, "steps": (int, REQUIRED), "runs": (int, REQUIRED),
-              "seed": (int, REQUIRED), "workers": (int, 1),
-              "engine": (ENGINES, "direct"), "tail": (float, 0.5)},
-    "verify": {"suite": ((*SUITES, "all"), REQUIRED), "horizon": (int, 6),
-               "runs": (int, 100000), "seed": (int, 20260826)},
-}.items()}
-
-
 def _flag(key):
     return "--in" if key == "infile" else "--" + key.replace("_", "-")
 
@@ -141,8 +118,7 @@ def _resolve(parser, args):
 # ---------------------------------------------------------------- commands
 
 
-def cmd_thresholds(parser, args):
-    cfg = _resolve(parser, args)
+def cmd_thresholds(parser, cfg):
     if cfg["max_L"] < 1:
         raise ValueError(f"max_L must be >= 1, got {cfg['max_L']}")
     rows = [(L, alpha_threshold(L)) for L in range(1, cfg["max_L"] + 1)]
@@ -153,12 +129,14 @@ def cmd_thresholds(parser, args):
     return 0
 
 
-def cmd_linsys(parser, args):
+def cmd_linsys(parser, cfg):
     from . import linsys
     from .errors import Infeasible, RegimeError
 
-    cfg = _resolve(parser, args)
     if cfg["scan_to"] is not None:
+        for key in ("K", "lk2"):
+            if cfg[key] is not None:
+                parser.error(f"--scan-to takes no {_flag(key)}")
         rows = [(r.K, r.d0_sign, r.dK1_sign, r.feasible)
                 for r in linsys.sign_scan(cfg["alpha"], cfg["scan_to"])]
         _emit_csv(
@@ -186,16 +164,18 @@ def cmd_linsys(parser, args):
     return 0
 
 
-def cmd_simulate(parser, args):
-    cfg = _resolve(parser, args)
-    engine, every = cfg["engine"], cfg["snapshot_every"]
+def cmd_simulate(parser, cfg):
+    engine, every, out = cfg["engine"], cfg["snapshot_every"], cfg["out"]
     if every < 0:
         raise ValueError(f"snapshot_every must be >= 0, got {every}")
-    if every and not cfg["out"]:
+    if every and not out:
         parser.error("--snapshot-every needs --out: the snapshots go to "
                      "<out>.snapshots.json")
     if cfg["ty_out"] and engine != "rubin":
         parser.error("--ty-out needs --engine rubin")
+    if cfg["ty_out"] and out and (os.path.abspath(cfg["ty_out"])
+                                  == os.path.abspath(out)):
+        parser.error("--ty-out names the --out file")
     params = Params.make(cfg["alpha"], cfg["beta"])
     # a snapshot is the Stop at each multiple of snapshot_every
     marks = range(every, cfg["steps"] + 1, every) if every else ()
@@ -209,10 +189,10 @@ def cmd_simulate(parser, args):
             _emit_json(payload, cfg["ty_out"])
     else:
         traj = simulate(params, cfg["steps"], cfg["seed"], stops=marks)
-    if marks:
+    if every:
         _emit_json(_metadata({"seed": cfg["seed"]}) | {"snapshots": [
             s.snapshot() for s in traj.stops_at(marks)]},
-            cfg["out"] + ".snapshots.json")
+            out + ".snapshots.json")
     comments = [
         f"tool={PROG} version={__version__}",
         f"prng={PRNG_ID}",
@@ -220,7 +200,7 @@ def cmd_simulate(parser, args):
         f"steps={cfg['steps']} seed={cfg['seed']} engine={engine}",
     ]
     rows = list(enumerate(traj.positions))
-    _emit_csv(comments, ["step", "position"], rows, cfg["out"])
+    _emit_csv(comments, ["step", "position"], rows, out)
     return 0
 
 
@@ -253,10 +233,9 @@ def _read_trajectory_csv(path, params):
     return Trajectory(positions=positions, params=params)
 
 
-def cmd_analyze(parser, args):
+def cmd_analyze(parser, cfg):
     from .mc import _analyze
 
-    cfg = _resolve(parser, args)
     params = Params.make(cfg["alpha"], cfg["beta"])
     traj = _read_trajectory_csv(cfg["infile"], params)
     summary = _analyze(traj, cfg["tail"])
@@ -267,10 +246,9 @@ def cmd_analyze(parser, args):
     return 0
 
 
-def cmd_batch(parser, args):
+def cmd_batch(parser, cfg):
     from .mc import BatchConfig, run_batch
 
-    cfg = _resolve(parser, args)
     params = Params.make(cfg["alpha"], cfg["beta"])
     result = run_batch(BatchConfig(
         params=params, runs=cfg["runs"], steps=cfg["steps"],
@@ -289,7 +267,7 @@ def cmd_batch(parser, args):
     return 0
 
 
-def _verify_linsys(report):
+def _verify_linsys(report, cfg):
     import numpy as np
 
     from .linsys import identity_sweep
@@ -304,14 +282,14 @@ def _verify_linsys(report):
     return worst < 1e-10
 
 
-def _verify_walk(report, seed):
+def _verify_walk(report, cfg):
     from .walk import exact_path_law, recount_local_times
 
     params = Params.make(2.0, 1.0)
     law = exact_path_law(params, 8)
     total_err = abs(sum(law.values()) - 1.0)
     steps = 5000
-    traj = simulate(params, steps, seed)
+    traj = simulate(params, steps, cfg["seed"])
     lt = recount_local_times(traj.positions)
     # edge {j-1, j} is crossed an odd number of times exactly when it
     # separates the start 0 from the endpoint X_n
@@ -325,19 +303,21 @@ def _verify_walk(report, seed):
     return total_err < 1e-12 and ok
 
 
-def _verify_rubin(report, horizon, runs, seed):
+def _verify_rubin(report, cfg):
     from .rubin import equivalence_pass, equivalence_report
 
     params = Params.make(2.0, 1.0)
-    rep = equivalence_report(params, horizon, runs, seed)
+    rep = equivalence_report(params, cfg["horizon"], cfg["runs"],
+                             cfg["seed"])
     report["rubin"] = rep
     return equivalence_pass(rep)
 
 
-def _verify_coupling(report, seed):
+def _verify_coupling(report, cfg):
     from .rng import keyed_uniform
     from .rubin import coupling_sweep
 
+    seed = cfg["seed"]
     compared, violations = coupling_sweep(
         ((keyed_uniform(seed, 7, i), keyed_uniform(seed, 11, i), seed + i)
          for i in range(50)), jumps=300, params=Params.make(2.0, 1.0))
@@ -346,24 +326,21 @@ def _verify_coupling(report, seed):
     return violations == 0
 
 
-def cmd_verify(parser, args):
-    cfg = _resolve(parser, args)
+# verify suite -> check(report, cfg), in the order that --suite all runs
+# them and prints their PASS/FAIL lines
+_SUITES = {"linsys": _verify_linsys, "walk": _verify_walk,
+           "rubin": _verify_rubin, "coupling": _verify_coupling}
+
+
+def cmd_verify(parser, cfg):
     for key in ("horizon", "runs"):
         if cfg[key] < 1:
             raise ValueError(f"{key} must be >= 1, got {cfg[key]}")
-    suite, seed = cfg["suite"], cfg["seed"]
     report = _metadata({key: cfg[key] for key in (
         "suite", "horizon", "runs", "seed")})
     all_ok = True
-    for name in SUITES if suite == "all" else [suite]:
-        if name == "linsys":
-            ok = _verify_linsys(report)
-        elif name == "walk":
-            ok = _verify_walk(report, seed)
-        elif name == "rubin":
-            ok = _verify_rubin(report, cfg["horizon"], cfg["runs"], seed)
-        else:
-            ok = _verify_coupling(report, seed)
+    for name in _SUITES if cfg["suite"] == "all" else [cfg["suite"]]:
+        ok = _SUITES[name](report, cfg)
         report[f"{name}_pass"] = ok
         print(f"{name}: {'PASS' if ok else 'FAIL'}")
         all_ok = all_ok and ok
@@ -373,6 +350,28 @@ def cmd_verify(parser, args):
 
 
 # ----------------------------------------------------------------- parser
+
+
+# Per subcommand: option -> (type, or a tuple of choices; default).  A
+# REQUIRED option must come from a flag or the config file.  The flag is
+# --<option> with "_" as "-", except infile (--in); the config key is the
+# option itself.
+REQUIRED = object()
+_PARAMS = {"alpha": (float, REQUIRED), "beta": (float, REQUIRED)}
+OPTIONS = {name: {**opts, "out": (str, None)} for name, opts in {
+    "thresholds": {"max_L": (int, REQUIRED)},
+    "linsys": {"alpha": (float, REQUIRED), "K": (int, None),
+               "lk2": (float, None), "scan_to": (int, None)},
+    "simulate": {**_PARAMS, "steps": (int, REQUIRED),
+                 "seed": (int, REQUIRED), "engine": (ENGINES, "direct"),
+                 "snapshot_every": (int, 0), "ty_out": (str, None)},
+    "analyze": {"infile": (str, REQUIRED), **_PARAMS, "tail": (float, 0.5)},
+    "batch": {**_PARAMS, "steps": (int, REQUIRED), "runs": (int, REQUIRED),
+              "seed": (int, REQUIRED), "workers": (int, 1),
+              "engine": (ENGINES, "direct"), "tail": (float, 0.5)},
+    "verify": {"suite": ((*_SUITES, "all"), REQUIRED), "horizon": (int, 6),
+               "runs": (int, 100000), "seed": (int, 20260826)},
+}.items()}
 
 
 _COMMANDS = {  # name -> (handler, help); the options are in OPTIONS
@@ -408,14 +407,11 @@ def parse_and_dispatch(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    if args.subcommand is None:
-        parser.print_usage(sys.stderr)
-        return 2
-    try:
-        return _COMMANDS[args.subcommand][0](parser, args)
-    except SystemExit as exc:  # parser.error inside a handler
+        if args.subcommand is None:
+            parser.print_usage(sys.stderr)
+            return 2
+        return _COMMANDS[args.subcommand][0](parser, _resolve(parser, args))
+    except SystemExit as exc:  # argparse, or parser.error in a handler
         return exc.code if isinstance(exc.code, int) else 2
     except (StuckWalkError, OSError, ValueError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)

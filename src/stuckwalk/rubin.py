@@ -129,7 +129,6 @@ class RubinEngine:
     ``clocks`` maps each oriented edge (y, direction) raced on to its Clock."""
 
     def __init__(self, params: Params, clock_source, keep_path=True):
-        self.params = params
         self.weights = WeightSpec(params.alpha, params.beta)
         self.source = clock_source
         self.pos = 0

@@ -49,6 +49,31 @@ def test_linsys_scan(capsys):
     assert "K,d0_sign,dK1_sign,feasible" in out
 
 
+@pytest.mark.parametrize("values, flag", [
+    ({"K": "1"}, "--K"),
+    ({"lk2": "0.3"}, "--lk2"),
+    ({"K": "1", "lk2": "0.3"}, "--K"),
+])
+@pytest.mark.parametrize("via_config", [False, True])
+def test_linsys_option_the_scan_drops_is_usage_error(
+        tmp_path, monkeypatch, capsys, values, flag, via_config):
+    # the sign scan reads alpha and scan_to only; a K or lK2 it would
+    # ignore is refused, whether a flag or the config file sets it
+    monkeypatch.chdir(tmp_path)
+    values = {"alpha": "2", "scan_to": "3", **values}
+    if via_config:
+        (tmp_path / "cfg.txt").write_text(
+            "".join(f"{k} = {v}\n" for k, v in values.items()))
+        argv = ["linsys", "--config", "cfg.txt"]
+    else:
+        argv = ["linsys"] + [a for k, v in values.items()
+                             for a in (cli._flag(k), v)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--scan-to takes no {flag}\n" in captured.err
+
+
 def test_unknown_flag_usage_error():
     assert run(["thresholds", "--bogus"]) == 2
 
@@ -528,6 +553,7 @@ SIMULATE = {"alpha": "2", "beta": "1", "steps": "300", "seed": "3"}
     ({"ty_out": "ty.json"}, "--ty-out"),
     ({"engine": "direct", "ty_out": "ty.json", "out": "o.csv"},
      "--ty-out"),
+    ({"engine": "rubin", "ty_out": "t.json", "out": "./t.json"}, "--ty-out"),
 ])
 @pytest.mark.parametrize("via_config", [False, True])
 def test_simulate_option_the_engine_drops_is_usage_error(
@@ -547,6 +573,20 @@ def test_simulate_option_the_engine_drops_is_usage_error(
     assert flag in captured.err
     assert sorted(p.name for p in tmp_path.iterdir()) == (
         ["cfg.txt"] if via_config else [])
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_snapshot_every_past_the_steps_writes_an_empty_list(tmp_path,
+                                                          engine):
+    # the snapshots file that --snapshot-every asks for is written even
+    # when no multiple of k is reached: an empty list, not a missing file
+    out = tmp_path / "s.csv"
+    assert run(["simulate", "--alpha", "2", "--beta", "1", "--steps", "300",
+                "--seed", "1", "--engine", engine, "--snapshot-every", "500",
+                "--out", str(out)]) == 0
+    payload = json.loads((tmp_path / "s.csv.snapshots.json").read_text())
+    assert payload["snapshots"] == []
+    assert payload["config"] == {"seed": 1}
 
 
 @pytest.mark.parametrize("engine", ENGINES)

@@ -132,6 +132,29 @@ def test_kernel_prototypes_match_argtypes():
         assert function.restype == c_types[ret], name
 
 
+@needs_cc
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    # the kernels are built without warning flags; a C edit that draws a
+    # warning (an unused or uninitialised variable, a sign mismatch) fails
+    # here rather than passing silently
+    from stuckwalk import _kernel
+
+    proc = subprocess.run(
+        [_kernel.COMPILER, *_kernel.FLAGS, "-Wall", "-Wextra", "-Werror",
+         "-x", "c", "-", "-o", str(tmp_path / "kernels.so"), "-lm"],
+        input=_kernel.SOURCE.encode(), capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_verify_all_prints_the_suites_in_order(capsys):
+    # the perfbench verify-all digest hashes these lines, so their order
+    # is output: linsys, walk, rubin, coupling
+    assert parse_and_dispatch(["verify", "--suite", "all", "--horizon", "4",
+                               "--runs", "20000"]) == 0
+    assert capsys.readouterr().out == (
+        "linsys: PASS\nwalk: PASS\nrubin: PASS\ncoupling: PASS\n")
+
+
 def test_kernel_library_path_covers_its_build_inputs(monkeypatch):
     # a cached library built from other source, flags or compiler must not
     # be loaded; any existing file stands in for the compiler
