@@ -173,9 +173,13 @@ def cmd_simulate(parser, cfg):
                      "<out>.snapshots.json")
     if cfg["ty_out"] and engine != "rubin":
         parser.error("--ty-out needs --engine rubin")
-    if cfg["ty_out"] and out and (os.path.abspath(cfg["ty_out"])
-                                  == os.path.abspath(out)):
-        parser.error("--ty-out names the --out file")
+    if cfg["ty_out"] and out:
+        ty_out = os.path.abspath(cfg["ty_out"])
+        if ty_out == os.path.abspath(out):
+            parser.error("--ty-out names the --out file")
+        if every and ty_out == os.path.abspath(out + ".snapshots.json"):
+            parser.error("--ty-out names the snapshots file "
+                         "<out>.snapshots.json")
     params = Params.make(cfg["alpha"], cfg["beta"])
     # a snapshot is the Stop at each multiple of snapshot_every
     marks = range(every, cfg["steps"] + 1, every) if every else ()
@@ -334,6 +338,10 @@ _SUITES = {"linsys": _verify_linsys, "walk": _verify_walk,
 
 def cmd_verify(parser, cfg):
     for key in ("horizon", "runs"):
+        # only the rubin suite reads them; another refuses a value it drops
+        if (cfg["suite"] not in ("rubin", "all")
+                and cfg[key] != OPTIONS["verify"][key][1]):
+            parser.error(f"--suite {cfg['suite']} takes no {_flag(key)}")
         if cfg[key] < 1:
             raise ValueError(f"{key} must be >= 1, got {cfg[key]}")
     report = _metadata({key: cfg[key] for key in (

@@ -377,10 +377,11 @@ def equivalence_report(params: Params, horizon: int, runs: int,
 
     Draws ``runs`` embedded trajectories of length ``horizon`` and returns
     the total-variation distance to the exact law plus a chi-square
-    goodness-of-fit p-value (cells with expected count < 5 pooled).
+    goodness-of-fit p-value (cells with expected count < 5 pooled).  With
+    fewer than two cells the p-value is NaN (JSON null), or 0 for one
+    cell whose statistic rounds above 0.
     """
-    from scipy.special import chdtrc  # 0.3 s to import, scipy.stats 1.3 s
-
+    from .chisq import chdtrc
     from .walk import exact_path_law
 
     law = exact_path_law(params, horizon)
@@ -406,7 +407,8 @@ def equivalence_report(params: Params, horizon: int, runs: int,
         pooled_e[-1] += acc_e
         pooled_o[-1] += acc_o
     # scipy.stats.chisquare(pooled_o, f_exp=pooled_e), operation for
-    # operation: its sum check, statistic and p-value
+    # operation: its sum check, statistic and p-value (chisq.chdtrc is
+    # scipy's chdtrc bit for bit)
     obs, exp_ = np.array(pooled_o), np.array(pooled_e)
     rtol = np.finfo(float).eps ** 0.5
     with np.errstate(invalid="ignore"):  # no cells: 0/0

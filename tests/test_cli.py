@@ -348,7 +348,7 @@ INVOCATIONS = [
     ("batch", {"alpha": "2", "beta": "1", "steps": "1000", "runs": "2",
                "seed": "5", "workers": "2", "engine": "direct",
                "tail": "0.4", "out": "o.json"}),
-    ("verify", {"suite": "linsys", "horizon": "3", "runs": "10",
+    ("verify", {"suite": "rubin", "horizon": "3", "runs": "10",
                 "seed": "7", "out": "o.json"}),
 ]
 
@@ -554,6 +554,8 @@ SIMULATE = {"alpha": "2", "beta": "1", "steps": "300", "seed": "3"}
     ({"engine": "direct", "ty_out": "ty.json", "out": "o.csv"},
      "--ty-out"),
     ({"engine": "rubin", "ty_out": "t.json", "out": "./t.json"}, "--ty-out"),
+    ({"engine": "rubin", "snapshot_every": "100", "out": "r.csv",
+      "ty_out": "./r.csv.snapshots.json"}, "--ty-out"),
 ])
 @pytest.mark.parametrize("via_config", [False, True])
 def test_simulate_option_the_engine_drops_is_usage_error(
@@ -573,6 +575,34 @@ def test_simulate_option_the_engine_drops_is_usage_error(
     assert flag in captured.err
     assert sorted(p.name for p in tmp_path.iterdir()) == (
         ["cfg.txt"] if via_config else [])
+
+
+@pytest.mark.parametrize("suite", ["linsys", "walk", "coupling"])
+@pytest.mark.parametrize("key, value", [("horizon", "4"), ("runs", "500")])
+@pytest.mark.parametrize("via_config", [False, True])
+def test_verify_option_the_suite_drops_is_usage_error(
+        tmp_path, monkeypatch, capsys, suite, key, value, via_config):
+    # only the rubin suite reads horizon and runs; another suite refuses a
+    # value it would drop, whether a flag or the config file sets it
+    monkeypatch.chdir(tmp_path)
+    argv = ["verify", "--suite", suite]
+    if via_config:
+        (tmp_path / "cfg.txt").write_text(f"{key} = {value}\n")
+        argv += ["--config", "cfg.txt"]
+    else:
+        argv += [cli._flag(key), value]
+    assert run(argv + ["--out", "v.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--suite {suite} takes no {cli._flag(key)}\n" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        ["cfg.txt"] if via_config else [])
+
+
+def test_verify_suite_accepts_the_defaults_it_drops(capsys):
+    assert run(["verify", "--suite", "linsys", "--horizon", "6",
+                "--runs", "100000"]) == 0
+    assert capsys.readouterr().out == "linsys: PASS\n"
 
 
 @pytest.mark.parametrize("engine", ENGINES)

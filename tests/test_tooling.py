@@ -171,13 +171,36 @@ def test_kernel_library_path_covers_its_build_inputs(monkeypatch):
 
 
 def _run_fresh(code, cwd):
-    """Run ``code`` in a fresh interpreter that imports this package."""
+    """Run ``code`` in a fresh interpreter that imports this package;
+    returns its stdout."""
     src = os.path.dirname(os.path.dirname(stuckwalk.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_verify_runs_without_scipy(tmp_path, monkeypatch, capsys):
+    # the chi-square p-value is stuckwalk.chisq's: a verify run where
+    # scipy cannot be imported writes the bytes of one where it can
+    argv = ["verify", "--suite", "all", "--seed", "20260826", "--out",
+            "v.json"]
+    (tmp_path / "fresh").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert parse_and_dispatch(argv) == 0
+    out = _run_fresh(
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from stuckwalk.cli import parse_and_dispatch\n"
+        f"assert parse_and_dispatch({argv!r}) == 0\n"
+        "assert sys.modules['scipy'] is None\n"
+        "assert not [m for m in sys.modules if m.startswith('scipy.')]\n",
+        tmp_path / "fresh")
+    assert out == capsys.readouterr().out
+    assert (tmp_path / "fresh" / "v.json").read_bytes() == (
+        tmp_path / "v.json").read_bytes()
 
 
 def test_batch_modules_import_no_numpy(tmp_path):
