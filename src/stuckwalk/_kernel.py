@@ -16,7 +16,9 @@ leaving the Python stepper.  ``stuck_rubin_races`` repeats
 ``rubin.sample_embedded_paths`` with only ``+``, ``-`` and ``*``: the
 sampler's ``log``, ``exp`` and ``log1p`` stay in numpy, whose SIMD
 versions differ from libm in the last bit on a few percent of inputs.
-All three are compiled with the system C compiler into
+``stuck_matched_crossings`` is ``rubin._matched_crossings`` in integer
+arithmetic: one counting pass over each of ``rubin.couple``'s two walks.
+All four are compiled with the system C compiler into
 ``$XDG_CACHE_HOME/stuckwalk`` (default ``~/.cache``) as one library and
 loaded with ``ctypes``.
 ``-ffp-contract=off`` forbids fused multiply-adds, which would change the
@@ -303,14 +305,21 @@ int64_t stuck_rubin_races(double alpha, double beta, uint64_t seed,
        floats = d[m], then m records of log_res[2S]
    where the clock of oriented edge (x, dir) sits at 2x + (dir > 0) of
    index and log_res, and a NaN log_res marks an unarmed clock.  For
-   t = 0 the block is reset to the start; for t > 0 race t-1 is
-   committed, d[r] then holding log1p(-exp(log_e - ring_l)), which the
-   caller computes.  Then, unless draws is NULL, race t is run: each
-   unarmed clock at pos is armed with log_f plus draws[r] (minus clock)
-   or draws[stride + r] (plus clock), logs of standard exponentials;
-   the winner's direction goes to right and log_e - ring_l to d[r].
-   log_f and log_w are evaluated as in stuck_rubin_races.  Returns the
-   number of exact ties in race t. */
+   t = 0 run r starts at the origin; for t > 0 race t-1 is committed,
+   d[r] then holding log1p(-exp(log_e - ring_l)), which the caller
+   computes, and -inf where the loser's residual is exhausted.  Then,
+   unless draws is NULL, race t is run: each unarmed clock at pos is
+   armed with log_f plus draws[r] (minus clock) or draws[stride + r]
+   (plus clock), logs of standard exponentials; the winner's direction
+   goes to right and log_e - ring_l to d[r].  log_f and log_w are
+   evaluated as in stuck_rubin_races.  Returns -1 if a residual was
+   exhausted in race t-1, else the number of exact ties in race t.
+   A record is reset only where the run reads it, so the buffers need no
+   clearing between blocks: at t = 0 the origin's clocks and z at the
+   origin and its neighbours, and on the first arrival at a site its
+   clocks and z at its far neighbour, which the run cannot have reached;
+   z at the site itself was reset when the run started at, or first
+   arrived at, the site it comes from. */
 int64_t stuck_sampler_step(double alpha, double beta, int64_t h,
                            int64_t m, int64_t t, const double *draws,
                            int64_t stride, int64_t *ints, double *floats)
@@ -318,7 +327,7 @@ int64_t stuck_sampler_step(double alpha, double beta, int64_t h,
     const int64_t S = 2 * h + 3, rec = 3 + 3 * S, origin = h + 1;
     const double lw = 4.0 * beta * alpha;
     double *d = floats, *log_res = floats + m;
-    int64_t r, k, ties = 0;
+    int64_t r, k, ties = 0, exhausted = 0;
     for (r = 0; r < m; r++) {
         int64_t *run = ints + r * rec, *z = run + 3, *index = z + S;
         double *res = log_res + r * 2 * S;
@@ -326,18 +335,21 @@ int64_t stuck_sampler_step(double alpha, double beta, int64_t h,
         if (t == 0) {
             pos = origin;
             run[1] = 0;
-            for (k = 0; k < S; k++)
-                z[k] = 0;
-            for (k = 0; k < 2 * S; k++) {
-                index[k] = 0;
-                res[k] = NAN;
-            }
+            z[pos - 1] = z[pos] = z[pos + 1] = 0;
+            index[2 * pos] = index[2 * pos + 1] = 0;
+            res[2 * pos] = res[2 * pos + 1] = NAN;
         } else {
             const int64_t right = run[2], win = 2 * run[0] + right;
+            exhausted |= d[r] == -INFINITY;
             res[win ^ 1] += d[r];
             res[win] = NAN;
             index[win] += 1;
             pos = run[0] + 2 * right - 1;
+            if (z[pos] == 0 && pos != origin) {
+                index[2 * pos] = index[2 * pos + 1] = 0;
+                res[2 * pos] = res[2 * pos + 1] = NAN;
+                z[2 * pos - run[0]] = 0;
+            }
             z[pos] += 1;
             run[1] = 2 * run[1] + right;
         }
@@ -360,7 +372,61 @@ int64_t stuck_sampler_step(double alpha, double beta, int64_t h,
             d[r] = -fabs(ring_p - ring_m);
         }
     }
-    return ties;
+    return exhausted ? -1 : ties;
+}
+
+/* rubin._matched_crossings over walks p1 and p2 of n jumps from site 0:
+   the i-th crossing of edge {z, z+1} in walk 1 is matched with the i-th
+   in walk 2, and it is a violation if Z1(z+1) < Z2(z+1) or Z1(z) >
+   Z2(z), Z the visit counts just after the crossing, counted after the
+   start.  Returns the number matched and puts the violations in work[0].
+   Site x sits at x+n of first, next and visits, and edge {z, z+1} at
+   z+n, the index of its lower site:
+       work = {violations, first[2n+1], next[2n+1], visits[2n+1],
+               upper[n], lower[n]}
+   Walk 1's crossings of edge e fill slots first[e]..first[e+1]-1 of
+   upper and lower, in order, with its Z(z+1) and Z(z); next[e] is the
+   slot of the next crossing of e in the walk being read. */
+int64_t stuck_matched_crossings(const int64_t *p1, const int64_t *p2,
+                                int64_t n, int64_t *work)
+{
+    const int64_t sites = 2 * n + 1;
+    int64_t *first = work + 1, *next = first + sites, *visits = next + sites;
+    int64_t *upper = visits + sites, *lower = upper + n;
+    int64_t e, k, compared = 0, violations = 0;
+    for (e = 0; e < sites; e++)
+        first[e] = 0;
+    for (k = 0; k < n; k++)
+        first[(p1[k] < p1[k + 1] ? p1[k] : p1[k + 1]) + n + 1] += 1;
+    for (e = 1; e < sites; e++)
+        first[e] += first[e - 1];
+    for (e = 0; e < sites; e++) {
+        next[e] = first[e];
+        visits[e] = 0;
+    }
+    for (k = 0; k < n; k++) {
+        const int64_t s = (p1[k] < p1[k + 1] ? p1[k] : p1[k + 1]) + n;
+        const int64_t slot = next[s]++;
+        visits[p1[k + 1] + n] += 1;
+        upper[slot] = visits[s + 1];
+        lower[slot] = visits[s];
+    }
+    for (e = 0; e < sites; e++) {
+        next[e] = first[e];
+        visits[e] = 0;
+    }
+    for (k = 0; k < n; k++) {
+        const int64_t s = (p2[k] < p2[k + 1] ? p2[k] : p2[k + 1]) + n;
+        const int64_t slot = next[s]++;
+        visits[p2[k + 1] + n] += 1;
+        if (slot < first[s + 1]) {
+            compared += 1;
+            violations += upper[slot] < visits[s + 1]
+                          || lower[slot] > visits[s];
+        }
+    }
+    work[0] = violations;
+    return compared;
 }
 """
 
@@ -435,4 +501,6 @@ def load():
     kernels.stuck_sampler_step.argtypes = [f64, f64, i64, i64, i64, ptr,
                                            i64, ptr, ptr]
     kernels.stuck_sampler_step.restype = i64
+    kernels.stuck_matched_crossings.argtypes = [ptr, ptr, i64, ptr]
+    kernels.stuck_matched_crossings.restype = i64
     return kernels

@@ -17,6 +17,7 @@ precision after a few dozen visits, while log-domain depletion keeps
 an exact tie) raises ConstructionFailure rather than silently clamping.
 """
 
+import copy
 from array import array
 from dataclasses import dataclass
 from math import exp, expm1, inf, isfinite, log, log1p
@@ -214,7 +215,16 @@ def race_kernel(kernels, params: Params, seed: int, hold_out: int, u: float,
     y + jumps + 2, column 0 for the minus clock and 1 for the plus clock.
     Raises the ConstructionFailure RubinEngine would raise.
     """
-    # the kernel fills both buffers; the layout is in _kernel.SOURCE
+    ints, floats = _race_buffers(kernels, params, seed, hold_out, u, jumps)
+    edges = 4 * jumps + 10
+    return (ints[2:jumps + 3].tolist(), ints[-edges:].reshape(-1, 2),
+            floats[-edges:].reshape(-1, 2))
+
+
+def _race_buffers(kernels, params, seed, hold_out, u, jumps):
+    """``stuck_rubin_races``' two buffers after ``race_kernel``'s races;
+    the layout is in _kernel.SOURCE."""
+    # the kernel fills both buffers
     sites = 2 * jumps + 5
     edges = 2 * sites
     ints = np.empty(2 + (jumps + 1) + sites + edges, dtype=np.int64)
@@ -227,8 +237,7 @@ def race_kernel(kernels, params: Params, seed: int, hold_out: int, u: float,
         ints.ctypes.data, floats.ctypes.data)
     if done < jumps:
         raise _failure((_TIE, _EXHAUSTED)[ints[0] - 1], int(ints[1]), done)
-    return (ints[2:jumps + 3].tolist(), ints[-edges:].reshape(-1, 2),
-            floats[-edges:].reshape(-1, 2))
+    return ints, floats
 
 
 def simulate_rubin(params: Params, jumps: int, seed: int):
@@ -318,6 +327,17 @@ def _matched_crossings(path1, path2):
     return len(i1), int(np.count_nonzero(bad))
 
 
+def _kernel_matched_crossings(kernels, path1, path2):
+    """``_matched_crossings`` of two int64 position arrays of walks from
+    site 0, counted by ``stuck_matched_crossings``."""
+    n = len(path1) - 1
+    # the layout is in _kernel.SOURCE
+    work = np.empty(8 * n + 4, dtype=np.int64)
+    compared = kernels.stuck_matched_crossings(
+        path1.ctypes.data, path2.ctypes.data, n, work.ctypes.data)
+    return compared, int(work[0])
+
+
 def couple(hold_out: int, u1: float, u2: float, shared_seed: int,
            jumps: int, params: Params) -> CoupleReport:
     """Run two walks on one shared clock collection, differing only in the
@@ -327,8 +347,9 @@ def couple(hold_out: int, u1: float, u2: float, shared_seed: int,
     matched i-th crossing of every non-oriented edge {z, z+1} the visit
     counts must satisfy Z1(z+1) >= Z2(z+1) and Z1(z) <= Z2(z).
 
-    The walks run in the compiled race kernel, or in RubinEngine where no
-    kernel can be built; both give the same positions.
+    The walks run in the compiled race kernel, and their crossings are
+    matched in a second one, or in RubinEngine and numpy where no kernel
+    can be built; both give the same report.
     """
     if jumps < 0:
         raise ValueError(f"jumps must be >= 0, got {jumps}")
@@ -339,18 +360,19 @@ def couple(hold_out: int, u1: float, u2: float, shared_seed: int,
     from . import _kernel  # here, so that importing rubin loads no kernel
 
     kernels = _kernel.load()
-    paths = []
-    for u in (u1, u2):
-        if kernels is not None:
-            positions = race_kernel(kernels, params, shared_seed, hold_out,
-                                    u, jumps)[0]
-        else:
+    if kernels is not None:
+        paths = [_race_buffers(kernels, params, shared_seed, hold_out, u,
+                               jumps)[0][2:jumps + 3] for u in (u1, u2)]
+        compared, violations = _kernel_matched_crossings(kernels, *paths)
+        paths = [p.tolist() for p in paths]
+    else:
+        paths = []
+        for u in (u1, u2):
             eng = RubinEngine(params, KeyedClockSource(
                 shared_seed, overrides={(hold_out, 1, 0): u}))
             eng.advance(jumps)
-            positions = eng.positions
-        paths.append(positions)
-    compared, violations = _matched_crossings(*paths)
+            paths.append(eng.positions)
+        compared, violations = _matched_crossings(*paths)
     return CoupleReport(site=hold_out, u1=u1, u2=u2,
                         positions1=paths[0], positions2=paths[1],
                         compared=compared, violations=violations)
@@ -432,9 +454,11 @@ def equivalence_pass(rep: dict) -> bool:
     return rep["tv_distance"] <= 0.01 and rep["chi2_pvalue"] > 0.001
 
 
-# runs per block of the compiled sampler, whose state is reset and reused
+# runs per block of the sampler, whose draws and race state are reused
 # from block to block
 _BLOCK = 1024
+
+_EXHAUSTED_SAMPLER = "loser residual exhausted in vectorized sampler"
 
 
 def sample_embedded_paths(params: Params, horizon: int, runs: int,
@@ -445,10 +469,12 @@ def sample_embedded_paths(params: Params, horizon: int, runs: int,
     returns {position tuple: count}.  Used for the distributional-
     equivalence check against the exact discrete path law.
 
-    The race bookkeeping runs in the compiled kernel over blocks of
-    ``_BLOCK`` runs, with ``log``, ``exp`` and ``log1p`` taken in numpy;
-    where no kernel can be built the runs advance in lockstep in numpy.
-    Both consume the same draws and give the same counts.
+    The runs go in blocks of ``_BLOCK``: each block takes its slice of
+    the ``2·horizon`` rows of Philox draws and races it, in the compiled
+    kernel with ``log``, ``exp`` and ``log1p`` taken in numpy, or in
+    lockstep in numpy where no kernel can be built.  Both consume the
+    same draws and give the same counts.  Memory is one block's draws and
+    race state plus the 8-byte path code of each run.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
@@ -459,12 +485,7 @@ def sample_embedded_paths(params: Params, horizon: int, runs: int,
         raise ValueError(f"runs must be >= 1, got {runs}")
     from . import _kernel  # here, so that importing rubin loads no kernel
 
-    kernels = _kernel.load()
-    rng = philox(seed)
-    if kernels is None:
-        codes = _lockstep_codes(params, horizon, runs, rng)
-    else:
-        codes = _kernel_codes(kernels, params, horizon, runs, rng)
+    codes = _path_codes(_kernel.load(), params, horizon, runs, philox(seed))
     out = {}
     for code, count in zip(*(a.tolist() for a in np.unique(
             codes, return_counts=True))):
@@ -477,47 +498,87 @@ def sample_embedded_paths(params: Params, horizon: int, runs: int,
     return out
 
 
-def _kernel_codes(kernels, params: Params, horizon: int, runs: int, rng):
+def _draw_blocks(rng, rows: int, runs: int, block: int):
+    """The logs of a (rows, runs) matrix of ``rng``'s standard
+    exponentials, filled row by row as one call would fill it, yielded
+    as (start, its (rows, m) slice of columns start..start+m-1), m =
+    ``block`` but in the last slice.
+
+    A first pass draws rows 0..rows-2 into the slice's buffer, only to
+    copy the generator at the start of each row; then each slice is
+    drawn from those copies into that buffer, which it is a view of.
+    """
+    buf = np.empty((rows, block))
+    flat = buf.reshape(-1)
+    gens = []
+    for k in range(rows):
+        if k:
+            for start in range(0, runs, len(flat)):
+                rng.standard_exponential(out=flat[:runs - start])
+        gens.append(copy.deepcopy(rng))
+    for start in range(0, runs, block):
+        draws = buf[:, :min(block, runs - start)]
+        for gen, row in zip(gens, draws):
+            gen.standard_exponential(out=row)
+        np.log(draws, out=draws)
+        yield start, draws
+
+
+def _path_codes(kernels, params: Params, horizon: int, runs: int, rng):
     """Path codes of ``runs`` embedded walks (jump t is bit horizon-1-t,
-    set if it went right), raced by ``stuck_sampler_step``; the layout of
-    its buffers is in _kernel.SOURCE."""
-    # every draw up front, in the order _lockstep_codes takes them: per
-    # step the minus clock's row, then the plus clock's
-    draws = np.empty((2 * horizon, runs))
-    for row in draws:
-        rng.standard_exponential(out=row)
-    np.log(draws, out=draws)
+    set if it went right) over ``rng``'s draws, raced block by block in
+    ``_kernel_codes``, or in ``_lockstep_codes`` where ``kernels`` is
+    None."""
     block = min(_BLOCK, runs)
-    S = 2 * horizon + 3
-    rec = 3 + 3 * S
-    ints = np.empty(block * rec, dtype=np.int64)
-    floats = np.empty(block * (1 + 2 * S))
     codes = np.empty(runs, dtype=np.int64)
-    step = kernels.stuck_sampler_step
-    alpha, beta = params.alpha, params.beta
-    base, ip, fp = draws.ctypes.data, ints.ctypes.data, floats.ctypes.data
-    with np.errstate(invalid="raise"):
-        for start in range(0, runs, block):
-            m = min(block, runs - start)
-            d = floats[:m]
-            for t in range(horizon + 1):
-                at = base + 8 * (2 * t * runs + start) if t < horizon \
-                    else None
-                if step(alpha, beta, horizon, m, t, at, runs, ip, fp):
-                    raise ConstructionFailure(
-                        "exact clock tie in vectorized sampler")
-                if at is not None:
-                    # d becomes log1p(-exp(log_e - ring_l))
-                    np.exp(d, out=d)
-                    np.negative(d, out=d)
-                    np.log1p(d, out=d)
-            codes[start:start + m] = ints[1:m * rec:rec]
+    if kernels is not None:
+        S = 2 * horizon + 3
+        ints = np.empty(block * (3 + 3 * S), dtype=np.int64)
+        floats = np.empty(block * (1 + 2 * S))
+    # per step the minus clock's row, then the plus clock's
+    for start, draws in _draw_blocks(rng, 2 * horizon, runs, block):
+        codes[start:start + draws.shape[1]] = (
+            _lockstep_codes(params, horizon, draws) if kernels is None
+            else _kernel_codes(kernels, params, horizon, draws, ints,
+                               floats))
     return codes
 
 
-def _lockstep_codes(params: Params, horizon: int, runs: int, rng):
-    """``_kernel_codes`` in numpy, all runs advanced in lockstep."""
+def _kernel_codes(kernels, params: Params, horizon: int, draws, ints,
+                  floats):
+    """Path codes of the block of walks whose logged draws are ``draws``
+    (2·horizon rows of m), raced by ``stuck_sampler_step`` in the buffers
+    ``ints`` and ``floats``; their layout is in _kernel.SOURCE."""
+    m = draws.shape[1]
+    rec = 3 + 3 * (2 * horizon + 3)
+    d = floats[:m]
+    row = draws.strides[0]
+    step = kernels.stuck_sampler_step
+    alpha, beta = params.alpha, params.beta
+    base, ip, fp = draws.ctypes.data, ints.ctypes.data, floats.ctypes.data
+    # log1p(-1) = -inf marks an exhausted residual, which the next step
+    # reports
+    with np.errstate(divide="ignore", invalid="raise"):
+        for t in range(horizon + 1):
+            at = base + 2 * t * row if t < horizon else None
+            failed = step(alpha, beta, horizon, m, t, at, row // 8, ip, fp)
+            if failed:
+                raise ConstructionFailure(
+                    _EXHAUSTED_SAMPLER if failed < 0
+                    else "exact clock tie in vectorized sampler")
+            if at is not None:
+                # d becomes log1p(-exp(log_e - ring_l))
+                np.exp(d, out=d)
+                np.negative(d, out=d)
+                np.log1p(d, out=d)
+    return ints[1:m * rec:rec]
+
+
+def _lockstep_codes(params: Params, horizon: int, draws):
+    """``_kernel_codes`` in numpy, the block's runs advanced in
+    lockstep."""
     ws = WeightSpec(params.alpha, params.beta)
+    runs = draws.shape[1]
     S = 2 * horizon + 3
     origin = horizon + 1
     coords = np.arange(S) - origin
@@ -534,14 +595,13 @@ def _lockstep_codes(params: Params, horizon: int, runs: int, rng):
     codes = np.zeros(runs, dtype=np.int64)
     idx = np.arange(runs)
 
-    for _ in range(horizon):
+    for t in range(horizon):
         y = coords[pos]
         edge = (2 * runs) * pos + idx          # the minus clock at pos
         site = runs * pos + idx
         for si, s in ((0, -1), (1, 1)):
             e = edge + si * runs
-            draw = ws.log_f(y, s, N[e]) + np.log(
-                rng.standard_exponential(runs))
+            draw = ws.log_f(y, s, N[e]) + draws[2 * t + si]
             fresh = np.flatnonzero(~armed[e])
             logres[e[fresh]] = draw[fresh]
             armed[e] = True
@@ -550,14 +610,15 @@ def _lockstep_codes(params: Params, horizon: int, runs: int, rng):
         right = ring_p < ring_m
         if np.any(ring_p == ring_m):
             raise ConstructionFailure("exact clock tie in vectorized sampler")
-        log_e = np.minimum(ring_p, ring_m)
-        ring_l = np.maximum(ring_p, ring_m)
+        frac = np.exp(np.minimum(ring_p, ring_m) - np.maximum(ring_p, ring_m))
+        if frac.max() >= 1.0:
+            raise ConstructionFailure(_EXHAUSTED_SAMPLER)
         # integer arithmetic on the booleans: np.where is several times
         # slower on random masks
         lose = edge + runs * ~right
         win = edge + runs * right
         with np.errstate(invalid="raise"):
-            logres[lose] += np.log1p(-np.exp(log_e - ring_l))
+            logres[lose] += np.log1p(-frac)
         armed[win] = False
         N[win] += 1
         step = 2 * right - 1

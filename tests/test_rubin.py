@@ -274,12 +274,9 @@ def test_equivalence_report():
 def _sampler_codes(kernels, params, horizon, runs, seed):
     """The path codes of the compiled sampler, or of the numpy one where
     ``kernels`` is None, or the ConstructionFailure message."""
-    rng = philox(seed)
     try:
-        if kernels is None:
-            return rubin._lockstep_codes(params, horizon, runs, rng).tolist()
-        return rubin._kernel_codes(kernels, params, horizon, runs,
-                                   rng).tolist()
+        return rubin._path_codes(kernels, params, horizon, runs,
+                                 philox(seed)).tolist()
     except ConstructionFailure as exc:
         return str(exc)
 
@@ -291,9 +288,12 @@ def _sampler_codes(kernels, params, horizon, runs, seed):
        runs=st.integers(min_value=1, max_value=5000),
        seed=st.integers(min_value=0, max_value=2 ** 64 - 1))
 @example(alpha=0.36, beta=3.0, horizon=8, runs=4097, seed=2 ** 64 - 5)
+@example(alpha=0.8, beta=0.3, horizon=20, runs=3 * rubin._BLOCK + 17,
+         seed=29)
 @settings(max_examples=60, deadline=None)
 def test_sampler_kernel_matches_lockstep(alpha, beta, horizon, runs, seed):
-    # same draws, same codes run by run, through partial final blocks
+    # same draws, same codes run by run, through partial final blocks; the
+    # kernel reuses its records from block to block without clearing them
     params = Params.make(alpha, beta)
     assert _sampler_codes(_kernel.load(), params, horizon, runs, seed) \
         == _sampler_codes(None, params, horizon, runs, seed)
@@ -332,6 +332,76 @@ def test_sampler_tie_raises(monkeypatch, compiled):
             pytest.raises(ConstructionFailure,
                           match="^exact clock tie in vectorized sampler$"):
         rubin.sample_embedded_paths(P21, 3, 10, seed=1)
+
+
+class _RowExponentials:
+    """A generator stub that fills a matrix of standard exponentials with
+    ``runs`` columns row by row: ``rows[k]`` in row k, then 1."""
+
+    def __init__(self, runs, rows):
+        self.runs, self.rows, self.drawn = runs, rows, 0
+
+    def standard_exponential(self, size=None, out=None):
+        if out is None:
+            out = np.empty(size)
+        k = (self.drawn + np.arange(out.size)) // self.runs
+        out[...] = [self.rows[i] if i < len(self.rows) else 1.0
+                    for i in k.tolist()]
+        self.drawn += out.size
+        return out
+
+
+@pytest.mark.parametrize("compiled", [True, False])
+def test_sampler_exhausted_residual_raises(monkeypatch, compiled):
+    # the first race goes left (minus clock 1 against plus clock 2); at
+    # site -1 the minus clock rings at log time 0 and the plus clock at
+    # 2 beta = 2e-20, so exp(0 - 2e-20) rounds to 1 and the loser has no
+    # residual left
+    params = Params.make(2.0, 1e-20)
+    clocks = {(0, -1, 0): 1.0, (0, 1, 0): 2.0, (-1, -1, 0): 1.0,
+              (-1, 1, 0): 1.0}
+    with pytest.raises(ConstructionFailure,
+                       match="^loser residual exhausted at site -1 after "
+                             "1 jumps$"):
+        rubin.RubinEngine(params, rubin.KeyedClockSource(
+            1, overrides=clocks)).advance(3)
+    monkeypatch.setattr(rubin, "philox",
+                        lambda seed: _RowExponentials(4, [1.0, 2.0]))
+    with (contextlib.nullcontext() if compiled else python_engines()), \
+            pytest.raises(ConstructionFailure, match="^loser residual "
+                          "exhausted in vectorized sampler$"):
+        rubin.sample_embedded_paths(params, 3, 4, seed=1)
+
+
+@pytest.mark.parametrize("seed", [3, 2 ** 64 - 5])
+def test_sampler_blocks_are_slices_of_one_draw(seed):
+    # runs is not a multiple of the block: the last slice is partial
+    horizon, runs = 3, 2 * rubin._BLOCK + 17
+    want = np.log(philox(seed).standard_exponential((2 * horizon, runs)))
+    got = [(start, draws.copy()) for start, draws in rubin._draw_blocks(
+        philox(seed), 2 * horizon, runs, rubin._BLOCK)]
+    assert [start for start, _ in got] == [0, rubin._BLOCK,
+                                           2 * rubin._BLOCK]
+    assert np.concatenate([d for _, d in got], axis=1).tobytes() \
+        == want.tobytes()
+
+
+@pytest.mark.parametrize("compiled", [True, False])
+def test_sampler_memory_grows_only_by_the_path_codes(compiled):
+    def peak(runs):
+        tracemalloc.start()
+        try:
+            rubin.sample_embedded_paths(P21, 6, runs, seed=5)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    with contextlib.nullcontext() if compiled else python_engines():
+        rubin.sample_embedded_paths(P21, 6, 10, seed=5)  # load the kernel
+        small, large = peak(2 * 10 ** 4), peak(2 * 10 ** 5)
+    # the 8-byte codes and np.unique's sorted copy and mask of them; the
+    # draws and the race state are one block whatever the runs
+    assert (large - small) / (18 * 10 ** 4) < 32
 
 
 @pytest.mark.parametrize("compiled", [True, False])
@@ -398,12 +468,7 @@ def _matched_crossings_loop(path1, path2):
     return compared, violations
 
 
-@given(steps=st.lists(st.tuples(st.booleans(), st.booleans()),
-                      max_size=300),
-       bias=st.sampled_from([None, 0.2, 0.5, 0.8]),
-       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
-@settings(max_examples=100, deadline=None)
-def test_matched_crossings_equal_loop(steps, bias, seed):
+def _independent_walks(steps, bias, seed):
     # independent walks, so the coupling inequalities fail often
     if bias is None:
         moves = [(1 if a else -1, 1 if b else -1) for a, b in steps]
@@ -415,7 +480,43 @@ def test_matched_crossings_equal_loop(steps, bias, seed):
     for move in moves:
         for path, d in zip(paths, move):
             path.append(path[-1] + d)
+    return paths
+
+
+_WALK_PAIRS = dict(
+    steps=st.lists(st.tuples(st.booleans(), st.booleans()), max_size=300),
+    bias=st.sampled_from([None, 0.2, 0.5, 0.8]),
+    seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+
+
+@given(**_WALK_PAIRS)
+@settings(max_examples=100, deadline=None)
+def test_matched_crossings_equal_loop(steps, bias, seed):
+    paths = _independent_walks(steps, bias, seed)
     assert rubin._matched_crossings(*paths) == _matched_crossings_loop(*paths)
+
+
+@needs_cc
+@given(**_WALK_PAIRS)
+@example(steps=[], bias=None, seed=0)
+@settings(max_examples=100, deadline=None)
+def test_kernel_matched_crossings_equal_numpy(steps, bias, seed):
+    paths = [np.array(p, dtype=np.int64)
+             for p in _independent_walks(steps, bias, seed)]
+    assert rubin._kernel_matched_crossings(_kernel.load(), *paths) \
+        == rubin._matched_crossings(*paths)
+
+
+@needs_cc
+def test_kernel_matched_crossings_count_violations():
+    kernels, total = _kernel.load(), [0, 0]
+    for seed in range(20):
+        paths = [np.array(p, dtype=np.int64) for p in _independent_walks(
+            [None] * 300, 0.5, seed)]
+        got = rubin._kernel_matched_crossings(kernels, *paths)
+        assert got == rubin._matched_crossings(*paths)
+        total = [a + b for a, b in zip(total, got)]
+    assert total[0] > total[1] > 0
 
 
 def test_couple_rejects_bad_input():

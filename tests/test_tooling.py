@@ -123,7 +123,7 @@ def test_kernel_prototypes_match_argtypes():
                 if ret.split()[0] != "static"]
     assert [name for _, name, _ in exported] == [
         "stuck_step_prob", "stuck_walk_steps", "stuck_rubin_races",
-        "stuck_sampler_step"]
+        "stuck_sampler_step", "stuck_matched_crossings"]
     for ret, name, params in exported:
         want = [ctypes.c_void_p if "*" in p else c_types[p.split()[-2]]
                 for p in params.split(",")]
