@@ -73,17 +73,29 @@ class WeightSpec:
 class SequentialClockSource:
     """Clock draws taken in order of first use from one Philox stream, in
     blocks of 4096 standard exponentials, each logged into one reused
-    buffer when the previous block is spent."""
+    buffer when the previous block is spent.  The kernel's
+    ``stuck_std_exponentials`` draws them, or ``philox(seed)`` where no
+    kernel loads; the doubles are the same."""
 
     def __init__(self, seed: int):
-        self._gen = philox(seed)
+        from . import _kernel  # here, so that importing rubin loads no kernel
+
         self._buf = array("d", bytes(8 * 4096))
+        self._logs = logs = np.frombuffer(self._buf)
         self._i = len(self._buf)
+        kernels = _kernel.load()
+        if kernels is None:
+            gen = philox(seed)
+            self._fill = lambda: gen.standard_exponential(out=logs)
+        else:
+            gen, draw = _philox_words(seed, 1), kernels.stuck_std_exponentials
+            self._fill = lambda: draw(gen.ctypes.data, 1, len(logs), 0,
+                                      logs.ctypes.data)
 
     def log_std_exponential(self, y, direction, k) -> float:
         if self._i == len(self._buf):
-            np.log(self._gen.standard_exponential(len(self._buf)),
-                   out=np.frombuffer(self._buf))
+            self._fill()
+            np.log(self._logs, out=self._logs)
             self._i = 0
         v = self._buf[self._i]
         self._i += 1
@@ -466,15 +478,17 @@ def sample_embedded_paths(params: Params, horizon: int, runs: int,
     """Empirical law of the embedded walk's first ``horizon`` jumps.
 
     ``runs`` independent trajectories, same construction as RubinEngine;
-    returns {position tuple: count}.  Used for the distributional-
-    equivalence check against the exact discrete path law.
+    returns {position tuple: count} in ascending order of path code.  Used
+    for the distributional-equivalence check against the exact discrete
+    path law.
 
     The runs go in blocks of ``_BLOCK``: each block takes its slice of
-    the ``2·horizon`` rows of Philox draws and races it, in the compiled
-    kernel with ``log``, ``exp`` and ``log1p`` taken in numpy, or in
-    lockstep in numpy where no kernel can be built.  Both consume the
-    same draws and give the same counts.  Memory is one block's draws and
-    race state plus the 8-byte path code of each run.
+    the ``2·horizon`` rows of Philox draws from ``_draw_blocks`` and races
+    it, in the compiled kernel with ``log``, ``exp`` and ``log1p`` taken
+    in numpy, or in lockstep in numpy where no kernel can be built.  Both
+    consume the same draws and give the same counts.  Each block's path
+    codes are counted as it ends, so memory is one block's draws and race
+    state plus one count per distinct path, whatever ``runs`` is.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
@@ -485,63 +499,89 @@ def sample_embedded_paths(params: Params, horizon: int, runs: int,
         raise ValueError(f"runs must be >= 1, got {runs}")
     from . import _kernel  # here, so that importing rubin loads no kernel
 
-    codes = _path_codes(_kernel.load(), params, horizon, runs, philox(seed))
+    counts = {}
+    for codes in _path_codes(_kernel.load(), params, horizon, runs, seed):
+        for code, count in zip(*(a.tolist() for a in np.unique(
+                codes, return_counts=True))):
+            counts[code] = counts.get(code, 0) + count
     out = {}
-    for code, count in zip(*(a.tolist() for a in np.unique(
-            codes, return_counts=True))):
+    for code in sorted(counts):
         p = 0
         path = []
         for i in range(horizon - 1, -1, -1):
             p += 1 if (code >> i) & 1 else -1
             path.append(p)
-        out[tuple(path)] = count
+        out[tuple(path)] = counts[code]
     return out
 
 
-def _draw_blocks(rng, rows: int, runs: int, block: int):
-    """The logs of a (rows, runs) matrix of ``rng``'s standard
-    exponentials, filled row by row as one call would fill it, yielded
-    as (start, its (rows, m) slice of columns start..start+m-1), m =
-    ``block`` but in the last slice.
+def _philox_words(seed: int, rows: int):
+    """``rows`` records of the ten words {key, ctr[4], buf[4], used} of a
+    fresh ``philox(seed)``, as ``stuck_std_exponentials`` reads them."""
+    gens = np.zeros((rows, 10), dtype=np.uint64)
+    gens[:, 0] = seed % 2 ** 64
+    gens[:, 9] = 4
+    return gens
 
-    A first pass draws rows 0..rows-2 into the slice's buffer, only to
-    copy the generator at the start of each row; then each slice is
-    drawn from those copies into that buffer, which it is a view of.
+
+def _draw_blocks(kernels, seed: int, rows: int, runs: int, block: int):
+    """The logs of a (rows, runs) matrix of ``philox(seed)``'s standard
+    exponentials, filled row by row as one call would fill it, yielded as
+    its (rows, m) slices of columns in order, m = ``block`` but in the
+    last slice.  Each slice is a view of one buffer that the next
+    overwrites.  The sampler takes its draws only from here.
+
+    A first pass runs a generator through rows 0..rows-2 only to keep its
+    state at the start of each row; each slice is then filled from those
+    states, in one ``stuck_std_exponentials`` call, or with one numpy
+    Generator per row where ``kernels`` is None.  The bytes are the same.
     """
     buf = np.empty((rows, block))
-    flat = buf.reshape(-1)
-    gens = []
-    for k in range(rows):
-        if k:
-            for start in range(0, runs, len(flat)):
-                rng.standard_exponential(out=flat[:runs - start])
-        gens.append(copy.deepcopy(rng))
+    if kernels is None:
+        rng, flat, gens = philox(seed), buf.reshape(-1), []
+        for k in range(rows):
+            if k:
+                for start in range(0, runs, len(flat)):
+                    rng.standard_exponential(out=flat[:runs - start])
+            gens.append(copy.deepcopy(rng))
+
+        def fill(m):
+            for gen, row in zip(gens, buf):
+                gen.standard_exponential(out=row[:m])
+    else:
+        gens, draw = _philox_words(seed, rows), kernels.stuck_std_exponentials
+        words, out = gens.ctypes.data, buf.ctypes.data
+        for k in range(1, rows):
+            gens[k] = gens[k - 1]
+            draw(words + gens.strides[0] * k, 1, runs, 0, None)
+
+        def fill(m):
+            draw(words, rows, m, block, out)
     for start in range(0, runs, block):
-        draws = buf[:, :min(block, runs - start)]
-        for gen, row in zip(gens, draws):
-            gen.standard_exponential(out=row)
+        m = min(block, runs - start)
+        fill(m)
+        draws = buf[:, :m]
         np.log(draws, out=draws)
-        yield start, draws
+        yield draws
 
 
-def _path_codes(kernels, params: Params, horizon: int, runs: int, rng):
+def _path_codes(kernels, params: Params, horizon: int, runs: int,
+                seed: int):
     """Path codes of ``runs`` embedded walks (jump t is bit horizon-1-t,
-    set if it went right) over ``rng``'s draws, raced block by block in
-    ``_kernel_codes``, or in ``_lockstep_codes`` where ``kernels`` is
+    set if it went right) over ``_draw_blocks``' draws, yielded block by
+    block: raced in ``_kernel_codes``, whose codes are a view that the
+    next block overwrites, or in ``_lockstep_codes`` where ``kernels`` is
     None."""
     block = min(_BLOCK, runs)
-    codes = np.empty(runs, dtype=np.int64)
     if kernels is not None:
         S = 2 * horizon + 3
         ints = np.empty(block * (3 + 3 * S), dtype=np.int64)
         floats = np.empty(block * (1 + 2 * S))
     # per step the minus clock's row, then the plus clock's
-    for start, draws in _draw_blocks(rng, 2 * horizon, runs, block):
-        codes[start:start + draws.shape[1]] = (
-            _lockstep_codes(params, horizon, draws) if kernels is None
-            else _kernel_codes(kernels, params, horizon, draws, ints,
-                               floats))
-    return codes
+    for draws in _draw_blocks(kernels, seed, 2 * horizon, runs, block):
+        yield (_lockstep_codes(params, horizon, draws) if kernels is None
+               else _kernel_codes(kernels, params, horizon, draws, ints,
+                                  floats))
 
 
 def _kernel_codes(kernels, params: Params, horizon: int, draws, ints,

@@ -167,6 +167,62 @@ def test_sequential_clocks_are_the_logged_philox_stream(seed):
     assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
+def _kernel_exponentials(seed, skip, n):
+    """``n`` draws of ``stuck_std_exponentials`` from the words of a fresh
+    ``philox(seed)`` after ``skip`` skipped draws, and the words after."""
+    kernels, words = _kernel.load(), rubin._philox_words(seed, 1)
+    kernels.stuck_std_exponentials(words.ctypes.data, 1, skip, 0, None)
+    out = np.empty(n)
+    kernels.stuck_std_exponentials(words.ctypes.data, 1, n, 0,
+                                   out.ctypes.data)
+    return out, words[0].tolist()
+
+
+def _generator_words(rng):
+    """The ten words of ``rng``'s Philox state as the kernel keeps them."""
+    state = rng.bit_generator.state
+    key, counter = state["state"]["key"].tolist(), \
+        state["state"]["counter"].tolist()
+    assert key[1] == 0
+    return [key[0], *counter, *state["buffer"].tolist(),
+            state["buffer_pos"]]
+
+
+@needs_cc
+@given(seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
+       skip=st.one_of(st.just(0), st.integers(min_value=1, max_value=99)
+                      .filter(lambda k: k % 4)),
+       n=st.integers(min_value=0, max_value=3000))
+@example(seed=2 ** 64 - 1, skip=3, n=1)
+@settings(max_examples=60, deadline=None)
+def test_kernel_exponentials_are_numpys(seed, skip, n):
+    # byte for byte Generator(Philox(key=seed)).standard_exponential, from
+    # fresh words or from words left mid-buffer, and the same state after
+    got, words = _kernel_exponentials(seed, skip, n)
+    rng = philox(seed)
+    rng.standard_exponential(skip)
+    assert got.tobytes() == rng.standard_exponential(n).tobytes()
+    assert words == _generator_words(rng)
+
+
+@needs_cc
+def test_kernel_exponentials_take_the_slow_branches():
+    # 4e6 draws in four chunks of n: some land in the tail beyond the
+    # base layer's r, and the rejections (tail, wedge or retry) draw extra
+    # words, so the counter of 4-word blocks passes 4e6 / 4
+    n, r = 10 ** 6, 7.69711747013104972
+    kernels, words = _kernel.load(), rubin._philox_words(20260826, 1)
+    rng, got, tail = philox(20260826), np.empty(n), 0
+    for _ in range(4):
+        kernels.stuck_std_exponentials(words.ctypes.data, 1, n, 0,
+                                       got.ctypes.data)
+        assert got.tobytes() == rng.standard_exponential(n).tobytes()
+        tail += int(np.count_nonzero(got > r))
+    assert words[0].tolist() == _generator_words(rng)
+    assert tail > 0
+    assert int(words[0, 1]) > n
+
+
 def test_path_free_rubin_memory_does_not_grow_with_jumps():
     walk.simulate(P21, 10, 1, engine="rubin")      # import the engine first
 
@@ -272,11 +328,12 @@ def test_equivalence_report():
 
 
 def _sampler_codes(kernels, params, horizon, runs, seed):
-    """The path codes of the compiled sampler, or of the numpy one where
-    ``kernels`` is None, or the ConstructionFailure message."""
+    """The path codes of the compiled sampler over the kernel's draws, or
+    of the numpy one over numpy's where ``kernels`` is None, or the
+    ConstructionFailure message."""
     try:
-        return rubin._path_codes(kernels, params, horizon, runs,
-                                 philox(seed)).tolist()
+        return [code for codes in rubin._path_codes(
+            kernels, params, horizon, runs, seed) for code in codes.tolist()]
     except ConstructionFailure as exc:
         return str(exc)
 
@@ -314,44 +371,36 @@ def test_equivalence_report_fallback_is_identical():
                 for p, s in ((P21, 3), (P205, 2 ** 64 - 1))] == compiled
 
 
-class _UnitExponentials:
-    """A generator stub whose standard exponentials are all 1."""
+def _stub_draws(monkeypatch, values):
+    """Make the sampler's draw source yield one slice holding the logs of
+    ``values[k]`` in row k and of 1 below them; returns a list that
+    records, per sampler call, whether it raced in the kernel."""
+    raced_in_kernel = []
 
-    def standard_exponential(self, size=None, out=None):
-        if out is None:
-            return np.ones(size)
-        out[...] = 1.0
-        return out
+    def draw_blocks(kernels, seed, rows, runs, block):
+        raced_in_kernel.append(kernels is not None)
+        column = [values[k] if k < len(values) else 1.0 for k in range(rows)]
+        yield np.log(np.repeat(np.array(column)[:, None], runs, axis=1))
+
+    monkeypatch.setattr(rubin, "_draw_blocks", draw_blocks)
+    return raced_in_kernel
 
 
-@pytest.mark.parametrize("compiled", [True, False])
+_COMPILED = [pytest.param(True, marks=needs_cc), False]
+
+
+@pytest.mark.parametrize("compiled", _COMPILED)
 def test_sampler_tie_raises(monkeypatch, compiled):
     # at site 0 both first clocks have log_f = 0, so equal draws tie
-    monkeypatch.setattr(rubin, "philox", lambda seed: _UnitExponentials())
+    raced_in_kernel = _stub_draws(monkeypatch, [])
     with (contextlib.nullcontext() if compiled else python_engines()), \
             pytest.raises(ConstructionFailure,
                           match="^exact clock tie in vectorized sampler$"):
         rubin.sample_embedded_paths(P21, 3, 10, seed=1)
+    assert raced_in_kernel == [compiled]
 
 
-class _RowExponentials:
-    """A generator stub that fills a matrix of standard exponentials with
-    ``runs`` columns row by row: ``rows[k]`` in row k, then 1."""
-
-    def __init__(self, runs, rows):
-        self.runs, self.rows, self.drawn = runs, rows, 0
-
-    def standard_exponential(self, size=None, out=None):
-        if out is None:
-            out = np.empty(size)
-        k = (self.drawn + np.arange(out.size)) // self.runs
-        out[...] = [self.rows[i] if i < len(self.rows) else 1.0
-                    for i in k.tolist()]
-        self.drawn += out.size
-        return out
-
-
-@pytest.mark.parametrize("compiled", [True, False])
+@pytest.mark.parametrize("compiled", _COMPILED)
 def test_sampler_exhausted_residual_raises(monkeypatch, compiled):
     # the first race goes left (minus clock 1 against plus clock 2); at
     # site -1 the minus clock rings at log time 0 and the plus clock at
@@ -365,29 +414,30 @@ def test_sampler_exhausted_residual_raises(monkeypatch, compiled):
                              "1 jumps$"):
         rubin.RubinEngine(params, rubin.KeyedClockSource(
             1, overrides=clocks)).advance(3)
-    monkeypatch.setattr(rubin, "philox",
-                        lambda seed: _RowExponentials(4, [1.0, 2.0]))
+    raced_in_kernel = _stub_draws(monkeypatch, [1.0, 2.0])
     with (contextlib.nullcontext() if compiled else python_engines()), \
             pytest.raises(ConstructionFailure, match="^loser residual "
                           "exhausted in vectorized sampler$"):
         rubin.sample_embedded_paths(params, 3, 4, seed=1)
+    assert raced_in_kernel == [compiled]
 
 
 @pytest.mark.parametrize("seed", [3, 2 ** 64 - 5])
 def test_sampler_blocks_are_slices_of_one_draw(seed):
-    # runs is not a multiple of the block: the last slice is partial
+    # from the kernel's draws and from numpy's; runs is not a multiple of
+    # the block, so the last slice is partial
     horizon, runs = 3, 2 * rubin._BLOCK + 17
     want = np.log(philox(seed).standard_exponential((2 * horizon, runs)))
-    got = [(start, draws.copy()) for start, draws in rubin._draw_blocks(
-        philox(seed), 2 * horizon, runs, rubin._BLOCK)]
-    assert [start for start, _ in got] == [0, rubin._BLOCK,
-                                           2 * rubin._BLOCK]
-    assert np.concatenate([d for _, d in got], axis=1).tobytes() \
-        == want.tobytes()
+    for kernels in (_kernel.load(), None):
+        got = [draws.copy() for draws in rubin._draw_blocks(
+            kernels, seed, 2 * horizon, runs, rubin._BLOCK)]
+        assert [d.shape for d in got] == [(2 * horizon, rubin._BLOCK)] * 2 \
+            + [(2 * horizon, 17)]
+        assert np.concatenate(got, axis=1).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("compiled", [True, False])
-def test_sampler_memory_grows_only_by_the_path_codes(compiled):
+def test_sampler_memory_does_not_grow_with_runs(compiled):
     def peak(runs):
         tracemalloc.start()
         try:
@@ -399,9 +449,9 @@ def test_sampler_memory_grows_only_by_the_path_codes(compiled):
     with contextlib.nullcontext() if compiled else python_engines():
         rubin.sample_embedded_paths(P21, 6, 10, seed=5)  # load the kernel
         small, large = peak(2 * 10 ** 4), peak(2 * 10 ** 5)
-    # the 8-byte codes and np.unique's sorted copy and mask of them; the
-    # draws and the race state are one block whatever the runs
-    assert (large - small) / (18 * 10 ** 4) < 32
+    # the draws, the race state and the block's path codes are one block
+    # whatever the runs, and the counts one entry per distinct path
+    assert (large - small) / (18 * 10 ** 4) < 1
 
 
 @pytest.mark.parametrize("compiled", [True, False])

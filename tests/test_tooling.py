@@ -123,7 +123,8 @@ def test_kernel_prototypes_match_argtypes():
                 if ret.split()[0] != "static"]
     assert [name for _, name, _ in exported] == [
         "stuck_step_prob", "stuck_walk_steps", "stuck_rubin_races",
-        "stuck_sampler_step", "stuck_matched_crossings"]
+        "stuck_sampler_step", "stuck_matched_crossings",
+        "stuck_std_exponentials"]
     for ret, name, params in exported:
         want = [ctypes.c_void_p if "*" in p else c_types[p.split()[-2]]
                 for p in params.split(",")]
@@ -182,9 +183,11 @@ def _run_fresh(code, cwd):
     return proc.stdout
 
 
-def test_verify_runs_without_scipy(tmp_path, monkeypatch, capsys):
-    # the chi-square p-value is stuckwalk.chisq's: a verify run where
-    # scipy cannot be imported writes the bytes of one where it can
+def _verify_writes_the_same_bytes_without(module, tmp_path, monkeypatch,
+                                          capsys):
+    """Run ``verify --suite all`` here and in a fresh interpreter where
+    ``module`` cannot be imported: both print and write the same bytes,
+    and the fresh one loads no submodule of ``module`` either."""
     argv = ["verify", "--suite", "all", "--seed", "20260826", "--out",
             "v.json"]
     (tmp_path / "fresh").mkdir()
@@ -192,15 +195,29 @@ def test_verify_runs_without_scipy(tmp_path, monkeypatch, capsys):
     assert parse_and_dispatch(argv) == 0
     out = _run_fresh(
         "import sys\n"
-        "sys.modules['scipy'] = None\n"
+        f"sys.modules[{module!r}] = None\n"
         "from stuckwalk.cli import parse_and_dispatch\n"
         f"assert parse_and_dispatch({argv!r}) == 0\n"
-        "assert sys.modules['scipy'] is None\n"
-        "assert not [m for m in sys.modules if m.startswith('scipy.')]\n",
+        f"assert sys.modules[{module!r}] is None\n"
+        f"assert not [m for m in sys.modules if m.startswith({module!r} "
+        "+ '.')]\n",
         tmp_path / "fresh")
     assert out == capsys.readouterr().out
     assert (tmp_path / "fresh" / "v.json").read_bytes() == (
         tmp_path / "v.json").read_bytes()
+
+
+def test_verify_runs_without_scipy(tmp_path, monkeypatch, capsys):
+    # the chi-square p-value is stuckwalk.chisq's
+    _verify_writes_the_same_bytes_without("scipy", tmp_path, monkeypatch,
+                                          capsys)
+
+
+@needs_cc
+def test_verify_runs_without_numpy_random(tmp_path, monkeypatch, capsys):
+    # with a kernel every Philox exponential is drawn in C
+    _verify_writes_the_same_bytes_without("numpy.random", tmp_path,
+                                          monkeypatch, capsys)
 
 
 def test_batch_modules_import_no_numpy(tmp_path):
