@@ -160,7 +160,7 @@ double stuck_step_prob(double alpha, double tb, const int64_t *l)
    back, the lowest and highest edge index the array holds, read only,
    and the Philox generator of numpy's Generator(Philox(key=key)) with
    its counter, output buffer and buffer position, read and written
-   back (the caller seeds ctr = buf = 0 and used = 4), held in a local
+   back (a fresh generator is rng.philox_record), held in a local
    while the walk runs.  Step k draws u = next_double, as
    Generator.random does, and steps right if u < p.  A step reads edges
    pos-1 to pos+2, so the caller keeps first <= lo-1 and hi+2 <= last;

@@ -35,7 +35,6 @@ class RunSummary:
     deviation: float            # vs matching closed-form profile, nan if n/a
     stream_rate: dict           # interior site -> |Delta_k(j)| / k at final k
     range_final: tuple          # (min, max) site ever visited
-    sustain_threshold: float = 0.0
 
     def as_dict(self):
         return {
@@ -109,7 +108,7 @@ def detect_localization(traj: Trajectory, tail_fraction: float = 0.5) -> RunSumm
     return RunSummary(
         window=(a, b), size=size, localized=localized,
         profile=profile, deviation=float("nan"), stream_rate=stream_rate,
-        range_final=(lo, hi), sustain_threshold=threshold)
+        range_final=(lo, hi))
 
 
 @functools.lru_cache(maxsize=64)

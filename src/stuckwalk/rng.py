@@ -3,13 +3,16 @@
 Two primitives are used throughout:
 
 * numpy's Philox (counter-based) generator for bulk draws inside one
-  trajectory, identified in output metadata as ``PRNG_ID`` (the walk
-  kernel generates the same stream in C);
+  trajectory, identified in output metadata as ``PRNG_ID``; the kernel's
+  C port draws the same stream from the ten words of ``philox_record``,
+  the one place a fresh generator record is written, so its callers
+  import no numpy;
 * a splitmix64 avalanche mix for deriving independent 64-bit seeds and
   for stateless, order-independent clock draws keyed by
   (site, direction, clock index).
 """
 
+from array import array
 from math import log
 
 PRNG_ID = "philox4x64(numpy) + splitmix64 key mix"
@@ -43,6 +46,13 @@ def philox(seed: int):
     from numpy.random import Generator, Philox
 
     return Generator(Philox(key=seed & _MASK64))
+
+
+def philox_record(seed: int) -> array:
+    """The ten words {key, ctr[4], buf[4], used} of a fresh ``philox(seed)``
+    as the kernel's Philox port keeps them: the key, a zero counter and
+    buffer, and ``used = 4``, an empty buffer."""
+    return array("Q", (seed & _MASK64, 0, 0, 0, 0, 0, 0, 0, 0, 4))
 
 
 def keyed_u64(seed: int, *words: int) -> int:

@@ -25,7 +25,7 @@ from math import exp, expm1, inf, isfinite, log, log1p
 import numpy as np
 
 from .errors import ConstructionFailure
-from .rng import keyed_std_exponential, philox
+from .rng import keyed_std_exponential, philox, philox_record
 from .spectrum import Params
 from .walk import Stop, Trajectory
 
@@ -71,32 +71,19 @@ class WeightSpec:
 
 
 class SequentialClockSource:
-    """Clock draws taken in order of first use from one Philox stream, in
-    blocks of 4096 standard exponentials, each logged into one reused
-    buffer when the previous block is spent.  The kernel's
-    ``stuck_std_exponentials`` draws them, or ``philox(seed)`` where no
-    kernel loads; the doubles are the same."""
+    """Clock draws taken in order of first use from one Philox stream: the
+    logged draws of ``_draw_blocks`` as one row of a count of runs no walk
+    reaches, read a block of 4096 at a time in one reused buffer."""
 
     def __init__(self, seed: int):
         from . import _kernel  # here, so that importing rubin loads no kernel
 
-        self._buf = array("d", bytes(8 * 4096))
-        self._logs = logs = np.frombuffer(self._buf)
-        self._i = len(self._buf)
-        kernels = _kernel.load()
-        if kernels is None:
-            gen = philox(seed)
-            self._fill = lambda: gen.standard_exponential(out=logs)
-        else:
-            gen, draw = _philox_words(seed, 1), kernels.stuck_std_exponentials
-            self._fill = lambda: draw(gen.ctypes.data, 1, len(logs), 0,
-                                      logs.ctypes.data)
+        self._blocks = _draw_blocks(_kernel.load(), seed, 1, 1 << 62, 4096)
+        self._buf, self._i = (), 0
 
     def log_std_exponential(self, y, direction, k) -> float:
         if self._i == len(self._buf):
-            self._fill()
-            np.log(self._logs, out=self._logs)
-            self._i = 0
+            self._buf, self._i = memoryview(next(self._blocks)[0]), 0
         v = self._buf[self._i]
         self._i += 1
         return v
@@ -515,26 +502,19 @@ def sample_embedded_paths(params: Params, horizon: int, runs: int,
     return out
 
 
-def _philox_words(seed: int, rows: int):
-    """``rows`` records of the ten words {key, ctr[4], buf[4], used} of a
-    fresh ``philox(seed)``, as ``stuck_std_exponentials`` reads them."""
-    gens = np.zeros((rows, 10), dtype=np.uint64)
-    gens[:, 0] = seed % 2 ** 64
-    gens[:, 9] = 4
-    return gens
-
-
 def _draw_blocks(kernels, seed: int, rows: int, runs: int, block: int):
     """The logs of a (rows, runs) matrix of ``philox(seed)``'s standard
     exponentials, filled row by row as one call would fill it, yielded as
     its (rows, m) slices of columns in order, m = ``block`` but in the
     last slice.  Each slice is a view of one buffer that the next
-    overwrites.  The sampler takes its draws only from here.
+    overwrites.  The sampler and ``SequentialClockSource`` take their
+    Philox exponentials only from here.
 
     A first pass runs a generator through rows 0..rows-2 only to keep its
     state at the start of each row; each slice is then filled from those
-    states, in one ``stuck_std_exponentials`` call, or with one numpy
-    Generator per row where ``kernels`` is None.  The bytes are the same.
+    states, in one ``stuck_std_exponentials`` call on copies of
+    ``philox_record(seed)``, or with one numpy Generator per row where
+    ``kernels`` is None.  The bytes are the same.
     """
     buf = np.empty((rows, block))
     if kernels is None:
@@ -549,7 +529,9 @@ def _draw_blocks(kernels, seed: int, rows: int, runs: int, block: int):
             for gen, row in zip(gens, buf):
                 gen.standard_exponential(out=row[:m])
     else:
-        gens, draw = _philox_words(seed, rows), kernels.stuck_std_exponentials
+        gens = np.frombuffer(philox_record(seed) * rows,
+                             dtype=np.uint64).reshape(rows, 10)
+        draw = kernels.stuck_std_exponentials
         words, out = gens.ctypes.data, buf.ctypes.data
         for k in range(1, rows):
             gens[k] = gens[k - 1]

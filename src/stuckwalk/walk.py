@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from math import exp
 
 from .errors import CapacityError
-from .rng import BLOCK, philox
+from .rng import BLOCK, philox, philox_record
 from .spectrum import Params
 
 ENGINES = ("direct", "rubin")
@@ -135,37 +135,34 @@ class _KernelWalk:
     that doubles, recentred on the visited range, whenever the walker
     reaches its edge; memory grows with the range, not the step count.
     The kernel draws the Philox stream of ``rng.philox(seed)`` itself,
-    from the generator words of ``state`` (see ``stuck_walk_steps``)."""
+    from the generator words of ``state`` (see ``stuck_walk_steps``),
+    which start as ``rng.philox_record(seed)``."""
 
     def __init__(self, kernels, params, steps, seed, keep_path):
         self.kernel = kernels.stuck_walk_steps
         self.alpha, self.tb = params.alpha, 2.0 * params.beta
-        # one buffer: pos, lo, hi, first, last, key, counter[4], buffer[4],
-        # used, then the local times of the first window
-        buf = array("q", [0]) * (15 + _WINDOW0)
-        view = memoryview(buf)
-        self.state, self.lt = view[:15], view[15:]
-        self.state_addr = buf.buffer_info()[0]
-        view.cast("B").cast("Q")[5] = seed % 2 ** 64
-        first = -1 - (_WINDOW0 - 4) // 2        # edges -1..2 centred
-        view[3], view[4], view[14] = first, first + _WINDOW0 - 1, 4
-        self.origin = self.state_addr + 8 * (15 - first)  # address of edge 0
+        # pos, lo, hi, first, last = 0, then the generator words
+        self.state = bytes(40) + philox_record(seed)
+        self._place(b"", _WINDOW0)          # edges 0..1, never crossed
         self.out = array("q", [0]) * (steps + 1) if keep_path else None
         # address of the next position the kernel writes, X_1 first
         self.next_out = self.out.buffer_info()[0] + 8 if keep_path else None
 
-    def _resize(self):
-        """Double the window, centred on edges lo-1..hi+2 (the kernel returns
-        once they outgrow it by one edge, so doubling makes room)."""
-        _, lo, hi, first, _ = self.state[:5].tolist()
-        size = 2 * len(self.lt)
-        new_first = lo - 1 - (size - (hi - lo + 4)) // 2
-        lt = memoryview(array("q", [0]) * size)
-        lt[lo - new_first:hi + 2 - new_first] = \
-            self.lt[lo - first:hi + 2 - first]
-        self.lt = lt
-        self.state[3], self.state[4] = new_first, new_first + size - 1
-        self.origin = lt.obj.buffer_info()[0] - 8 * new_first
+    def _place(self, lt, size):
+        """Move the 15 state words into a new buffer, followed by a window
+        of ``size`` edges centred on edges lo-1..hi+2 that holds ``lt``,
+        the local times of edges lo..hi+1, or zeros where ``lt`` is
+        empty."""
+        buf = array("q", bytes(self.state) + bytes(8 * size))
+        view = memoryview(buf)
+        self.state, self.lt = view[:15], view[15:]
+        lo, hi = view[1], view[2]
+        first = lo - 1 - (size - (hi - lo + 4)) // 2
+        if lt:
+            self.lt[lo - first:hi + 2 - first] = lt
+        view[3], view[4] = first, first + size - 1
+        self.state_addr = buf.buffer_info()[0]
+        self.origin = self.state_addr + 8 * (15 - first)  # edge 0
 
     def advance(self, n):
         while n:
@@ -175,8 +172,11 @@ class _KernelWalk:
             if self.next_out is not None:
                 self.next_out += 8 * k
             _, lo, hi, first, last = self.state[:5].tolist()
+            # the kernel returned once lo-1..hi+2 outgrew the window by
+            # one edge, so doubling makes room
             if lo - 1 < first or hi + 2 > last:
-                self._resize()
+                self._place(self.lt[lo - first:hi + 2 - first],
+                            2 * len(self.lt))
 
     def record(self, step_no):
         pos, lo, hi, first, _ = self.state[:5].tolist()

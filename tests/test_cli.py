@@ -436,14 +436,17 @@ def _sha(path):
 # sha256 of the rubin engine's outputs, taken while it still kept its
 # clocks in a ClockBank with a tail snapshot
 def test_rubin_simulate_golden(tmp_path):
+    # clocks drawn by the kernel, then by numpy
     out, ty = tmp_path / "r.csv", tmp_path / "ty.json"
-    assert run(["simulate", "--engine", "rubin", "--alpha", "0.8", "--beta",
-                "1", "--steps", "3000", "--seed", "7", "--out", str(out),
-                "--ty-out", str(ty)]) == 0
-    assert _sha(out) == \
-        "fae82f03958397f7593a35a0b35c7441739276012c399edb349b5136d37cbb0c"
-    assert _sha(ty) == \
-        "0fcfacd28b0847b80deee423d27eaea20fef6f49f37b8251d9635defd5381a1e"
+    for engines in (contextlib.nullcontext, python_engines):
+        with engines():
+            assert run(["simulate", "--engine", "rubin", "--alpha", "0.8",
+                        "--beta", "1", "--steps", "3000", "--seed", "7",
+                        "--out", str(out), "--ty-out", str(ty)]) == 0
+        assert _sha(out) == \
+            "fae82f03958397f7593a35a0b35c7441739276012c399edb349b5136d37cbb0c"
+        assert _sha(ty) == \
+            "0fcfacd28b0847b80deee423d27eaea20fef6f49f37b8251d9635defd5381a1e"
 
 
 def test_rubin_snapshots_are_the_recorded_stops(tmp_path):

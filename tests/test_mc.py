@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stuckwalk import mc
+from stuckwalk import analysis, mc
 from stuckwalk.analysis import detect_localization
 from stuckwalk.rng import derive_seed
 from stuckwalk.spectrum import Params
@@ -312,7 +312,8 @@ def test_range_saturation_alpha2():
 
 # sha256 of each run's summary, sustain threshold and checkpoint ranges,
 # as the criterion 6-8 fixture of tests/test_acceptance.py records them,
-# taken before that fixture and the batch shared ``run_one``
+# taken before that fixture and the batch shared ``run_one``; the
+# threshold is recomputed as detect_localization computes it
 @pytest.mark.parametrize("engines", [contextlib.nullcontext, python_engines],
                          ids=["kernel", "fallback"])
 @pytest.mark.parametrize("alpha, steps, master, checkpoints, digest", [
@@ -330,7 +331,8 @@ def test_run_one_golden(engines, alpha, steps, master, checkpoints, digest):
                                        "direct", 0.5, stops=checkpoints)
             records.append({
                 "summary": summary.as_dict(),
-                "sustain_threshold": summary.sustain_threshold,
+                "sustain_threshold": (steps - analysis.tail_start(steps, 0.5))
+                / (analysis.SUSTAIN_DIVISOR * summary.size),
                 "ranges": [(s.lo, s.hi) for s in traj.stops_at(checkpoints)]})
     text = json.dumps(records, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest

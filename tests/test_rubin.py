@@ -9,10 +9,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from stuckwalk import _kernel, rubin, walk
 from stuckwalk.errors import ConstructionFailure
-from stuckwalk.rng import keyed_std_exponential, philox
+from stuckwalk.rng import keyed_std_exponential, philox, philox_record
 from stuckwalk.spectrum import Params
 
-from conftest import needs_cc, python_engines
+from conftest import needs_cc, philox_words, python_engines
 
 P21 = Params.make(2.0, 1.0)
 P205 = Params.make(2.0, 0.5)
@@ -159,33 +159,25 @@ def test_rubin_walker_records_the_stops_of_its_path(params, seed, jumps,
 @pytest.mark.parametrize("seed", [0, 1, 9, 2 ** 64 - 1])
 def test_sequential_clocks_are_the_logged_philox_stream(seed):
     # drawn in blocks of 4096, the clocks are still one stream: n crosses
-    # three block boundaries
+    # three block boundaries; drawn by the kernel and by numpy
     n = 3 * 4096 + 17
-    src = rubin.SequentialClockSource(seed)
-    got = [src.log_std_exponential(0, 1, 0) for _ in range(n)]
     want = np.log(philox(seed).standard_exponential(n)).tolist()
-    assert [v.hex() for v in got] == [v.hex() for v in want]
+    for engines in (contextlib.nullcontext, python_engines):
+        with engines():
+            src = rubin.SequentialClockSource(seed)
+        got = [src.log_std_exponential(0, 1, 0) for _ in range(n)]
+        assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 def _kernel_exponentials(seed, skip, n):
     """``n`` draws of ``stuck_std_exponentials`` from the words of a fresh
     ``philox(seed)`` after ``skip`` skipped draws, and the words after."""
-    kernels, words = _kernel.load(), rubin._philox_words(seed, 1)
+    kernels, words = _kernel.load(), np.array(philox_record(seed))
     kernels.stuck_std_exponentials(words.ctypes.data, 1, skip, 0, None)
     out = np.empty(n)
     kernels.stuck_std_exponentials(words.ctypes.data, 1, n, 0,
                                    out.ctypes.data)
-    return out, words[0].tolist()
-
-
-def _generator_words(rng):
-    """The ten words of ``rng``'s Philox state as the kernel keeps them."""
-    state = rng.bit_generator.state
-    key, counter = state["state"]["key"].tolist(), \
-        state["state"]["counter"].tolist()
-    assert key[1] == 0
-    return [key[0], *counter, *state["buffer"].tolist(),
-            state["buffer_pos"]]
+    return out, words.tolist()
 
 
 @needs_cc
@@ -202,7 +194,7 @@ def test_kernel_exponentials_are_numpys(seed, skip, n):
     rng = philox(seed)
     rng.standard_exponential(skip)
     assert got.tobytes() == rng.standard_exponential(n).tobytes()
-    assert words == _generator_words(rng)
+    assert words == philox_words(rng)
 
 
 @needs_cc
@@ -211,16 +203,16 @@ def test_kernel_exponentials_take_the_slow_branches():
     # base layer's r, and the rejections (tail, wedge or retry) draw extra
     # words, so the counter of 4-word blocks passes 4e6 / 4
     n, r = 10 ** 6, 7.69711747013104972
-    kernels, words = _kernel.load(), rubin._philox_words(20260826, 1)
+    kernels, words = _kernel.load(), np.array(philox_record(20260826))
     rng, got, tail = philox(20260826), np.empty(n), 0
     for _ in range(4):
         kernels.stuck_std_exponentials(words.ctypes.data, 1, n, 0,
                                        got.ctypes.data)
         assert got.tobytes() == rng.standard_exponential(n).tobytes()
         tail += int(np.count_nonzero(got > r))
-    assert words[0].tolist() == _generator_words(rng)
+    assert words.tolist() == philox_words(rng)
     assert tail > 0
-    assert int(words[0, 1]) > n
+    assert int(words[1]) > n
 
 
 def test_path_free_rubin_memory_does_not_grow_with_jumps():

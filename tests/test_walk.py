@@ -14,7 +14,7 @@ from stuckwalk.cli import parse_and_dispatch
 from stuckwalk.errors import CapacityError
 from stuckwalk.spectrum import Params
 
-from conftest import needs_cc, python_engines
+from conftest import needs_cc, philox_words, python_engines
 
 P21 = Params.make(2.0, 1.0)
 P205 = Params.make(2.0, 0.5)
@@ -193,18 +193,25 @@ def test_kernel_draws_numpys_philox_stream(alpha, beta, seed, steps, marks):
     records = walk._drive(walker, steps, marks)
     gen = rng.philox(seed)
     gen.random(steps)
-    want = gen.bit_generator.state
     words = np.asarray(walker.state)[5:].view(np.uint64).tolist()
-    assert [words[0], 0] == want["state"]["key"].tolist()
+    assert words == philox_words(gen)
     assert words[0] == seed % 2 ** 64
-    assert words[1:5] == want["state"]["counter"].tolist()
-    assert words[5:9] == want["buffer"].tolist()
-    assert words[9] == want["buffer_pos"]
     with python_engines():
         ref = walk.simulate(params, steps, seed, stops=marks)
     assert walker.path() == ref.positions
     assert ([records[k].snapshot() for k in marks]
             == [ref.stops[k].snapshot() for k in marks])
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1, -1, 2 ** 64 + 3])
+def test_philox_record_is_a_fresh_generator(seed):
+    # the words the kernel starts from are those of a fresh philox(seed),
+    # and a fresh kernel walk holds them
+    words = rng.philox_record(seed).tolist()
+    assert words == philox_words(rng.philox(seed))
+    if (kernels := _kernel.load()) is not None:
+        walker = walk._KernelWalk(kernels, P21, 0, seed, False)
+        assert np.asarray(walker.state)[5:].view(np.uint64).tolist() == words
 
 
 @pytest.fixture
