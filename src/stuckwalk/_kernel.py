@@ -15,9 +15,10 @@ leaving the Python stepper.  ``stuck_std_exponentials`` draws
 numpy's ``libnpyrandom.a`` and must never be recomputed: no
 recomputation gives back all their bits.  ``stuck_rubin_races`` repeats
 ``rubin.RubinEngine.race_step`` over the clocks of a
-``rubin.KeyedClockSource``: the same splitmix64 chain, the same
-``log_f``, ``log_w`` and ``_logaddexp`` evaluation order, and libm
-``log``, ``log1p`` and ``exp``, which Python's ``math`` calls too.
+``rubin.KeyedClockSource``, for the positions, clock indices and
+residuals only: the same splitmix64 chain, the same ``log_f`` and
+``log_w`` evaluation order, and libm ``log``, ``log1p`` and ``exp``,
+which Python's ``math`` calls too.
 ``stuck_sampler_step`` does the race bookkeeping of
 ``rubin.sample_embedded_paths`` with only ``+``, ``-`` and ``*``: the
 sampler's ``log``, ``exp`` and ``log1p`` stay in numpy, whose SIMD
@@ -221,31 +222,17 @@ static double log_f(double alpha, double beta, int64_t i, int64_t y,
                          + (1.0 + alpha) * (double)(d * y < 0));
 }
 
-static double logaddexp(double a, double b)
-{
-    if (a == -INFINITY)
-        return b;
-    if (b == -INFINITY)
-        return a;
-    if (a < b) {
-        double t = a;
-        a = b;
-        b = t;
-    }
-    return a + log1p(exp(b - a));
-}
-
 /* Run up to n races of RubinEngine over the clocks of
    KeyedClockSource(seed, {(hold, +1, 0): exp(log_u)}), from site 0 with
    no clock armed, and return the number run.  The kernel fills both
    buffers; what they hold on entry does not matter.  Sites -n-2..n+2
    sit at z[0..2n+4], and the clock of oriented edge (y, d) at
-   e = 2*(y+n+2) + (d > 0) of index, log_res, log_pend and log_cons:
+   e = 2*(y+n+2) + (d > 0) of index and log_res:
        ints   = fail[2], path[n+1], z[2n+5], index[4n+10]
-       floats = log_res[4n+10], log_pend[4n+10], log_cons[4n+10]
+       floats = log_res[4n+10]
    path[k] is the position after k races; a NaN log_res marks an unarmed
-   clock, as None does in RubinEngine, and an unarmed clock's log_pend is
-   -inf, since a clock is unarmed only when fresh or just won.  On an
+   clock, as None does in RubinEngine.  The clocks' pending and consumed
+   times, which RubinEngine keeps for the T_y report, are not kept.  On an
    exact tie (fail[0] = 1) or an exhausted loser residual (fail[0] = 2)
    the loop stops at that race, with the site in fail[1]. */
 int64_t stuck_rubin_races(double alpha, double beta, uint64_t seed,
@@ -257,8 +244,7 @@ int64_t stuck_rubin_races(double alpha, double beta, uint64_t seed,
     const uint64_t h0 = splitmix64(seed);
     int64_t *fail = ints, *path = ints + 2, *z = path + n + 1;
     int64_t *index = z + 2 * off + 1;
-    double *log_res = floats, *log_pend = log_res + edges;
-    double *log_cons = log_pend + edges;
+    double *log_res = floats;
     int64_t pos = 0, k;
     path[0] = 0;
     for (k = 0; k <= 2 * off; k++)
@@ -266,8 +252,6 @@ int64_t stuck_rubin_races(double alpha, double beta, uint64_t seed,
     for (k = 0; k < edges; k++) {
         index[k] = 0;
         log_res[k] = NAN;
-        log_pend[k] = -INFINITY;
-        log_cons[k] = -INFINITY;
     }
     for (k = 0; k < n; k++) {
         const int64_t y = pos, em = 2 * (y + off), ep = em + 1;
@@ -308,10 +292,6 @@ int64_t stuck_rubin_races(double alpha, double beta, uint64_t seed,
             break;
         }
         log_res[lose] += log1p(-frac);
-        log_pend[lose] = logaddexp(log_pend[lose], log_e);
-        log_cons[win] = logaddexp(log_cons[win],
-                                  logaddexp(log_pend[win], log_e));
-        log_pend[win] = -INFINITY;
         log_res[win] = NAN;
         index[win] += 1;
         pos = y + d;

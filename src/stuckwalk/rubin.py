@@ -209,25 +209,18 @@ def race_kernel(kernels, params: Params, seed: int, hold_out: int, u: float,
     """RubinEngine's race loop over KeyedClockSource(seed, {(hold_out, 1,
     0): u}) in the compiled kernel (``kernels`` from ``_kernel.load()``).
 
-    Returns (positions, index, log_consumed); the last two are
-    the clocks of sites -jumps-2..jumps+2 as (sites, 2) arrays, row
-    y + jumps + 2, column 0 for the minus clock and 1 for the plus clock.
-    Raises the ConstructionFailure RubinEngine would raise.
+    Returns (path, index, log_residual), views of the kernel's two
+    buffers (layout in _kernel.SOURCE): the int64 positions after 0..jumps
+    races, then the clocks of sites -jumps-2..jumps+2 as (sites, 2)
+    arrays, row y + jumps + 2, column 0 for the minus clock and 1 for the
+    plus clock; NaN marks an unarmed residual, as None does in
+    RubinEngine.  Raises the ConstructionFailure RubinEngine would raise.
     """
-    ints, floats = _race_buffers(kernels, params, seed, hold_out, u, jumps)
     edges = 4 * jumps + 10
-    return (ints[2:jumps + 3].tolist(), ints[-edges:].reshape(-1, 2),
-            floats[-edges:].reshape(-1, 2))
-
-
-def _race_buffers(kernels, params, seed, hold_out, u, jumps):
-    """``stuck_rubin_races``' two buffers after ``race_kernel``'s races;
-    the layout is in _kernel.SOURCE."""
     # the kernel fills both buffers
-    sites = 2 * jumps + 5
-    edges = 2 * sites
-    ints = np.empty(2 + (jumps + 1) + sites + edges, dtype=np.int64)
-    floats = np.empty(3 * edges)
+    ints = np.empty(2 + (jumps + 1) + (2 * jumps + 5) + edges,
+                    dtype=np.int64)
+    floats = np.empty(edges)
     # a site the walk cannot reach stands in for any far hold_out, which
     # might not fit an int64
     hold = hold_out if abs(hold_out) <= jumps + 2 else jumps + 2
@@ -236,7 +229,8 @@ def _race_buffers(kernels, params, seed, hold_out, u, jumps):
         ints.ctypes.data, floats.ctypes.data)
     if done < jumps:
         raise _failure((_TIE, _EXHAUSTED)[ints[0] - 1], int(ints[1]), done)
-    return ints, floats
+    return (ints[2:jumps + 3], ints[-edges:].reshape(-1, 2),
+            floats.reshape(-1, 2))
 
 
 def simulate_rubin(params: Params, jumps: int, seed: int):
@@ -360,8 +354,8 @@ def couple(hold_out: int, u1: float, u2: float, shared_seed: int,
 
     kernels = _kernel.load()
     if kernels is not None:
-        paths = [_race_buffers(kernels, params, shared_seed, hold_out, u,
-                               jumps)[0][2:jumps + 3] for u in (u1, u2)]
+        paths = [race_kernel(kernels, params, shared_seed, hold_out, u,
+                             jumps)[0] for u in (u1, u2)]
         compared, violations = _kernel_matched_crossings(kernels, *paths)
         paths = [p.tolist() for p in paths]
     else:
@@ -608,12 +602,12 @@ def _lockstep_codes(params: Params, horizon: int, draws):
     # site-major state: the runs sit on a few sites at any step, so the
     # gathers and scatters below touch a few contiguous rows.  Z[x*runs + r]
     # is run r's visit count of site x; clock (x, si) of run r (si 0 for
-    # minus, 1 for plus) sits at (2*x + si)*runs + r of N, logres, armed
+    # minus, 1 for plus) sits at (2*x + si)*runs + r of N and logres, where
+    # a NaN residual marks an unarmed clock, as in both C kernels
     pos = np.full(runs, origin, dtype=np.int64)
     Z = np.zeros(S * runs, dtype=np.int64)
     N = np.zeros(2 * S * runs, dtype=np.int64)
-    logres = np.zeros(2 * S * runs)
-    armed = np.zeros(2 * S * runs, dtype=bool)
+    logres = np.full(2 * S * runs, np.nan)
     codes = np.zeros(runs, dtype=np.int64)
     idx = np.arange(runs)
 
@@ -624,9 +618,8 @@ def _lockstep_codes(params: Params, horizon: int, draws):
         for si, s in ((0, -1), (1, 1)):
             e = edge + si * runs
             draw = ws.log_f(y, s, N[e]) + draws[2 * t + si]
-            fresh = np.flatnonzero(~armed[e])
+            fresh = np.flatnonzero(np.isnan(logres[e]))
             logres[e[fresh]] = draw[fresh]
-            armed[e] = True
         ring_m = logres[edge] - ws.log_w(Z[site - runs])
         ring_p = logres[edge + runs] - ws.log_w(Z[site + runs])
         right = ring_p < ring_m
@@ -641,7 +634,7 @@ def _lockstep_codes(params: Params, horizon: int, draws):
         win = edge + runs * right
         with np.errstate(invalid="raise"):
             logres[lose] += np.log1p(-frac)
-        armed[win] = False
+        logres[win] = np.nan
         N[win] += 1
         step = 2 * right - 1
         pos += step

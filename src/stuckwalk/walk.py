@@ -276,7 +276,7 @@ def simulate(params: Params, steps: int, seed: int, stops=(),
         walker = _ReferenceWalk(params, seed, keep_path)
     records = _drive(walker, steps, sorted(set(stops)))
     return Trajectory(positions=walker.path(), params=params,
-                      stops={k: records[k] for k in stops}, steps=steps)
+                      stops=records, steps=steps)
 
 
 def kernel_for(engine: str):

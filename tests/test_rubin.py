@@ -610,16 +610,17 @@ def test_race_kernel_matches_engine(alpha, beta, hold_out, u, seed, jumps):
             rubin.race_kernel(kernels, params, seed, hold_out, u, jumps)
         assert str(got.value) == str(exc)
         return
-    positions, index, log_consumed = rubin.race_kernel(
+    path, index, log_residual = rubin.race_kernel(
         kernels, params, seed, hold_out, u, jumps)
-    assert positions == eng.positions
+    assert path.tolist() == eng.positions
     want_index = np.zeros_like(index)
-    want_consumed = np.full_like(log_consumed, -math.inf)
+    want_residual = np.full_like(log_residual, math.nan)
     for (y, d), c in eng.clocks.items():
         want_index[y + jumps + 2, int(d > 0)] = c.index
-        want_consumed[y + jumps + 2, int(d > 0)] = c.log_consumed
+        if c.log_residual is not None:
+            want_residual[y + jumps + 2, int(d > 0)] = c.log_residual
     assert np.array_equal(index, want_index)
-    assert log_consumed.tobytes() == want_consumed.tobytes()
+    assert log_residual.tobytes() == want_residual.tobytes()
 
 
 @needs_cc
