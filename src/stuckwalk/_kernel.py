@@ -1,21 +1,22 @@
 """Compiled kernels for the direct walk, the keyed clock race and the
 embedded-path sampler, built on first use.
 
-``stuck_walk_steps`` repeats, step for step, the arithmetic of
-``walk.step``: the same evaluation order of the local stream, the same
-saturation branches and libm ``exp``, bar the steps a table fixes.  It
-draws its uniforms itself from a port of numpy's Philox4x64-10, so its
-stream is the bytes of ``rng.philox(seed).random``; the port multiplies
-in ``__uint128_t``, and a compiler without that type fails the build,
-leaving the Python stepper.  ``stuck_std_exponentials`` draws
-``rng.philox(seed).standard_exponential`` from the same port: numpy's
+``stuck_walk_steps`` steps the walk with the arithmetic of
+``walk.step_prob_right``: the same evaluation order of the local stream,
+the same saturation branches and libm ``exp``, bar the steps a table
+fixes.  It draws its uniforms itself from a port of numpy's
+Philox4x64-10, so its stream is the bytes of numpy's
+``Generator(Philox(key=seed)).random``; the port multiplies in
+``__uint128_t``, so the compiler must have that type (gcc or clang on a
+64-bit target).  ``stuck_std_exponentials`` draws that generator's
+``standard_exponential`` from the same port: numpy's
 256-layer ziggurat with its tail and wedge rejections, libm ``exp`` and
 ``log1p``, and numpy's tables ``ke_double``, ``we_double`` and
 ``fe_double`` as literals.  Those were copied from the ``.rodata`` of
 numpy's ``libnpyrandom.a`` and must never be recomputed: no
 recomputation gives back all their bits.  ``stuck_rubin_races`` repeats
-``rubin.RubinEngine.race_step`` over the clocks of a
-``rubin.KeyedClockSource``, for the positions, clock indices and
+``rubin.RubinEngine.race_step`` over clocks keyed by
+``rng.keyed_uniform``, for the positions, clock indices and
 residuals only: the same splitmix64 chain, the same ``log_f`` and
 ``log_w`` evaluation order, and libm ``log``, ``log1p`` and ``exp``,
 which Python's ``math`` calls too.
@@ -23,26 +24,25 @@ which Python's ``math`` calls too.
 ``rubin.sample_embedded_paths`` with only ``+``, ``-`` and ``*``: the
 sampler's ``log``, ``exp`` and ``log1p`` stay in numpy, whose SIMD
 versions differ from libm in the last bit on a few percent of inputs.
-``stuck_matched_crossings`` is ``rubin._matched_crossings`` in integer
-arithmetic: one counting pass over each of ``rubin.couple``'s two walks.
+``stuck_matched_crossings`` matches the crossings of ``rubin.couple``'s
+two walks in integer arithmetic: one counting pass over each walk.
 ``stuck_step_prob`` is the walk's step probability, for tests.  All six
 are compiled with the system C compiler into
 ``$XDG_CACHE_HOME/stuckwalk`` (default ``~/.cache``) as one library and
-loaded with ``ctypes``.
+loaded with ``ctypes``; the tests hold each one to a Python or numpy
+twin that gives the same bytes.
 ``-ffp-contract=off`` forbids fused multiply-adds, which would change the
 bits of Delta, of the clock means and of the ziggurat's wedge test;
 ``-ffast-math`` and ``-march=native`` must never be added for the same
 reason.
 
-``load()`` returns None when no kernel can be built or loaded (no
-compiler, unwritable cache, failed compile; the last two with a
-RuntimeWarning); callers then fall back to the Python engines, which
-give the same results.  Nothing here runs at import time.
+``load()`` returns the library or raises OSError: when no compiler is on
+``PATH``, when the build fails or when the library cannot be loaded.
+Nothing here runs at import time.
 """
 
 import functools
 import os
-import warnings
 import zlib  # names the cached library; hashlib would load OpenSSL
 
 SOURCE = r"""
@@ -222,8 +222,9 @@ static double log_f(double alpha, double beta, int64_t i, int64_t y,
                          + (1.0 + alpha) * (double)(d * y < 0));
 }
 
-/* Run up to n races of RubinEngine over the clocks of
-   KeyedClockSource(seed, {(hold, +1, 0): exp(log_u)}), from site 0 with
+/* Run up to n races of RubinEngine over the clocks keyed by seed, raw
+   value -log(keyed_uniform(seed, y, 3 + d, i)) for clock i of oriented
+   edge (y, d), but exp(log_u) for clock 0 of (hold, +1), from site 0 with
    no clock armed, and return the number run.  The kernel fills both
    buffers; what they hold on entry does not matter.  Sites -n-2..n+2
    sit at z[0..2n+4], and the clock of oriented edge (y, d) at
@@ -378,7 +379,7 @@ int64_t stuck_sampler_step(double alpha, double beta, int64_t h,
     return exhausted ? -1 : ties;
 }
 
-/* rubin._matched_crossings over walks p1 and p2 of n jumps from site 0:
+/* The crossings of rubin.couple's walks p1 and p2 of n jumps from site 0:
    the i-th crossing of edge {z, z+1} in walk 1 is matched with the i-th
    in walk 2, and it is a violation if Z1(z+1) < Z2(z+1) or Z1(z) >
    Z2(z), Z the visit counts just after the crossing, counted after the
@@ -803,24 +804,20 @@ def _compile(compiler: str, lib: str) -> None:
 
 @functools.cache
 def load():
-    """The kernel library (``ctypes.CDLL`` with every function typed), or
-    None if it cannot be had here."""
+    """The kernel library (``ctypes.CDLL`` with every function typed);
+    raises OSError if it cannot be built or loaded here."""
     import ctypes
     import shutil
 
     compiler = shutil.which(COMPILER)
     if compiler is None:
-        return None
+        raise OSError(f"no C compiler {COMPILER!r} on PATH: the kernels "
+                      "need one with __uint128_t (gcc or clang, 64-bit)")
     compiler = os.path.realpath(compiler)
-    try:
-        lib = _library_path(compiler)
-        if not os.path.exists(lib):
-            _compile(compiler, lib)
-        kernels = ctypes.CDLL(lib)
-    except OSError as exc:
-        warnings.warn(f"cannot build the walk kernels ({exc}); using the "
-                      "slower Python engines", RuntimeWarning)
-        return None
+    lib = _library_path(compiler)
+    if not os.path.exists(lib):
+        _compile(compiler, lib)
+    kernels = ctypes.CDLL(lib)
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     kernels.stuck_step_prob.argtypes = [f64, f64, ptr]
     kernels.stuck_step_prob.restype = f64

@@ -4,21 +4,23 @@ Every run gets its own seed derived from (master_seed, run_index) by a
 fixed avalanche mix, so the batch output is a pure function of its config:
 identical across platforms, worker counts, and scheduling orders.
 A batch first walks every run, path-free, with ``walk.simulate`` to the
-Stops its analysis reads, on threads or processes, then analyzes and
-aggregates the runs in index order with integer counters, never
-order-sensitive floating-point accumulation.
+Stops its analysis reads, on threads (``direct`` walks) or processes
+(``rubin`` walks, which race in Python), then analyzes and aggregates the
+runs in index order with integer counters, never order-sensitive
+floating-point accumulation.
 """
 
 import os
 import threading
 from dataclasses import dataclass, field
 
+from . import _kernel
 from .analysis import (MIN_TRAJECTORY, batch_stats, compare_profile,
                        detect_localization, tail_start)
 from .errors import StuckWalkError
 from .rng import derive_seed
 from .spectrum import Params
-from .walk import ENGINES, kernel_for, simulate
+from .walk import ENGINES, simulate
 
 __all__ = ["BatchConfig", "derive_seed", "run_batch", "run_one"]
 
@@ -99,14 +101,17 @@ def _run_one(config: BatchConfig, index: int, traj):
 
 def run_batch(config: BatchConfig) -> BatchResult:
     """Walk the runs on at most min(workers, runs, cpus) threads, or
-    processes for Python walks, then analyze them here in index order.
+    processes for ``rubin`` walks, then analyze them here in index order.
 
     Per-run failures are recorded with their seed for replay; the batch
     itself fails only if more than 1% of runs fail.
     """
     workers = min(config.workers, config.runs, os.cpu_count() or 1)
-    if workers > 1 and kernel_for(config.engine) is None:
-        # here, so that a kernel batch imports no process machinery
+    # build the kernels once, here: load() holds no lock, and a missing
+    # compiler then fails before any walker starts
+    _kernel.load()
+    if workers > 1 and config.engine == "rubin":
+        # here, so that a direct batch imports no process machinery
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -3,21 +3,19 @@
 Two primitives are used throughout:
 
 * numpy's Philox (counter-based) generator for bulk draws inside one
-  trajectory, identified in output metadata as ``PRNG_ID``; the kernel's
-  C port draws the same stream from the ten words of ``philox_record``,
-  the one place a fresh generator record is written, so its callers
-  import no numpy;
+  trajectory, identified in output metadata as ``PRNG_ID``; the kernels'
+  C port draws its stream from the ten words of ``philox_record``, the
+  one place a fresh generator record is written, so no caller imports
+  numpy's generator;
 * a splitmix64 avalanche mix for deriving independent 64-bit seeds and
   for stateless, order-independent clock draws keyed by
   (site, direction, clock index).
 """
 
 from array import array
-from math import log
 
 PRNG_ID = "philox4x64(numpy) + splitmix64 key mix"
 
-BLOCK = 1 << 14  # uniforms per Philox call of the Python stepper
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -41,17 +39,11 @@ def derive_seed(master: int, run_index: int) -> int:
     return splitmix64((master + run_index * _GOLDEN) & _MASK64)
 
 
-def philox(seed: int):
-    # here, so that the walk kernel's callers import no numpy
-    from numpy.random import Generator, Philox
-
-    return Generator(Philox(key=seed & _MASK64))
-
-
 def philox_record(seed: int) -> array:
-    """The ten words {key, ctr[4], buf[4], used} of a fresh ``philox(seed)``
-    as the kernel's Philox port keeps them: the key, a zero counter and
-    buffer, and ``used = 4``, an empty buffer."""
+    """The ten words {key, ctr[4], buf[4], used} of a fresh numpy
+    ``Generator(Philox(key=seed))`` as the kernels' Philox port keeps
+    them: the key, a zero counter and buffer, and ``used = 4``, an empty
+    buffer."""
     return array("Q", (seed & _MASK64, 0, 0, 0, 0, 0, 0, 0, 0, 4))
 
 
@@ -67,9 +59,3 @@ def keyed_uniform(seed: int, *words: int) -> float:
     """Uniform in (0, 1) from keyed_u64 (53-bit mantissa, zero avoided)."""
     u = (keyed_u64(seed, *words) >> 11) * 2.0**-53
     return u if u > 0.0 else 2.0**-53
-
-
-def keyed_std_exponential(seed: int, *words: int) -> float:
-    """Standard exponential via inverse CDF of the keyed uniform."""
-    return -log(keyed_uniform(seed, *words))
-

@@ -17,15 +17,15 @@ precision after a few dozen visits, while log-domain depletion keeps
 an exact tie) raises ConstructionFailure rather than silently clamping.
 """
 
-import copy
 from array import array
 from dataclasses import dataclass
 from math import exp, expm1, inf, isfinite, log, log1p
 
 import numpy as np
 
+from . import _kernel
 from .errors import ConstructionFailure
-from .rng import keyed_std_exponential, philox, philox_record
+from .rng import philox_record
 from .spectrum import Params
 from .walk import Stop, Trajectory
 
@@ -76,8 +76,6 @@ class SequentialClockSource:
     reaches, read a block of 4096 at a time in one reused buffer."""
 
     def __init__(self, seed: int):
-        from . import _kernel  # here, so that importing rubin loads no kernel
-
         self._blocks = _draw_blocks(_kernel.load(), seed, 1, 1 << 62, 4096)
         self._buf, self._i = (), 0
 
@@ -87,25 +85,6 @@ class SequentialClockSource:
         v = self._buf[self._i]
         self._i += 1
         return v
-
-
-class KeyedClockSource:
-    """Stateless clock draws keyed by (site, direction, clock index).
-
-    Order-independent, so two coupled walks see the identical collection
-    without materializing it.  ``overrides`` pins raw values for chosen
-    clocks (the held-out clock of a coupling experiment).
-    """
-
-    def __init__(self, seed: int, overrides=None):
-        self._seed = seed
-        self._overrides = dict(overrides or {})
-
-    def log_std_exponential(self, y, direction, k) -> float:
-        ov = self._overrides.get((y, direction, k))
-        if ov is not None:
-            return log(ov)  # interpreted as the raw xi itself, mean folded out
-        return log(keyed_std_exponential(self._seed, y, 3 + direction, k))
 
 
 @dataclass
@@ -206,8 +185,12 @@ def _failure(what: str, site: int, jumps: int) -> ConstructionFailure:
 
 def race_kernel(kernels, params: Params, seed: int, hold_out: int, u: float,
                 jumps: int):
-    """RubinEngine's race loop over KeyedClockSource(seed, {(hold_out, 1,
-    0): u}) in the compiled kernel (``kernels`` from ``_kernel.load()``).
+    """RubinEngine's race loop in the compiled kernel (``kernels`` from
+    ``_kernel.load()``), over stateless clocks keyed by (site, direction,
+    clock index): clock k of oriented edge (y, d) has the raw value
+    ``-log(rng.keyed_uniform(seed, y, 3 + d, k))``, but ``u`` for clock 0
+    of (hold_out, +1).  Two walks that differ only in ``u`` race on one
+    clock collection.
 
     Returns (path, index, log_residual), views of the kernel's two
     buffers (layout in _kernel.SOURCE): the int64 positions after 0..jumps
@@ -283,46 +266,12 @@ class CoupleReport:
     violations: int
 
 
-def _ranks(v):
-    """r[t] = #{s <= t: v[s] == v[t]} for a 1-D integer array v."""
-    order = np.argsort(v, kind="stable")
-    starts = np.flatnonzero(np.diff(v[order])) + 1
-    first = np.zeros(len(v), dtype=np.int64)
-    first[starts] = starts
-    r = np.empty(len(v), dtype=np.int64)
-    r[order] = np.arange(1, len(v) + 1) - np.maximum.accumulate(first)
-    return r
-
-
-def _crossings(positions):
-    """Every edge crossing of a walk: the key z*(n+1) + i of the i-th
-    crossing of edge {z, z+1} (n jumps, z shifted to be >= 0), and the
-    visit counts Z(z+1) and Z(z) just after it, counted after the start."""
-    p = np.asarray(positions, dtype=np.int64)
-    n = len(p) - 1
-    z = np.minimum(p[:-1], p[1:])
-    visits = np.concatenate(([0], _ranks(p[1:])))
-    right = p[1:] > p[:-1]
-    upper = np.where(right, visits[1:], visits[:-1])
-    lower = np.where(right, visits[:-1], visits[1:])
-    return (z + n) * (n + 1) + _ranks(z), upper, lower
-
-
-def _matched_crossings(path1, path2):
-    """(compared, violations): the crossings matched by edge and rank in
-    two walks of equal length, and how many of them break Z1(z+1) >=
-    Z2(z+1) or Z1(z) <= Z2(z)."""
-    (key1, up1, low1), (key2, up2, low2) = _crossings(path1), \
-        _crossings(path2)
-    _, i1, i2 = np.intersect1d(key1, key2, assume_unique=True,
-                               return_indices=True)
-    bad = (up1[i1] < up2[i2]) | (low1[i1] > low2[i2])
-    return len(i1), int(np.count_nonzero(bad))
-
-
 def _kernel_matched_crossings(kernels, path1, path2):
-    """``_matched_crossings`` of two int64 position arrays of walks from
-    site 0, counted by ``stuck_matched_crossings``."""
+    """(compared, violations) for two int64 position arrays of walks of
+    equal length from site 0, counted by ``stuck_matched_crossings``: the
+    crossings matched by edge and rank, and how many of them break
+    Z1(z+1) >= Z2(z+1) or Z1(z) <= Z2(z), Z the visit counts just after
+    the crossing, counted after the start."""
     n = len(path1) - 1
     # the layout is in _kernel.SOURCE
     work = np.empty(8 * n + 4, dtype=np.int64)
@@ -341,8 +290,7 @@ def couple(hold_out: int, u1: float, u2: float, shared_seed: int,
     counts must satisfy Z1(z+1) >= Z2(z+1) and Z1(z) <= Z2(z).
 
     The walks run in the compiled race kernel, and their crossings are
-    matched in a second one, or in RubinEngine and numpy where no kernel
-    can be built; both give the same report.
+    matched in a second one.
     """
     if jumps < 0:
         raise ValueError(f"jumps must be >= 0, got {jumps}")
@@ -350,22 +298,11 @@ def couple(hold_out: int, u1: float, u2: float, shared_seed: int,
         if not (isfinite(u) and u > 0.0):
             raise ValueError(f"held-out clock values must be finite and "
                              f"> 0, got {u}")
-    from . import _kernel  # here, so that importing rubin loads no kernel
-
     kernels = _kernel.load()
-    if kernels is not None:
-        paths = [race_kernel(kernels, params, shared_seed, hold_out, u,
-                             jumps)[0] for u in (u1, u2)]
-        compared, violations = _kernel_matched_crossings(kernels, *paths)
-        paths = [p.tolist() for p in paths]
-    else:
-        paths = []
-        for u in (u1, u2):
-            eng = RubinEngine(params, KeyedClockSource(
-                shared_seed, overrides={(hold_out, 1, 0): u}))
-            eng.advance(jumps)
-            paths.append(eng.positions)
-        compared, violations = _matched_crossings(*paths)
+    paths = [race_kernel(kernels, params, shared_seed, hold_out, u,
+                         jumps)[0] for u in (u1, u2)]
+    compared, violations = _kernel_matched_crossings(kernels, *paths)
+    paths = [p.tolist() for p in paths]
     return CoupleReport(site=hold_out, u1=u1, u2=u2,
                         positions1=paths[0], positions2=paths[1],
                         compared=compared, violations=violations)
@@ -465,11 +402,10 @@ def sample_embedded_paths(params: Params, horizon: int, runs: int,
 
     The runs go in blocks of ``_BLOCK``: each block takes its slice of
     the ``2·horizon`` rows of Philox draws from ``_draw_blocks`` and races
-    it, in the compiled kernel with ``log``, ``exp`` and ``log1p`` taken
-    in numpy, or in lockstep in numpy where no kernel can be built.  Both
-    consume the same draws and give the same counts.  Each block's path
-    codes are counted as it ends, so memory is one block's draws and race
-    state plus one count per distinct path, whatever ``runs`` is.
+    it in the compiled kernel, with ``log``, ``exp`` and ``log1p`` taken
+    in numpy.  Each block's path codes are counted as it ends, so memory
+    is one block's draws and race state plus one count per distinct path,
+    whatever ``runs`` is.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
@@ -478,8 +414,6 @@ def sample_embedded_paths(params: Params, horizon: int, runs: int,
         raise ValueError(f"horizon must be <= 62, got {horizon}")
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
-    from . import _kernel  # here, so that importing rubin loads no kernel
-
     counts = {}
     for codes in _path_codes(_kernel.load(), params, horizon, runs, seed):
         for code, count in zip(*(a.tolist() for a in np.unique(
@@ -497,8 +431,9 @@ def sample_embedded_paths(params: Params, horizon: int, runs: int,
 
 
 def _draw_blocks(kernels, seed: int, rows: int, runs: int, block: int):
-    """The logs of a (rows, runs) matrix of ``philox(seed)``'s standard
-    exponentials, filled row by row as one call would fill it, yielded as
+    """The logs of a (rows, runs) matrix of numpy's
+    ``Generator(Philox(key=seed)).standard_exponential``, filled row by
+    row as one call would fill it, yielded as
     its (rows, m) slices of columns in order, m = ``block`` but in the
     last slice.  Each slice is a view of one buffer that the next
     overwrites.  The sampler and ``SequentialClockSource`` take their
@@ -507,35 +442,19 @@ def _draw_blocks(kernels, seed: int, rows: int, runs: int, block: int):
     A first pass runs a generator through rows 0..rows-2 only to keep its
     state at the start of each row; each slice is then filled from those
     states, in one ``stuck_std_exponentials`` call on copies of
-    ``philox_record(seed)``, or with one numpy Generator per row where
-    ``kernels`` is None.  The bytes are the same.
+    ``philox_record(seed)``.
     """
     buf = np.empty((rows, block))
-    if kernels is None:
-        rng, flat, gens = philox(seed), buf.reshape(-1), []
-        for k in range(rows):
-            if k:
-                for start in range(0, runs, len(flat)):
-                    rng.standard_exponential(out=flat[:runs - start])
-            gens.append(copy.deepcopy(rng))
-
-        def fill(m):
-            for gen, row in zip(gens, buf):
-                gen.standard_exponential(out=row[:m])
-    else:
-        gens = np.frombuffer(philox_record(seed) * rows,
-                             dtype=np.uint64).reshape(rows, 10)
-        draw = kernels.stuck_std_exponentials
-        words, out = gens.ctypes.data, buf.ctypes.data
-        for k in range(1, rows):
-            gens[k] = gens[k - 1]
-            draw(words + gens.strides[0] * k, 1, runs, 0, None)
-
-        def fill(m):
-            draw(words, rows, m, block, out)
+    gens = np.frombuffer(philox_record(seed) * rows,
+                         dtype=np.uint64).reshape(rows, 10)
+    draw = kernels.stuck_std_exponentials
+    words, out = gens.ctypes.data, buf.ctypes.data
+    for k in range(1, rows):
+        gens[k] = gens[k - 1]
+        draw(words + gens.strides[0] * k, 1, runs, 0, None)
     for start in range(0, runs, block):
         m = min(block, runs - start)
-        fill(m)
+        draw(words, rows, m, block, out)
         draws = buf[:, :m]
         np.log(draws, out=draws)
         yield draws
@@ -546,18 +465,14 @@ def _path_codes(kernels, params: Params, horizon: int, runs: int,
     """Path codes of ``runs`` embedded walks (jump t is bit horizon-1-t,
     set if it went right) over ``_draw_blocks``' draws, yielded block by
     block: raced in ``_kernel_codes``, whose codes are a view that the
-    next block overwrites, or in ``_lockstep_codes`` where ``kernels`` is
-    None."""
+    next block overwrites."""
     block = min(_BLOCK, runs)
-    if kernels is not None:
-        S = 2 * horizon + 3
-        ints = np.empty(block * (3 + 3 * S), dtype=np.int64)
-        floats = np.empty(block * (1 + 2 * S))
+    S = 2 * horizon + 3
+    ints = np.empty(block * (3 + 3 * S), dtype=np.int64)
+    floats = np.empty(block * (1 + 2 * S))
     # per step the minus clock's row, then the plus clock's
     for draws in _draw_blocks(kernels, seed, 2 * horizon, runs, block):
-        yield (_lockstep_codes(params, horizon, draws) if kernels is None
-               else _kernel_codes(kernels, params, horizon, draws, ints,
-                                  floats))
+        yield _kernel_codes(kernels, params, horizon, draws, ints, floats)
 
 
 def _kernel_codes(kernels, params: Params, horizon: int, draws, ints,
@@ -589,55 +504,3 @@ def _kernel_codes(kernels, params: Params, horizon: int, draws, ints,
                 np.log1p(d, out=d)
     return ints[1:m * rec:rec]
 
-
-def _lockstep_codes(params: Params, horizon: int, draws):
-    """``_kernel_codes`` in numpy, the block's runs advanced in
-    lockstep."""
-    ws = WeightSpec(params.alpha, params.beta)
-    runs = draws.shape[1]
-    S = 2 * horizon + 3
-    origin = horizon + 1
-    coords = np.arange(S) - origin
-
-    # site-major state: the runs sit on a few sites at any step, so the
-    # gathers and scatters below touch a few contiguous rows.  Z[x*runs + r]
-    # is run r's visit count of site x; clock (x, si) of run r (si 0 for
-    # minus, 1 for plus) sits at (2*x + si)*runs + r of N and logres, where
-    # a NaN residual marks an unarmed clock, as in both C kernels
-    pos = np.full(runs, origin, dtype=np.int64)
-    Z = np.zeros(S * runs, dtype=np.int64)
-    N = np.zeros(2 * S * runs, dtype=np.int64)
-    logres = np.full(2 * S * runs, np.nan)
-    codes = np.zeros(runs, dtype=np.int64)
-    idx = np.arange(runs)
-
-    for t in range(horizon):
-        y = coords[pos]
-        edge = (2 * runs) * pos + idx          # the minus clock at pos
-        site = runs * pos + idx
-        for si, s in ((0, -1), (1, 1)):
-            e = edge + si * runs
-            draw = ws.log_f(y, s, N[e]) + draws[2 * t + si]
-            fresh = np.flatnonzero(np.isnan(logres[e]))
-            logres[e[fresh]] = draw[fresh]
-        ring_m = logres[edge] - ws.log_w(Z[site - runs])
-        ring_p = logres[edge + runs] - ws.log_w(Z[site + runs])
-        right = ring_p < ring_m
-        if np.any(ring_p == ring_m):
-            raise ConstructionFailure("exact clock tie in vectorized sampler")
-        frac = np.exp(np.minimum(ring_p, ring_m) - np.maximum(ring_p, ring_m))
-        if frac.max() >= 1.0:
-            raise ConstructionFailure(_EXHAUSTED_SAMPLER)
-        # integer arithmetic on the booleans: np.where is several times
-        # slower on random masks
-        lose = edge + runs * ~right
-        win = edge + runs * right
-        with np.errstate(invalid="raise"):
-            logres[lose] += np.log1p(-frac)
-        logres[win] = np.nan
-        N[win] += 1
-        step = 2 * right - 1
-        pos += step
-        Z[site + step * runs] += 1
-        codes = 2 * codes + right
-    return codes

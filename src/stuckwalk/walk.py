@@ -6,18 +6,18 @@ local time on the non-oriented edge {j-1, j}, and steps right with
 probability 1 / (1 + exp(-2 beta Delta)).
 
 Every Stop is recorded by a walker under ``_drive``: the compiled kernel
-of the ``"direct"`` engine (see ``_kernel``), or the ``WalkState`` stepper
-where no kernel can be built (bit-identical from the same seed); the
-``"rubin"`` engine's ``rubin.RubinEngine``; or the stepper's bookkeeping
-replaying a kept path.  The stepper also serves the exact path-law oracle.
+of the ``"direct"`` engine (see ``_kernel``), the ``"rubin"`` engine's
+``rubin.RubinEngine``, or the ``WalkState`` bookkeeping replaying a kept
+path.  ``WalkState`` also serves the exact path-law oracle.
 """
 
 from array import array
 from dataclasses import dataclass, field
 from math import exp
 
+from . import _kernel
 from .errors import CapacityError
-from .rng import BLOCK, philox, philox_record
+from .rng import philox_record
 from .spectrum import Params
 
 ENGINES = ("direct", "rubin")
@@ -70,12 +70,6 @@ def local_stream(state: WalkState, j: int) -> float:
 
 def step_prob_right(state: WalkState) -> float:
     return logistic_prob(2.0 * state.beta * local_stream(state, state.pos))
-
-
-def step(state: WalkState, u: float) -> WalkState:
-    """Advance one step using the uniform draw u; mutates and returns state."""
-    state.apply_move(1 if u < step_prob_right(state) else -1)
-    return state
 
 
 @dataclass
@@ -134,9 +128,10 @@ class _KernelWalk:
     """The compiled kernel with a local-time array over a window of edges
     that doubles, recentred on the visited range, whenever the walker
     reaches its edge; memory grows with the range, not the step count.
-    The kernel draws the Philox stream of ``rng.philox(seed)`` itself,
-    from the generator words of ``state`` (see ``stuck_walk_steps``),
-    which start as ``rng.philox_record(seed)``."""
+    The kernel draws the Philox stream of numpy's
+    ``Generator(Philox(key=seed))`` itself, from the generator words of
+    ``state`` (see ``stuck_walk_steps``), which start as
+    ``rng.philox_record(seed)``."""
 
     def __init__(self, kernels, params, steps, seed, keep_path):
         self.kernel = kernels.stuck_walk_steps
@@ -187,38 +182,8 @@ class _KernelWalk:
         return None if self.out is None else self.out.tolist()
 
 
-class _ReferenceWalk:
-    """The WalkState stepper behind the same interface, drawing the
-    uniforms from ``rng.philox(seed)`` in blocks of at most ``BLOCK``."""
-
-    def __init__(self, params, seed, keep_path):
-        self.state = WalkState(alpha=params.alpha, beta=params.beta)
-        self.gen = philox(seed)
-        self.positions = [0] if keep_path else None
-
-    def advance(self, n):
-        state = self.state
-        while n:
-            # random(a) then random(b) is the stream prefix random(a + b)
-            u = self.gen.random(min(BLOCK, n)).tolist()
-            n -= len(u)
-            for x in u:
-                step(state, x)
-                if self.positions is not None:
-                    self.positions.append(state.pos)
-
-    def record(self, step_no):
-        s = self.state
-        lo, hi = s.min_site, s.max_site
-        return Stop(step_no, s.pos, lo, hi,
-                    array("q", [s.lt(j) for j in range(lo, hi + 2)]))
-
-    def path(self):
-        return self.positions
-
-
-class _PathWalk(_ReferenceWalk):
-    """The stepper's bookkeeping replaying a kept path from its first
+class _PathWalk:
+    """The ``WalkState`` bookkeeping replaying a kept path from its first
     position, which need not be 0; no step is drawn, alpha goes unread."""
 
     def __init__(self, positions):
@@ -234,6 +199,12 @@ class _PathWalk(_ReferenceWalk):
                                  f"to {path[i + 1]}, not by +-1")
             state.apply_move(move)
         self.done += n
+
+    def record(self, step_no):
+        s = self.state
+        lo, hi = s.min_site, s.max_site
+        return Stop(step_no, s.pos, lo, hi,
+                    array("q", [s.lt(j) for j in range(lo, hi + 2)]))
 
 
 def _drive(walker, steps, marks):
@@ -258,31 +229,22 @@ def simulate(params: Params, steps: int, seed: int, stops=(),
     ``Trajectory.stops``).  With ``keep_path=False`` the trajectory has no
     position path and the run's memory grows with the visited range only.
 
-    A ``"direct"`` walk runs in the compiled kernel of ``_kernel``, or in
-    the WalkState stepper when no kernel can be built; both consume the
-    same Philox stream and produce identical paths and stops.  A
-    ``"rubin"`` walk of ``steps`` jumps is that of ``rubin.simulate_rubin``.
+    A ``"direct"`` walk runs in the compiled kernel of ``_kernel``
+    (OSError if it cannot be built).  A ``"rubin"`` walk of ``steps``
+    jumps is that of ``rubin.simulate_rubin``.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    if (kernels := kernel_for(engine)) is not None:
-        walker = _KernelWalk(kernels, params, steps, seed, keep_path)
-    elif engine == "rubin":
+    if engine == "rubin":
         from .rubin import RubinEngine, SequentialClockSource
         walker = RubinEngine(params, SequentialClockSource(seed), keep_path)
     else:
-        walker = _ReferenceWalk(params, seed, keep_path)
+        walker = _KernelWalk(_kernel.load(), params, steps, seed, keep_path)
     records = _drive(walker, steps, sorted(set(stops)))
     return Trajectory(positions=walker.path(), params=params,
                       stops=records, steps=steps)
-
-
-def kernel_for(engine: str):
-    """The kernel library that walks ``engine`` (no GIL held), or None."""
-    from . import _kernel  # here, so that importing walk loads no kernel
-    return _kernel.load() if engine == "direct" else None
 
 
 MAX_EXACT_HORIZON = 14

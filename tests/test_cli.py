@@ -1,5 +1,4 @@
 import concurrent.futures
-import contextlib
 import hashlib
 import json
 import os
@@ -14,7 +13,7 @@ from stuckwalk.cli import load_config_file, parse_and_dispatch
 from stuckwalk.spectrum import Params
 from stuckwalk.walk import ENGINES, simulate as walk_simulate
 
-from conftest import needs_cc, python_engines
+import oracles
 
 
 def run(argv):
@@ -120,7 +119,6 @@ def test_simulate_golden_stability(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-@needs_cc
 def test_batch_worker_invariance(tmp_path, monkeypatch):
     # with the kernel, --workers 4 walks on threads and starts no pool
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
@@ -140,20 +138,19 @@ def test_batch_worker_invariance(tmp_path, monkeypatch):
 
 
 def test_batch_pool_gives_serial_bytes(tmp_path, monkeypatch):
-    # the Python stepper runs whole runs in a process pool
+    # rubin walks race in Python, so their batches run in a process pool
     monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
     outs = []
-    with python_engines():
-        for workers in ("2", "1"):
-            path = tmp_path / f"agg{workers}.json"
-            assert run(["batch", "--alpha", "0.8", "--beta", "1", "--steps",
-                        "2000", "--runs", "6", "--seed", "99", "--workers",
-                        workers, "--out", str(path)]) == 0
-            outs.append(path.read_bytes())
+    for workers in ("2", "1"):
+        path = tmp_path / f"agg{workers}.json"
+        assert run(["batch", "--engine", "rubin", "--alpha", "0.8",
+                    "--beta", "1", "--steps", "2000", "--runs", "6",
+                    "--seed", "99", "--workers", workers, "--out",
+                    str(path)]) == 0
+        outs.append(path.read_bytes())
     assert outs[0] == outs[1]
 
 
-@needs_cc
 def test_batch_threads_give_serial_bytes(tmp_path, monkeypatch):
     # one run's walk fails; its failure record must not depend on which
     # thread walked it
@@ -390,40 +387,33 @@ def test_config_value_equals_flag(tmp_path, monkeypatch, capsys, command,
     assert results[0][0] in (0, 1)      # verify exits 1 on a failed suite
 
 
-def test_batch_fallback_matches_kernel(capsys):
+def test_batch_fallback_matches_kernel(capsys, monkeypatch):
+    # the batch from kernel walks and from the oracle stepper's
     outs = []
-    for engines in (contextlib.nullcontext, python_engines):
-        with engines():
-            assert run(["batch", "--alpha", "2", "--beta", "1", "--steps",
-                        "2000", "--runs", "3", "--seed", "8"]) == 0
+    for walker in (None, oracles.simulate):
+        if walker is not None:
+            monkeypatch.setattr(mc, "simulate", walker)
+        assert run(["batch", "--alpha", "2", "--beta", "1", "--steps",
+                    "2000", "--runs", "3", "--seed", "8"]) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
 
 
 # sha256 of the CSV and the .snapshots.json written by
-# `simulate --snapshot-every` before snapshots became stops; the last case
-# runs the Python stepper
-SNAPSHOT_A2 = (
-    ["--alpha", "2", "--steps", "3000", "--seed", "11",
-     "--snapshot-every", "1000"],
-    "b5e39df7f5c1ac8c69626f03dcb88b3fbd2c79a0bd66315678c9dc0772809220",
-    "cd160161704ef0d963227e23d962bf0aa262bad7fe898f75fdb684fa8212c893")
-
-
-@pytest.mark.parametrize("argv, csv_sha, snapshots_sha, engines", [
+# `simulate --snapshot-every` before snapshots became stops
+@pytest.mark.parametrize("argv, csv_sha, snapshots_sha", [
     (["--alpha", "0.8", "--steps", "20000", "--seed", "5",
       "--snapshot-every", "7000"],
      "194eefc5f707d9cb65503cdc1f725e488dd778a97bf1d8a7dd88688b93bcdb86",
-     "968b68d9996da88a8682bf35b23acad921a500fbbabc02090cfeeb1ec65789d5",
-     contextlib.nullcontext),
-    (*SNAPSHOT_A2, contextlib.nullcontext),
-    (*SNAPSHOT_A2, python_engines),
+     "968b68d9996da88a8682bf35b23acad921a500fbbabc02090cfeeb1ec65789d5"),
+    (["--alpha", "2", "--steps", "3000", "--seed", "11",
+      "--snapshot-every", "1000"],
+     "b5e39df7f5c1ac8c69626f03dcb88b3fbd2c79a0bd66315678c9dc0772809220",
+     "cd160161704ef0d963227e23d962bf0aa262bad7fe898f75fdb684fa8212c893"),
 ])
-def test_snapshot_golden(tmp_path, argv, csv_sha, snapshots_sha, engines):
+def test_snapshot_golden(tmp_path, argv, csv_sha, snapshots_sha):
     out = tmp_path / "g.csv"
-    with engines():
-        assert run(["simulate", "--beta", "1", *argv, "--out",
-                    str(out)]) == 0
+    assert run(["simulate", "--beta", "1", *argv, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
     snapshots = tmp_path / "g.csv.snapshots.json"
     assert hashlib.sha256(snapshots.read_bytes()).hexdigest() == snapshots_sha
@@ -436,17 +426,14 @@ def _sha(path):
 # sha256 of the rubin engine's outputs, taken while it still kept its
 # clocks in a ClockBank with a tail snapshot
 def test_rubin_simulate_golden(tmp_path):
-    # clocks drawn by the kernel, then by numpy
     out, ty = tmp_path / "r.csv", tmp_path / "ty.json"
-    for engines in (contextlib.nullcontext, python_engines):
-        with engines():
-            assert run(["simulate", "--engine", "rubin", "--alpha", "0.8",
-                        "--beta", "1", "--steps", "3000", "--seed", "7",
-                        "--out", str(out), "--ty-out", str(ty)]) == 0
-        assert _sha(out) == \
-            "fae82f03958397f7593a35a0b35c7441739276012c399edb349b5136d37cbb0c"
-        assert _sha(ty) == \
-            "0fcfacd28b0847b80deee423d27eaea20fef6f49f37b8251d9635defd5381a1e"
+    assert run(["simulate", "--engine", "rubin", "--alpha", "0.8",
+                "--beta", "1", "--steps", "3000", "--seed", "7",
+                "--out", str(out), "--ty-out", str(ty)]) == 0
+    assert _sha(out) == \
+        "fae82f03958397f7593a35a0b35c7441739276012c399edb349b5136d37cbb0c"
+    assert _sha(ty) == \
+        "0fcfacd28b0847b80deee423d27eaea20fef6f49f37b8251d9635defd5381a1e"
 
 
 def test_rubin_snapshots_are_the_recorded_stops(tmp_path):

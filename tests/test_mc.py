@@ -1,5 +1,4 @@
 import concurrent.futures
-import contextlib
 import hashlib
 import json
 import sys
@@ -10,13 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stuckwalk import analysis, mc
+from stuckwalk import _kernel, analysis, mc
 from stuckwalk.analysis import detect_localization
 from stuckwalk.rng import derive_seed
 from stuckwalk.spectrum import Params
 from stuckwalk.walk import simulate
-
-from conftest import needs_cc, python_engines
 
 P21 = Params.make(2.0, 1.0)
 
@@ -140,13 +137,14 @@ class RecordingPool:
 @pytest.mark.parametrize("runs, cpus, size", [(1, 2, None), (3, 2, 2),
                                               (3, 16, 3)])
 def test_pool_size_is_capped(monkeypatch, runs, cpus, size):
-    # a huge --workers must not fork that many processes
+    # a huge --workers must not fork that many processes; rubin walks,
+    # which race in Python, are the ones that pool
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         RecordingPool)
     monkeypatch.setattr(mc.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(RecordingPool, "sizes", [])
-    with python_engines():
-        res = mc.run_batch(small_config(runs=runs, workers=100000))
+    res = mc.run_batch(small_config(runs=runs, workers=100000,
+                                    engine="rubin"))
     assert RecordingPool.sizes == ([] if size is None else [size])
     assert res.aggregate.runs == runs
 
@@ -167,7 +165,6 @@ class RecordingThread:
         pass
 
 
-@needs_cc
 @pytest.mark.parametrize("runs, cpus, workers, threads", [
     (1, 2, 100000, 0), (3, 2, 100000, 1), (3, 16, 100000, 2),
     (8, 16, 1, 0), (8, 16, 3, 2)])
@@ -181,7 +178,6 @@ def test_walker_count_is_capped(monkeypatch, runs, cpus, workers, threads):
     assert res.aggregate.runs == runs
 
 
-@needs_cc
 def test_walkers_claim_each_run_once(monkeypatch):
     # more walkers than cores, switching threads as often as the
     # interpreter allows: a run claimed twice or lost shows in the seeds
@@ -207,7 +203,6 @@ def test_walkers_claim_each_run_once(monkeypatch):
         json.dumps([s.as_dict() for s in serial.summaries])
 
 
-@needs_cc
 def test_walker_error_surfaces(monkeypatch):
     # an error other than StuckWalkError in another thread's walk stops the
     # batch: the calling thread waits in its first walk until it is raised
@@ -228,7 +223,6 @@ def test_walker_error_surfaces(monkeypatch):
     assert raised.is_set()
 
 
-@needs_cc
 @pytest.mark.parametrize("workers", [1, 2])
 def test_walker_error_stops_claims(monkeypatch, workers):
     # at 2 workers the recorder runs the first walker to its end before the
@@ -249,7 +243,6 @@ def test_walker_error_stops_claims(monkeypatch, workers):
     assert calls == [derive_seed(555, i) for i in range(3)]
 
 
-@needs_cc
 def test_threads_drop_each_walk_once_analyzed(monkeypatch):
     # the batch holds each run's walk or its summary, never all walks and
     # all summaries: when run i is analyzed, runs before it hold no walk
@@ -275,16 +268,25 @@ def test_threads_drop_each_walk_once_analyzed(monkeypatch):
     assert live == list(range(20, 0, -1))
 
 
-def test_small_batch_pools_without_kernel(monkeypatch):
-    # the Python stepper takes about 1 us a step, so any batch pools
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        RecordingPool)
-    monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(RecordingPool, "sizes", [])
-    with python_engines():
-        res = mc.run_batch(small_config(runs=3, workers=2))
-    assert RecordingPool.sizes == [2]
-    assert res.aggregate.runs == 3
+def test_batch_compiles_the_kernels_once(tmp_path, monkeypatch):
+    # on a cold cache the kernels are built before the walker threads
+    # start, which would otherwise each find no library and build one
+    compiles, compile_ = [], _kernel._compile
+
+    def counting_compile(compiler, lib):
+        compiles.append(lib)
+        compile_(compiler, lib)
+
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(_kernel, "_compile", counting_compile)
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
+    _kernel.load.cache_clear()
+    try:
+        res = mc.run_batch(small_config(runs=8, workers=4))
+    finally:
+        _kernel.load.cache_clear()
+    assert res.aggregate.runs == 8
+    assert len(compiles) == 1
 
 
 def test_rubin_engine_batch():
@@ -314,25 +316,22 @@ def test_range_saturation_alpha2():
 # as the criterion 6-8 fixture of tests/test_acceptance.py records them,
 # taken before that fixture and the batch shared ``run_one``; the
 # threshold is recomputed as detect_localization computes it
-@pytest.mark.parametrize("engines", [contextlib.nullcontext, python_engines],
-                         ids=["kernel", "fallback"])
 @pytest.mark.parametrize("alpha, steps, master, checkpoints, digest", [
     (2.0, 20000, 424242, (2000, 20000),
      "54d1653c44a3359a914043e38fb81dace6b95ca18657ad3964b073cddb150e2e"),
     (0.8, 30000, 434343, (3000, 30000),
      "3fdf114f0f38f3f4ca68b19a276f3e2c7da92fe2b9757060bd61966a945dec9c"),
 ])
-def test_run_one_golden(engines, alpha, steps, master, checkpoints, digest):
+def test_run_one_golden(alpha, steps, master, checkpoints, digest):
     params = Params.make(alpha, 1.0)
     records = []
-    with engines():
-        for i in range(20):
-            summary, traj = mc.run_one(params, steps, derive_seed(master, i),
-                                       "direct", 0.5, stops=checkpoints)
-            records.append({
-                "summary": summary.as_dict(),
-                "sustain_threshold": (steps - analysis.tail_start(steps, 0.5))
-                / (analysis.SUSTAIN_DIVISOR * summary.size),
-                "ranges": [(s.lo, s.hi) for s in traj.stops_at(checkpoints)]})
+    for i in range(20):
+        summary, traj = mc.run_one(params, steps, derive_seed(master, i),
+                                   "direct", 0.5, stops=checkpoints)
+        records.append({
+            "summary": summary.as_dict(),
+            "sustain_threshold": (steps - analysis.tail_start(steps, 0.5))
+            / (analysis.SUSTAIN_DIVISOR * summary.size),
+            "ranges": [(s.lo, s.hi) for s in traj.stops_at(checkpoints)]})
     text = json.dumps(records, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest

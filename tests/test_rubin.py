@@ -1,4 +1,3 @@
-import contextlib
 import hashlib
 import math
 import tracemalloc
@@ -9,10 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from stuckwalk import _kernel, rubin, walk
 from stuckwalk.errors import ConstructionFailure
-from stuckwalk.rng import keyed_std_exponential, philox, philox_record
+from stuckwalk.rng import philox_record
 from stuckwalk.spectrum import Params
 
-from conftest import needs_cc, philox_words, python_engines
+import oracles
+from oracles import keyed_std_exponential, philox, philox_words
 
 P21 = Params.make(2.0, 1.0)
 P205 = Params.make(2.0, 0.5)
@@ -66,7 +66,7 @@ def test_weight_identity_joint_replay():
 
 
 def _keyed_engine(overrides, seed=77, params=P21):
-    src = rubin.KeyedClockSource(seed, overrides=overrides)
+    src = oracles.KeyedClockSource(seed, overrides=overrides)
     return rubin.RubinEngine(params, src)
 
 
@@ -159,14 +159,12 @@ def test_rubin_walker_records_the_stops_of_its_path(params, seed, jumps,
 @pytest.mark.parametrize("seed", [0, 1, 9, 2 ** 64 - 1])
 def test_sequential_clocks_are_the_logged_philox_stream(seed):
     # drawn in blocks of 4096, the clocks are still one stream: n crosses
-    # three block boundaries; drawn by the kernel and by numpy
+    # three block boundaries
     n = 3 * 4096 + 17
     want = np.log(philox(seed).standard_exponential(n)).tolist()
-    for engines in (contextlib.nullcontext, python_engines):
-        with engines():
-            src = rubin.SequentialClockSource(seed)
-        got = [src.log_std_exponential(0, 1, 0) for _ in range(n)]
-        assert [v.hex() for v in got] == [v.hex() for v in want]
+    src = rubin.SequentialClockSource(seed)
+    got = [src.log_std_exponential(0, 1, 0) for _ in range(n)]
+    assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 def _kernel_exponentials(seed, skip, n):
@@ -180,7 +178,6 @@ def _kernel_exponentials(seed, skip, n):
     return out, words.tolist()
 
 
-@needs_cc
 @given(seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
        skip=st.one_of(st.just(0), st.integers(min_value=1, max_value=99)
                       .filter(lambda k: k % 4)),
@@ -197,7 +194,6 @@ def test_kernel_exponentials_are_numpys(seed, skip, n):
     assert words == philox_words(rng)
 
 
-@needs_cc
 def test_kernel_exponentials_take_the_slow_branches():
     # 4e6 draws in four chunks of n: some land in the tail beyond the
     # base layer's r, and the rejections (tail, wedge or retry) draw extra
@@ -319,18 +315,15 @@ def test_equivalence_report():
     assert rubin.equivalence_pass(rep)
 
 
-def _sampler_codes(kernels, params, horizon, runs, seed):
-    """The path codes of the compiled sampler over the kernel's draws, or
-    of the numpy one over numpy's where ``kernels`` is None, or the
+def _sampler_codes(blocks):
+    """The path codes of the sampler's ``blocks``, or the
     ConstructionFailure message."""
     try:
-        return [code for codes in rubin._path_codes(
-            kernels, params, horizon, runs, seed) for code in codes.tolist()]
+        return [code for codes in blocks for code in codes.tolist()]
     except ConstructionFailure as exc:
         return str(exc)
 
 
-@needs_cc
 @given(alpha=st.sampled_from([2.0, 0.8, 0.45, 0.36]),
        beta=st.floats(min_value=0.01, max_value=30.0),
        horizon=st.integers(min_value=0, max_value=8),
@@ -344,8 +337,9 @@ def test_sampler_kernel_matches_lockstep(alpha, beta, horizon, runs, seed):
     # same draws, same codes run by run, through partial final blocks; the
     # kernel reuses its records from block to block without clearing them
     params = Params.make(alpha, beta)
-    assert _sampler_codes(_kernel.load(), params, horizon, runs, seed) \
-        == _sampler_codes(None, params, horizon, runs, seed)
+    assert _sampler_codes(rubin._path_codes(_kernel.load(), params, horizon,
+                                            runs, seed)) \
+        == _sampler_codes(oracles.path_codes(params, horizon, runs, seed))
 
 
 @pytest.mark.parametrize("block", [1, 7, 5000])
@@ -355,44 +349,43 @@ def test_sampler_block_size_does_not_change_counts(monkeypatch, block):
     assert rubin.sample_embedded_paths(P21, 6, 2500, seed=17) == expected
 
 
-def test_equivalence_report_fallback_is_identical():
+def _race_in_oracle(monkeypatch):
+    """Make ``rubin.sample_embedded_paths`` count the oracle's path codes,
+    raced in lockstep over numpy's draws."""
+    monkeypatch.setattr(rubin, "_path_codes",
+                        lambda kernels, *args: oracles.path_codes(*args))
+
+
+def test_equivalence_report_fallback_is_identical(monkeypatch):
+    # the report from the compiled sampler and from the oracle's codes
     compiled = [rubin.equivalence_report(p, 5, 20000, seed=s)
                 for p, s in ((P21, 3), (P205, 2 ** 64 - 1))]
-    with python_engines():
-        assert [rubin.equivalence_report(p, 5, 20000, seed=s)
-                for p, s in ((P21, 3), (P205, 2 ** 64 - 1))] == compiled
+    _race_in_oracle(monkeypatch)
+    assert [rubin.equivalence_report(p, 5, 20000, seed=s)
+            for p, s in ((P21, 3), (P205, 2 ** 64 - 1))] == compiled
 
 
-def _stub_draws(monkeypatch, values):
-    """Make the sampler's draw source yield one slice holding the logs of
-    ``values[k]`` in row k and of 1 below them; returns a list that
-    records, per sampler call, whether it raced in the kernel."""
-    raced_in_kernel = []
-
-    def draw_blocks(kernels, seed, rows, runs, block):
-        raced_in_kernel.append(kernels is not None)
-        column = [values[k] if k < len(values) else 1.0 for k in range(rows)]
-        yield np.log(np.repeat(np.array(column)[:, None], runs, axis=1))
-
-    monkeypatch.setattr(rubin, "_draw_blocks", draw_blocks)
-    return raced_in_kernel
+def _stub_codes(monkeypatch, compiled, params, horizon, runs, values):
+    """The sampler's path codes, compiled or the oracle's, over one slice
+    holding the logs of ``values[k]`` in row k and of 1 below them."""
+    rows = 2 * horizon
+    column = [values[k] if k < len(values) else 1.0 for k in range(rows)]
+    draws = np.log(np.repeat(np.array(column)[:, None], runs, axis=1))
+    if not compiled:
+        return oracles.lockstep_codes(params, horizon, draws)
+    monkeypatch.setattr(rubin, "_draw_blocks", lambda *args: iter([draws]))
+    return rubin.sample_embedded_paths(params, horizon, runs, seed=1)
 
 
-_COMPILED = [pytest.param(True, marks=needs_cc), False]
-
-
-@pytest.mark.parametrize("compiled", _COMPILED)
+@pytest.mark.parametrize("compiled", [True, False])
 def test_sampler_tie_raises(monkeypatch, compiled):
     # at site 0 both first clocks have log_f = 0, so equal draws tie
-    raced_in_kernel = _stub_draws(monkeypatch, [])
-    with (contextlib.nullcontext() if compiled else python_engines()), \
-            pytest.raises(ConstructionFailure,
-                          match="^exact clock tie in vectorized sampler$"):
-        rubin.sample_embedded_paths(P21, 3, 10, seed=1)
-    assert raced_in_kernel == [compiled]
+    with pytest.raises(ConstructionFailure,
+                       match="^exact clock tie in vectorized sampler$"):
+        _stub_codes(monkeypatch, compiled, P21, 3, 10, [])
 
 
-@pytest.mark.parametrize("compiled", _COMPILED)
+@pytest.mark.parametrize("compiled", [True, False])
 def test_sampler_exhausted_residual_raises(monkeypatch, compiled):
     # the first race goes left (minus clock 1 against plus clock 2); at
     # site -1 the minus clock rings at log time 0 and the plus clock at
@@ -404,32 +397,34 @@ def test_sampler_exhausted_residual_raises(monkeypatch, compiled):
     with pytest.raises(ConstructionFailure,
                        match="^loser residual exhausted at site -1 after "
                              "1 jumps$"):
-        rubin.RubinEngine(params, rubin.KeyedClockSource(
+        rubin.RubinEngine(params, oracles.KeyedClockSource(
             1, overrides=clocks)).advance(3)
-    raced_in_kernel = _stub_draws(monkeypatch, [1.0, 2.0])
-    with (contextlib.nullcontext() if compiled else python_engines()), \
-            pytest.raises(ConstructionFailure, match="^loser residual "
-                          "exhausted in vectorized sampler$"):
-        rubin.sample_embedded_paths(params, 3, 4, seed=1)
-    assert raced_in_kernel == [compiled]
+    with pytest.raises(ConstructionFailure, match="^loser residual "
+                       "exhausted in vectorized sampler$"):
+        _stub_codes(monkeypatch, compiled, params, 3, 4, [1.0, 2.0])
 
 
 @pytest.mark.parametrize("seed", [3, 2 ** 64 - 5])
 def test_sampler_blocks_are_slices_of_one_draw(seed):
-    # from the kernel's draws and from numpy's; runs is not a multiple of
-    # the block, so the last slice is partial
+    # from the kernel's draws and from the oracle's; runs is not a
+    # multiple of the block, so the last slice is partial
     horizon, runs = 3, 2 * rubin._BLOCK + 17
     want = np.log(philox(seed).standard_exponential((2 * horizon, runs)))
-    for kernels in (_kernel.load(), None):
-        got = [draws.copy() for draws in rubin._draw_blocks(
-            kernels, seed, 2 * horizon, runs, rubin._BLOCK)]
+    for blocks in (rubin._draw_blocks(_kernel.load(), seed, 2 * horizon,
+                                      runs, rubin._BLOCK),
+                   oracles.draw_blocks(seed, 2 * horizon, runs,
+                                       rubin._BLOCK)):
+        got = [draws.copy() for draws in blocks]
         assert [d.shape for d in got] == [(2 * horizon, rubin._BLOCK)] * 2 \
             + [(2 * horizon, 17)]
         assert np.concatenate(got, axis=1).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("compiled", [True, False])
-def test_sampler_memory_does_not_grow_with_runs(compiled):
+def test_sampler_memory_does_not_grow_with_runs(monkeypatch, compiled):
+    if not compiled:
+        _race_in_oracle(monkeypatch)
+
     def peak(runs):
         tracemalloc.start()
         try:
@@ -438,27 +433,27 @@ def test_sampler_memory_does_not_grow_with_runs(compiled):
         finally:
             tracemalloc.stop()
 
-    with contextlib.nullcontext() if compiled else python_engines():
-        rubin.sample_embedded_paths(P21, 6, 10, seed=5)  # load the kernel
-        small, large = peak(2 * 10 ** 4), peak(2 * 10 ** 5)
+    rubin.sample_embedded_paths(P21, 6, 10, seed=5)  # warm the kernel or numpy
+    small, large = peak(2 * 10 ** 4), peak(2 * 10 ** 5)
     # the draws, the race state and the block's path codes are one block
     # whatever the runs, and the counts one entry per distinct path
     assert (large - small) / (18 * 10 ** 4) < 1
 
 
 @pytest.mark.parametrize("compiled", [True, False])
-def test_sampler_input_checks_and_long_horizons(compiled):
-    with contextlib.nullcontext() if compiled else python_engines():
-        for horizon, runs in ((-1, 10), (63, 1), (5, 0)):
-            with pytest.raises(ValueError):
-                rubin.sample_embedded_paths(P21, horizon, runs, seed=1)
-        # codes are counted without a 2**horizon array
-        emp = rubin.sample_embedded_paths(P21, 62, 3, seed=1)
-        assert sum(emp.values()) == 3
-        for path in emp:
-            assert len(path) == 62
-            assert all(abs(b - a) == 1 for a, b in zip((0, *path), path))
-        assert rubin.sample_embedded_paths(P21, 0, 5, seed=1) == {(): 5}
+def test_sampler_input_checks_and_long_horizons(monkeypatch, compiled):
+    if not compiled:
+        _race_in_oracle(monkeypatch)
+    for horizon, runs in ((-1, 10), (63, 1), (5, 0)):
+        with pytest.raises(ValueError):
+            rubin.sample_embedded_paths(P21, horizon, runs, seed=1)
+    # codes are counted without a 2**horizon array
+    emp = rubin.sample_embedded_paths(P21, 62, 3, seed=1)
+    assert sum(emp.values()) == 3
+    for path in emp:
+        assert len(path) == 62
+        assert all(abs(b - a) == 1 for a, b in zip((0, *path), path))
+    assert rubin.sample_embedded_paths(P21, 0, 5, seed=1) == {(): 5}
 
 
 # ------------------------------------------------------------ coupling
@@ -535,10 +530,10 @@ _WALK_PAIRS = dict(
 @settings(max_examples=100, deadline=None)
 def test_matched_crossings_equal_loop(steps, bias, seed):
     paths = _independent_walks(steps, bias, seed)
-    assert rubin._matched_crossings(*paths) == _matched_crossings_loop(*paths)
+    assert oracles.matched_crossings(*paths) \
+        == _matched_crossings_loop(*paths)
 
 
-@needs_cc
 @given(**_WALK_PAIRS)
 @example(steps=[], bias=None, seed=0)
 @settings(max_examples=100, deadline=None)
@@ -546,17 +541,16 @@ def test_kernel_matched_crossings_equal_numpy(steps, bias, seed):
     paths = [np.array(p, dtype=np.int64)
              for p in _independent_walks(steps, bias, seed)]
     assert rubin._kernel_matched_crossings(_kernel.load(), *paths) \
-        == rubin._matched_crossings(*paths)
+        == oracles.matched_crossings(*paths)
 
 
-@needs_cc
 def test_kernel_matched_crossings_count_violations():
     kernels, total = _kernel.load(), [0, 0]
     for seed in range(20):
         paths = [np.array(p, dtype=np.int64) for p in _independent_walks(
             [None] * 300, 0.5, seed)]
         got = rubin._kernel_matched_crossings(kernels, *paths)
-        assert got == rubin._matched_crossings(*paths)
+        assert got == oracles.matched_crossings(*paths)
         total = [a + b for a, b in zip(total, got)]
     assert total[0] > total[1] > 0
 
@@ -576,23 +570,21 @@ def test_couple_fallback_gives_same_report():
              (-1, 0.5, 0.5, 7, 0), (0, 0.01, 0.02, 12, 1)]
     compiled = [rubin.couple(h, u1, u2, s, j, P21)
                 for h, u1, u2, s, j in cases]
-    with python_engines():
-        assert [rubin.couple(h, u1, u2, s, j, P21)
-                for h, u1, u2, s, j in cases] == compiled
+    assert [oracles.couple(h, u1, u2, s, j, P21)
+            for h, u1, u2, s, j in cases] == compiled
 
 
 # ------------------------------------------------------------ race kernel
 
 
 def _engine_race(params, seed, hold_out, u, jumps):
-    src = rubin.KeyedClockSource(seed, overrides={(hold_out, 1, 0): u})
+    src = oracles.KeyedClockSource(seed, overrides={(hold_out, 1, 0): u})
     eng = rubin.RubinEngine(params, src)
     for _ in range(jumps):
         eng.race_step()
     return eng
 
 
-@needs_cc
 @given(alpha=st.sampled_from([2.0, 0.8, 0.45, 0.36]),
        beta=st.floats(min_value=0.01, max_value=30.0),
        hold_out=st.integers(min_value=-6, max_value=6),
@@ -623,7 +615,6 @@ def test_race_kernel_matches_engine(alpha, beta, hold_out, u, seed, jumps):
     assert log_residual.tobytes() == want_residual.tobytes()
 
 
-@needs_cc
 def test_race_kernel_tie_matches_engine():
     # the held-out plus clock at the origin equals the minus clock there
     seed = 2024

@@ -1,7 +1,6 @@
 """Path-free runs: kernel stops, the growing local-time window, and the
 summaries built from stops instead of the position path."""
 
-import contextlib
 import json
 import tracemalloc
 from unittest import mock
@@ -11,10 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stuckwalk import _kernel, analysis, mc, walk
-from stuckwalk.rng import BLOCK
 from stuckwalk.spectrum import Params
 
-from conftest import needs_cc, python_engines
+import oracles
+from oracles import BLOCK
 
 P21 = Params.make(2.0, 1.0)
 
@@ -48,11 +47,12 @@ def summary_from_path(traj, tail_fraction):
     }
 
 
-def check_streamed_equals_path(params, steps, seed, tail_fraction):
+def check_streamed_equals_path(params, steps, seed, tail_fraction,
+                               simulate=walk.simulate):
     t0 = analysis.tail_start(steps, tail_fraction)
-    streamed = walk.simulate(params, steps, seed, stops=(1, t0, steps),
-                             keep_path=False)
-    full = walk.simulate(params, steps, seed)
+    streamed = simulate(params, steps, seed, stops=(1, t0, steps),
+                        keep_path=False)
+    full = simulate(params, steps, seed)
     assert streamed.positions is None and streamed.steps == steps
     s = analysis.detect_localization(streamed, tail_fraction)
     f = analysis.detect_localization(full, tail_fraction)
@@ -71,18 +71,19 @@ def check_streamed_equals_path(params, steps, seed, tail_fraction):
        | st.integers(min_value=1000, max_value=6000),
        seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
        tail_fraction=st.sampled_from([0.5, 0.3, 0.77, 0.999, 0.0004]),
-       engines=st.sampled_from([contextlib.nullcontext, python_engines]),
+       simulate=st.sampled_from([walk.simulate, oracles.simulate]),
        window=st.sampled_from([walk._WINDOW0, 4]))
 @settings(max_examples=60, deadline=None)
 def test_streamed_summary_equals_path_summary(alpha, beta, steps, seed,
-                                              tail_fraction, engines, window):
+                                              tail_fraction, simulate,
+                                              window):
     if int(steps * tail_fraction) == 0:
         with pytest.raises(ValueError, match="holds no step"):
             analysis.tail_start(steps, tail_fraction)
         return
-    with mock.patch.object(walk, "_WINDOW0", window), engines():
+    with mock.patch.object(walk, "_WINDOW0", window):
         check_streamed_equals_path(Params.make(alpha, beta), steps, seed,
-                                   tail_fraction)
+                                   tail_fraction, simulate)
 
 
 def test_streamed_summary_of_non_localized_runs():
@@ -99,8 +100,7 @@ def test_tail_start_off_block_boundary():
     t0 = analysis.tail_start(steps, 0.5)
     assert t0 % BLOCK
     check_streamed_equals_path(P21, steps, 11, 0.5)
-    with python_engines():
-        check_streamed_equals_path(P21, steps, 11, 0.5)
+    check_streamed_equals_path(P21, steps, 11, 0.5, oracles.simulate)
 
 
 def test_tiny_window_grows_many_times():
@@ -116,11 +116,9 @@ def test_tiny_window_grows_many_times():
             mock.patch.object(walk._KernelWalk, "_place", counting):
         stops = (1, 777, 5000, 20000)
         a = walk.simulate(params, 20000, 8, stops=stops, keep_path=False)
-    with python_engines():
-        b = walk.simulate(params, 20000, 8, stops=stops)
-    if _kernel.load() is not None:
-        # the first placement, then at least four doublings
-        assert sizes[:5] == [4, 8, 16, 32, 64]
+    b = oracles.simulate(params, 20000, 8, stops=stops)
+    # the first placement, then at least four doublings
+    assert sizes[:5] == [4, 8, 16, 32, 64]
     for k in stops:
         sa, sb = a.stops[k], b.stops[k]
         assert (sa.step, sa.pos, sa.lo, sa.hi) == (sb.step, sb.pos, sb.lo,
@@ -161,7 +159,6 @@ def test_batch_first_step_matches_path():
     assert got == expected
 
 
-@needs_cc
 def test_kernel_returns_early_at_window_edge():
     kernel = _kernel.load().stuck_walk_steps
     lt = np.zeros(4, dtype=np.int64)             # edges -1..2
@@ -175,7 +172,6 @@ def test_kernel_returns_early_at_window_edge():
     assert lt.tolist() == [0, 0, 1, 0]
 
 
-@needs_cc
 def test_path_free_memory_does_not_grow_with_steps():
     walk.simulate(P21, 10, 1)                     # load the kernel first
 

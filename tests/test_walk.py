@@ -9,12 +9,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import stuckwalk
-from stuckwalk import _kernel, rng, walk
+from stuckwalk import _kernel, cli, mc, rng, walk
 from stuckwalk.cli import parse_and_dispatch
 from stuckwalk.errors import CapacityError
 from stuckwalk.spectrum import Params
 
-from conftest import needs_cc, philox_words, python_engines
+import oracles
 
 P21 = Params.make(2.0, 1.0)
 P205 = Params.make(2.0, 0.5)
@@ -70,9 +70,9 @@ def test_step_prob_saturates_without_overflow():
 
 def test_step_moves_right_below_threshold():
     state = walk.WalkState(alpha=2.0, beta=1.0)
-    walk.step(state, 0.3)
+    oracles.step(state, 0.3)
     assert state.pos == 1
-    walk.step(walk.WalkState(alpha=2.0, beta=1.0), 0.7)
+    oracles.step(walk.WalkState(alpha=2.0, beta=1.0), 0.7)
 
 
 # ------------------------------------------------------------ simulate
@@ -107,8 +107,7 @@ def test_simulate_deterministic():
 
 def test_engines_agree():
     a = walk.simulate(P21, 3000, seed=99)
-    with python_engines():
-        b = walk.simulate(P21, 3000, seed=99)
+    b = oracles.simulate(P21, 3000, seed=99)
     assert a.positions == b.positions
 
 
@@ -125,16 +124,15 @@ def test_kernel_matches_reference(alpha, beta, steps, seed, period):
     marks = range(every, steps + 1, every) if every else ()
     params = Params.make(alpha, beta)
     a = walk.simulate(params, steps, seed, stops=marks)
-    with python_engines():
-        b = walk.simulate(params, steps, seed, stops=marks)
-    assert a.positions == b.positions
+    walker = oracles.ReferenceWalk(params, seed, True)
+    b = walk._drive(walker, steps, list(marks))
+    assert a.positions == walker.path()
     assert ([a.stops[k].snapshot() for k in marks]
-            == [b.stops[k].snapshot() for k in marks])
+            == [b[k].snapshot() for k in marks])
 
 
 # ------------------------------------------------------------ kernel build
 
-@needs_cc
 @given(alpha=st.sampled_from([2.0, 0.8, 0.45, 0.36])
        | st.floats(min_value=0.34, max_value=3.0),
        beta=st.floats(min_value=0.01, max_value=30.0),
@@ -173,7 +171,6 @@ def test_kernel_step_probability_is_bit_identical(alpha, beta, lts):
         assert out[0] == expected, (p, u)
 
 
-@needs_cc
 @given(alpha=st.sampled_from([2.0, 0.8, 0.45]),
        beta=st.sampled_from([0.05, 1.0, 3.0]),
        seed=st.sampled_from([0, 2 ** 64 - 1, -1, -(2 ** 70) - 3,
@@ -191,13 +188,12 @@ def test_kernel_draws_numpys_philox_stream(alpha, beta, seed, steps, marks):
     marks = sorted({k % (steps + 1) for k in marks})
     walker = walk._KernelWalk(_kernel.load(), params, steps, seed, True)
     records = walk._drive(walker, steps, marks)
-    gen = rng.philox(seed)
+    gen = oracles.philox(seed)
     gen.random(steps)
     words = np.asarray(walker.state)[5:].view(np.uint64).tolist()
-    assert words == philox_words(gen)
+    assert words == oracles.philox_words(gen)
     assert words[0] == seed % 2 ** 64
-    with python_engines():
-        ref = walk.simulate(params, steps, seed, stops=marks)
+    ref = oracles.simulate(params, steps, seed, stops=marks)
     assert walker.path() == ref.positions
     assert ([records[k].snapshot() for k in marks]
             == [ref.stops[k].snapshot() for k in marks])
@@ -208,10 +204,9 @@ def test_philox_record_is_a_fresh_generator(seed):
     # the words the kernel starts from are those of a fresh philox(seed),
     # and a fresh kernel walk holds them
     words = rng.philox_record(seed).tolist()
-    assert words == philox_words(rng.philox(seed))
-    if (kernels := _kernel.load()) is not None:
-        walker = walk._KernelWalk(kernels, P21, 0, seed, False)
-        assert np.asarray(walker.state)[5:].view(np.uint64).tolist() == words
+    assert words == oracles.philox_words(oracles.philox(seed))
+    walker = walk._KernelWalk(_kernel.load(), P21, 0, seed, False)
+    assert np.asarray(walker.state)[5:].view(np.uint64).tolist() == words
 
 
 @pytest.fixture
@@ -222,23 +217,32 @@ def empty_cache(tmp_path, monkeypatch):
     _kernel.load.cache_clear()
 
 
-@needs_cc
 def test_kernel_builds_and_loads(empty_cache):
-    # a broken build would otherwise only show as the fallback's slowdown
     assert _kernel.load() is not None
     assert [p.suffix for p in empty_cache.iterdir()] == [".so"]
 
 
-def test_failed_build_warns_and_falls_back(empty_cache, tmp_path,
-                                           monkeypatch):
-    fake = tmp_path / "bin" / _kernel.COMPILER
-    fake.parent.mkdir()
-    fake.write_text("#!/bin/sh\necho broken >&2\nexit 1\n")
-    fake.chmod(0o755)
-    monkeypatch.setenv("PATH", str(fake.parent))
-    with pytest.warns(RuntimeWarning, match="walk kernel"):
-        assert _kernel.load() is None
-    assert list(empty_cache.iterdir()) == []
+@pytest.mark.parametrize("compiler", ["broken", "missing"])
+def test_cli_fails_without_a_working_compiler(empty_cache, tmp_path,
+                                              monkeypatch, capsys, compiler):
+    # a compiler that fails its build, or none on PATH: simulate exits 1
+    # with one error line naming it, and the cache holds no library
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    if compiler == "broken":
+        fake = bin_dir / _kernel.COMPILER
+        fake.write_text("#!/bin/sh\necho broken >&2\nexit 1\n")
+        fake.chmod(0o755)
+    monkeypatch.setenv("PATH", str(bin_dir))
+    assert parse_and_dispatch(["simulate", "--alpha", "2", "--beta", "1",
+                               "--steps", "10", "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("stuckwalk: error: ")
+    assert (os.path.realpath(bin_dir / _kernel.COMPILER)
+            if compiler == "broken" else repr(_kernel.COMPILER)) in line
+    assert not empty_cache.exists() or list(empty_cache.iterdir()) == []
 
 
 def _cli_bytes(tmp_path, tag):
@@ -254,10 +258,12 @@ def _cli_bytes(tmp_path, tag):
             (out, tmp_path / f"{tag}.csv.snapshots.json", agg)]
 
 
-def test_fallback_gives_same_bytes(tmp_path):
+def test_fallback_gives_same_bytes(tmp_path, monkeypatch):
+    # the CLI's bytes from kernel walks and from the oracle stepper's
     compiled = _cli_bytes(tmp_path, "kernel")
-    with python_engines():
-        assert _cli_bytes(tmp_path, "fallback") == compiled
+    monkeypatch.setattr(cli, "simulate", oracles.simulate)
+    monkeypatch.setattr(mc, "simulate", oracles.simulate)
+    assert _cli_bytes(tmp_path, "fallback") == compiled
 
 
 def _env_with_src(**extra):
@@ -267,15 +273,13 @@ def _env_with_src(**extra):
 
 
 def test_import_builds_no_kernel(tmp_path):
-    # numpy itself imports ctypes, so the loader module is the marker
-    code = ("import sys, stuckwalk.cli, stuckwalk.mc, stuckwalk.rubin\n"
-            "assert 'stuckwalk._kernel' not in sys.modules\n")
+    code = ("from stuckwalk import _kernel, cli, mc, rubin\n"
+            "assert _kernel.load.cache_info().misses == 0\n")
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
                    env=_env_with_src(XDG_CACHE_HOME=str(tmp_path)))
     assert list(tmp_path.iterdir()) == []
 
 
-@needs_cc
 def test_concurrent_cold_builds(tmp_path):
     env = _env_with_src(XDG_CACHE_HOME=str(tmp_path))
     code = ("from stuckwalk import _kernel, walk, spectrum\n"
@@ -287,8 +291,7 @@ def test_concurrent_cold_builds(tmp_path):
              for _ in range(2)]
     results = [p.communicate(timeout=120) for p in procs]
     assert [p.returncode for p in procs] == [0, 0], results
-    with python_engines():
-        expected = walk.simulate(P21, 3000, 99).positions[-1]
+    expected = oracles.simulate(P21, 3000, 99).positions[-1]
     assert [int(out) for out, _ in results] == [expected, expected]
     files = list((tmp_path / "stuckwalk").iterdir())
     assert len(files) == 1 and files[0].suffix == ".so"
