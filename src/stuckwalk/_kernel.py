@@ -8,7 +8,11 @@ fixes.  It draws its uniforms itself from a port of numpy's
 Philox4x64-10, so its stream is the bytes of numpy's
 ``Generator(Philox(key=seed)).random``; the port multiplies in
 ``__uint128_t``, so the compiler must have that type (gcc or clang on a
-64-bit target).  ``stuck_std_exponentials`` draws that generator's
+64-bit target).  ``stuck_walk_many`` runs that loop over a group of
+walks, one after another, in one call: ``walk`` calls it and no other
+walk entry, so a batch's walker thread crosses ctypes, and releases the
+GIL, once per chunk of runs and stop, not twice per run.
+``stuck_std_exponentials`` draws that generator's
 ``standard_exponential`` from the same port: numpy's
 256-layer ziggurat with its tail and wedge rejections, libm ``exp`` and
 ``log1p``, and numpy's tables ``ke_double``, ``we_double`` and
@@ -26,7 +30,7 @@ sampler's ``log``, ``exp`` and ``log1p`` stay in numpy, whose SIMD
 versions differ from libm in the last bit on a few percent of inputs.
 ``stuck_matched_crossings`` matches the crossings of ``rubin.couple``'s
 two walks in integer arithmetic: one counting pass over each walk.
-``stuck_step_prob`` is the walk's step probability, for tests.  All six
+``stuck_step_prob`` is the walk's step probability, for tests.  All seven
 are compiled with the system C compiler into
 ``$XDG_CACHE_HOME/stuckwalk`` (default ``~/.cache``) as one library and
 loaded with ``ctypes``; the tests hold each one to a Python or numpy
@@ -52,23 +56,28 @@ SOURCE = r"""
 
 #define SAT 40.0
 
+/* One Philox4x64 round under key {k0, k1}, then the key bump. */
+#define PHILOX_ROUND                                                    \
+    do {                                                                \
+        const __uint128_t p0 = (__uint128_t)0xD2E7470EE14C6C93ULL * c0; \
+        const __uint128_t p1 = (__uint128_t)0xCA5A826395121157ULL * c2; \
+        c0 = (uint64_t)(p1 >> 64) ^ c1 ^ k0;                            \
+        c1 = (uint64_t)p1;                                              \
+        c2 = (uint64_t)(p0 >> 64) ^ c3 ^ k1;                            \
+        c3 = (uint64_t)p0;                                              \
+        k0 += 0x9E3779B97F4A7C15ULL;                                    \
+        k1 += 0xBB67AE8584CAA73BULL;                                    \
+    } while (0)
+
 /* numpy's Philox4x64-10 (Random123 constants): fill buf with the four
-   outputs of counter ctr under key {key, 0}. */
+   outputs of counter ctr under key {key, 0}.  The ten rounds are
+   written out: gcc at -O2 keeps a loop of them as a loop. */
 static void philox4x64(uint64_t key, const uint64_t *ctr, uint64_t *buf)
 {
     uint64_t c0 = ctr[0], c1 = ctr[1], c2 = ctr[2], c3 = ctr[3];
     uint64_t k0 = key, k1 = 0;
-    int r;
-    for (r = 0; r < 10; r++) {
-        const __uint128_t p0 = (__uint128_t)0xD2E7470EE14C6C93ULL * c0;
-        const __uint128_t p1 = (__uint128_t)0xCA5A826395121157ULL * c2;
-        c0 = (uint64_t)(p1 >> 64) ^ c1 ^ k0;
-        c1 = (uint64_t)p1;
-        c2 = (uint64_t)(p0 >> 64) ^ c3 ^ k1;
-        c3 = (uint64_t)p0;
-        k0 += 0x9E3779B97F4A7C15ULL;
-        k1 += 0xBB67AE8584CAA73BULL;
-    }
+    PHILOX_ROUND; PHILOX_ROUND; PHILOX_ROUND; PHILOX_ROUND; PHILOX_ROUND;
+    PHILOX_ROUND; PHILOX_ROUND; PHILOX_ROUND; PHILOX_ROUND; PHILOX_ROUND;
     buf[0] = c0;
     buf[1] = c1;
     buf[2] = c2;
@@ -119,8 +128,9 @@ static double logistic(double x)
    the second steps left, as u < p(x) would decide: x + SAT rounds by at
    most 7e-15, which moves p by at most 2e-15 (p' <= 1/4), and libm exp
    and the divide are off by a few ulp, all far inside 1e-12.  Only the
-   u between the bounds, at most about 1/64 of the steps, need exp.
-   Filled when the library is loaded, before any walk can run. */
+   u between the bounds, at most about 1/64 of the steps, need exp;
+   stuck_walk_steps reads u < p(x) from the bracket of x's cell where
+   it can.  Filled when the library is loaded, before any walk can run. */
 #define CELLS 1280
 static double bracket[CELLS][2];
 
@@ -132,18 +142,6 @@ static void fill_bracket(void)
         bracket[i][0] = logistic(-SAT + i / 16.0) - 1e-12;
         bracket[i][1] = logistic(-SAT + (i + 1) / 16.0) + 1e-12;
     }
-}
-
-/* u < logistic(x), read from the bracket of x's cell where it can be. */
-static int steps_right(double u, double x)
-{
-    if (x >= -SAT && x <= SAT) {
-        const int64_t i = (int64_t)((x + SAT) * 16.0);
-        const double *b = bracket[i < CELLS ? i : CELLS - 1];
-        if (u < b[0] || u >= b[1])
-            return u < b[0];
-    }
-    return u < logistic(x);
 }
 
 /* The probability that the walk at edge pointer l (l[0] the local time
@@ -178,7 +176,16 @@ int64_t stuck_walk_steps(double alpha, double tb, int64_t *lt, int64_t n,
     memcpy(&g, state + 5, sizeof g);
     for (k = 0; k < n; k++) {
         int64_t *l = lt + pos;
-        if (steps_right(next_double(&g), step_x(alpha, tb, l))) {
+        const double u = next_double(&g), x = step_x(alpha, tb, l);
+        int right;
+        if (x >= -SAT && x <= SAT) {
+            const int64_t i = (int64_t)((x + SAT) * 16.0);
+            const double *b = bracket[i < CELLS ? i : CELLS - 1];
+            right = (u < b[0] || u >= b[1]) ? u < b[0] : u < logistic(x);
+        } else {
+            right = u < logistic(x);
+        }
+        if (right) {
             l[1] += 1;
             pos += 1;
             if (pos > hi) {
@@ -203,6 +210,22 @@ int64_t stuck_walk_steps(double alpha, double tb, int64_t *lt, int64_t n,
     state[2] = hi;
     memcpy(state + 5, &g, sizeof g);
     return k;
+}
+
+/* Advance m walks, one after another, as stuck_walk_steps does: walk i
+   keeps its 15 state words at states[i], followed by its local-time
+   array, so its edge 0 is at states[i] + 15 - states[i][3]; its
+   positions go to outs[i], or nowhere if outs[i] is NULL.
+   n[i] is read as the steps walk i wants and written back as the steps
+   it took, fewer where it stopped at its window's edge. */
+void stuck_walk_many(double alpha, double tb, int64_t m,
+                     int64_t *const *states, int64_t *const *outs,
+                     int64_t *n)
+{
+    int64_t i;
+    for (i = 0; i < m; i++)
+        n[i] = stuck_walk_steps(alpha, tb, states[i] + 15 - states[i][3],
+                                n[i], states[i], outs[i]);
 }
 
 static uint64_t splitmix64(uint64_t x)
@@ -796,7 +819,11 @@ def _compile(compiler: str, lib: str) -> None:
                        check=True, timeout=_BUILD_TIMEOUT_S)
         os.replace(tmp, lib)
     except subprocess.SubprocessError as exc:
-        raise OSError(exc) from exc
+        # the compiler's last word on why, kept to one line
+        stderr = getattr(exc, "stderr", None) or b""
+        why = [line.strip() for line in stderr.decode(
+            errors="replace").splitlines() if line.strip()]
+        raise OSError(f"{exc} {why[-1]}" if why else str(exc)) from exc
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
@@ -823,6 +850,8 @@ def load():
     kernels.stuck_step_prob.restype = f64
     kernels.stuck_walk_steps.argtypes = [f64, f64, ptr, i64, ptr, ptr]
     kernels.stuck_walk_steps.restype = i64
+    kernels.stuck_walk_many.argtypes = [f64, f64, i64, ptr, ptr, ptr]
+    kernels.stuck_walk_many.restype = None
     kernels.stuck_rubin_races.argtypes = [f64, f64, ctypes.c_uint64, i64,
                                           f64, i64, ptr, ptr]
     kernels.stuck_rubin_races.restype = i64

@@ -3,10 +3,12 @@
 Every run gets its own seed derived from (master_seed, run_index) by a
 fixed avalanche mix, so the batch output is a pure function of its config:
 identical across platforms, worker counts, and scheduling orders.
-A batch first walks every run, path-free, with ``walk.simulate`` to the
-Stops its analysis reads, on threads (``direct`` walks) or processes
-(``rubin`` walks, which race in Python), then analyzes and aggregates the
-runs in index order with integer counters, never order-sensitive
+A batch first walks every run, path-free, to the Stops its analysis
+reads, in chunks of consecutive runs: on threads, each chunk of
+``direct`` walks one ``walk.simulate_many`` group (one kernel call per
+chunk and stop), or in processes, ``rubin`` walks (which race in Python)
+one ``walk.simulate`` per run.  It then analyzes and aggregates the runs
+in index order with integer counters, never order-sensitive
 floating-point accumulation.
 """
 
@@ -20,7 +22,7 @@ from .analysis import (MIN_TRAJECTORY, batch_stats, compare_profile,
 from .errors import StuckWalkError
 from .rng import derive_seed
 from .spectrum import Params
-from .walk import ENGINES, simulate
+from .walk import ENGINES, simulate, simulate_many
 
 __all__ = ["BatchConfig", "derive_seed", "run_batch", "run_one"]
 
@@ -74,16 +76,30 @@ def _analyze(traj, tail_fraction: float):
 
 
 def _walk_run(config: BatchConfig, index: int):
-    """Run ``index`` of a batch walked to the Stops its analysis reads, or
-    that walk's failure.  Top-level so it pickles."""
+    """Run ``index`` of a ``rubin`` batch walked to the Stops its analysis
+    reads, or that walk's failure.  Top-level so it pickles."""
     try:
         return simulate(config.params, config.steps,
                         derive_seed(config.master_seed, index),
-                        stops=(tail_start(config.steps, config.tail_fraction),
-                               config.steps),
-                        keep_path=False, engine=config.engine)
+                        stops=_stops(config), keep_path=False,
+                        engine=config.engine)
     except StuckWalkError as exc:
         return f"{type(exc).__name__}: {exc}"
+
+
+def _walk_chunk(config: BatchConfig, indices: range) -> list:
+    """Runs ``indices`` of a batch walked to the Stops their analysis
+    reads: ``direct`` walks as one kernel group, which cannot fail, and
+    ``rubin`` walks one by one through ``_walk_run``."""
+    if config.engine == "rubin":
+        return [_walk_run(config, i) for i in indices]
+    return simulate_many(config.params, config.steps,
+                         [derive_seed(config.master_seed, i) for i in indices],
+                         stops=_stops(config), keep_path=False)
+
+
+def _stops(config: BatchConfig):
+    return tail_start(config.steps, config.tail_fraction), config.steps
 
 
 def _run_one(config: BatchConfig, index: int, traj):
@@ -103,10 +119,14 @@ def run_batch(config: BatchConfig) -> BatchResult:
     """Walk the runs on at most min(workers, runs, cpus) threads, or
     processes for ``rubin`` walks, then analyze them here in index order.
 
-    Per-run failures are recorded with their seed for replay; the batch
-    itself fails only if more than 1% of runs fail.
+    Walkers claim chunks of ``max(1, runs // (4 * workers))`` consecutive
+    runs; a thread walks a ``direct`` chunk as one kernel group, so it
+    crosses into C once per chunk and stop.  Per-run failures are
+    recorded with their seed for replay; the batch itself fails only if
+    more than 1% of runs fail.
     """
     workers = min(config.workers, config.runs, os.cpu_count() or 1)
+    chunk = max(1, config.runs // (4 * workers))
     # build the kernels once, here: load() holds no lock, and a missing
     # compiler then fails before any walker starts
     _kernel.load()
@@ -117,17 +137,19 @@ def run_batch(config: BatchConfig) -> BatchResult:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             walks = dict(enumerate(pool.map(
                 _walk_run, [config] * config.runs, range(config.runs),
-                chunksize=max(1, config.runs // (4 * workers)))))
+                chunksize=chunk)))
     else:
         # the kernel call releases the GIL; one walker starts no thread
         walks, errors = {}, []
-        claims = iter(range(config.runs))   # next() is atomic under the GIL
+        # next() is atomic under the GIL
+        claims = iter(range(0, config.runs, chunk))
         def walk():
-            for i in claims:
+            for start in claims:
                 if errors:
                     break
+                indices = range(start, min(start + chunk, config.runs))
                 try:
-                    walks[i] = _walk_run(config, i)
+                    walks.update(zip(indices, _walk_chunk(config, indices)))
                 except BaseException as exc:
                     errors.append(exc)
 

@@ -5,8 +5,10 @@ Delta(j) = -alpha l(j-1) + l(j) - l(j+1) + alpha l(j+2), where l(j) is the
 local time on the non-oriented edge {j-1, j}, and steps right with
 probability 1 / (1 + exp(-2 beta Delta)).
 
-Every Stop is recorded by a walker under ``_drive``: the compiled kernel
-of the ``"direct"`` engine (see ``_kernel``), the ``"rubin"`` engine's
+Every Stop is recorded by a walker under ``_drive``: a group of
+``"direct"`` walks in the compiled kernel (see ``_kernel``), which
+``simulate_many`` advances to each stop in one call for the whole group
+and ``simulate`` runs as a group of one, the ``"rubin"`` engine's
 ``rubin.RubinEngine``, or the ``WalkState`` bookkeeping replaying a kept
 path.  ``WalkState`` also serves the exact path-law oracle.
 """
@@ -125,23 +127,22 @@ _WINDOW0 = 64  # edges in the kernel's first local-time array
 
 
 class _KernelWalk:
-    """The compiled kernel with a local-time array over a window of edges
-    that doubles, recentred on the visited range, whenever the walker
-    reaches its edge; memory grows with the range, not the step count.
-    The kernel draws the Philox stream of numpy's
-    ``Generator(Philox(key=seed))`` itself, from the generator words of
-    ``state`` (see ``stuck_walk_steps``), which start as
-    ``rng.philox_record(seed)``."""
+    """One kernel walk: its 15 state words in one buffer, followed by a
+    local-time array over a window of edges that doubles, recentred on
+    the visited range, whenever the walker reaches its edge; memory grows
+    with the range, not the step count.  The kernel draws the Philox
+    stream of numpy's ``Generator(Philox(key=seed))`` itself, from the
+    generator words of ``state`` (see ``stuck_walk_steps``), which start
+    as ``rng.philox_record(seed)``.  ``_KernelGroup`` advances it."""
 
-    def __init__(self, kernels, params, steps, seed, keep_path):
-        self.kernel = kernels.stuck_walk_steps
-        self.alpha, self.tb = params.alpha, 2.0 * params.beta
+    def __init__(self, steps, seed, keep_path):
         # pos, lo, hi, first, last = 0, then the generator words
         self.state = bytes(40) + philox_record(seed)
         self._place(b"", _WINDOW0)          # edges 0..1, never crossed
         self.out = array("q", [0]) * (steps + 1) if keep_path else None
-        # address of the next position the kernel writes, X_1 first
-        self.next_out = self.out.buffer_info()[0] + 8 if keep_path else None
+        # address of the next position the kernel writes, X_1 first, or
+        # NULL: no path
+        self.next_out = self.out.buffer_info()[0] + 8 if keep_path else 0
 
     def _place(self, lt, size):
         """Move the 15 state words into a new buffer, followed by a window
@@ -157,21 +158,16 @@ class _KernelWalk:
             self.lt[lo - first:hi + 2 - first] = lt
         view[3], view[4] = first, first + size - 1
         self.state_addr = buf.buffer_info()[0]
-        self.origin = self.state_addr + 8 * (15 - first)  # edge 0
 
-    def advance(self, n):
-        while n:
-            k = self.kernel(self.alpha, self.tb, self.origin, n,
-                            self.state_addr, self.next_out)
-            n -= k
-            if self.next_out is not None:
-                self.next_out += 8 * k
-            _, lo, hi, first, last = self.state[:5].tolist()
-            # the kernel returned once lo-1..hi+2 outgrew the window by
-            # one edge, so doubling makes room
-            if lo - 1 < first or hi + 2 > last:
-                self._place(self.lt[lo - first:hi + 2 - first],
-                            2 * len(self.lt))
+    def took(self, k):
+        """Account for the ``k`` steps the kernel just took, and double
+        the window if the walk left it: the kernel returns once lo-1..hi+2
+        outgrew the window by one edge, so doubling makes room."""
+        if self.out is not None:
+            self.next_out += 8 * k
+        _, lo, hi, first, last = self.state[:5].tolist()
+        if lo - 1 < first or hi + 2 > last:
+            self._place(self.lt[lo - first:hi + 2 - first], 2 * len(self.lt))
 
     def record(self, step_no):
         pos, lo, hi, first, _ = self.state[:5].tolist()
@@ -180,6 +176,41 @@ class _KernelWalk:
 
     def path(self):
         return None if self.out is None else self.out.tolist()
+
+
+class _KernelGroup:
+    """Kernel walks of one ``params`` behind the ``_drive`` interface:
+    ``advance`` moves all of them in one ``stuck_walk_many`` call, then
+    calls again for just those that stopped at their window's edge, once
+    re-placed; ``record`` gives one Stop per walk, in seed order."""
+
+    def __init__(self, kernels, params, steps, seeds, keep_path):
+        self.kernel = kernels.stuck_walk_many
+        self.alpha, self.tb = params.alpha, 2.0 * params.beta
+        self.walks = [_KernelWalk(steps, seed, keep_path) for seed in seeds]
+
+    def advance(self, n):
+        if not n:
+            return
+        walks, left = self.walks, array("q", [n]) * len(self.walks)
+        while walks:
+            # the arrays are named: the kernel reads them by address
+            states = array("q", [w.state_addr for w in walks])
+            outs = array("q", [w.next_out for w in walks])
+            taken = array("q", left)        # steps wanted in, taken out
+            self.kernel(self.alpha, self.tb, len(walks),
+                        states.buffer_info()[0], outs.buffer_info()[0],
+                        taken.buffer_info()[0])
+            again, rest = [], array("q")
+            for walk, want, k in zip(walks, left, taken):
+                walk.took(k)
+                if k < want:
+                    again.append(walk)
+                    rest.append(want - k)
+            walks, left = again, rest
+
+    def record(self, step_no):
+        return [walk.record(step_no) for walk in self.walks]
 
 
 class _PathWalk:
@@ -210,6 +241,8 @@ class _PathWalk:
 def _drive(walker, steps, marks):
     """Walk ``steps`` steps; return the Stops recorded after each step
     count of ``marks`` (sorted, within 0..steps, else ValueError)."""
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     if marks and not 0 <= marks[0] <= marks[-1] <= steps:
         raise ValueError(f"stops must lie in [0, {steps}], got {marks}")
     records, done = {}, 0
@@ -221,6 +254,21 @@ def _drive(walker, steps, marks):
     return records
 
 
+def simulate_many(params: Params, steps: int, seeds, stops=(),
+                  keep_path: bool = True) -> list:
+    """The ``"direct"`` walk of each seed in ``seeds``, as
+    ``simulate(params, steps, seed, stops, keep_path)`` gives it, walked
+    as one group: one kernel call per stop for all of them, and one more
+    per round of walks that outgrew their window.  Raises OSError if the
+    kernel cannot be built."""
+    group = _KernelGroup(_kernel.load(), params, steps, seeds, keep_path)
+    marks = sorted(set(stops))
+    records = _drive(group, steps, marks)
+    return [Trajectory(positions=walk.path(), params=params,
+                       stops={k: records[k][i] for k in marks}, steps=steps)
+            for i, walk in enumerate(group.walks)]
+
+
 def simulate(params: Params, steps: int, seed: int, stops=(),
              keep_path: bool = True, engine: str = "direct") -> Trajectory:
     """Run one ``engine`` walk, deterministic in (params, steps, seed).
@@ -229,19 +277,17 @@ def simulate(params: Params, steps: int, seed: int, stops=(),
     ``Trajectory.stops``).  With ``keep_path=False`` the trajectory has no
     position path and the run's memory grows with the visited range only.
 
-    A ``"direct"`` walk runs in the compiled kernel of ``_kernel``
-    (OSError if it cannot be built).  A ``"rubin"`` walk of ``steps``
-    jumps is that of ``rubin.simulate_rubin``.
+    A ``"direct"`` walk is the one-seed group of ``simulate_many``, run
+    in the compiled kernel of ``_kernel`` (OSError if it cannot be
+    built).  A ``"rubin"`` walk of ``steps`` jumps is that of
+    ``rubin.simulate_rubin``.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    if engine == "rubin":
-        from .rubin import RubinEngine, SequentialClockSource
-        walker = RubinEngine(params, SequentialClockSource(seed), keep_path)
-    else:
-        walker = _KernelWalk(_kernel.load(), params, steps, seed, keep_path)
+    if engine == "direct":
+        return simulate_many(params, steps, [seed], stops, keep_path)[0]
+    from .rubin import RubinEngine, SequentialClockSource
+    walker = RubinEngine(params, SequentialClockSource(seed), keep_path)
     records = _drive(walker, steps, sorted(set(stops)))
     return Trajectory(positions=walker.path(), params=params,
                       stops=records, steps=steps)

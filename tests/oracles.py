@@ -2,10 +2,10 @@
 
 Each twin computes, from the same seed, the bytes its kernel computes:
 
-* ``ReferenceWalk`` (with ``step``) is ``walk._KernelWalk``'s
-  ``stuck_walk_steps``, over ``philox(seed).random`` in blocks of
+* ``ReferenceWalk`` (with ``step``) is one walk of ``walk._KernelGroup``'s
+  ``stuck_walk_many``, over ``philox(seed).random`` in blocks of
   ``BLOCK``; ``simulate`` drives it as ``walk.simulate`` drives the
-  kernel;
+  kernel, and ``simulate_many`` as ``walk.simulate_many`` does;
 * ``draw_blocks`` is ``rubin._draw_blocks``' ``stuck_std_exponentials``,
   with one numpy Generator per row;
 * ``lockstep_codes`` is ``rubin._kernel_codes``' ``stuck_sampler_step``,
@@ -103,6 +103,12 @@ def simulate(params, steps, seed, stops=(), keep_path=True,
     records = _drive(walker, steps, sorted(set(stops)))
     return Trajectory(positions=walker.path(), params=params,
                       stops=records, steps=steps)
+
+
+def simulate_many(params, steps, seeds, stops=(), keep_path=True):
+    """``walk.simulate_many``, one ``simulate`` per seed."""
+    return [simulate(params, steps, seed, stops, keep_path)
+            for seed in seeds]
 
 
 # ------------------------------------------------------------ sampler

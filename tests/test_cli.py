@@ -1,5 +1,6 @@
 import concurrent.futures
 import hashlib
+import itertools
 import json
 import os
 import pathlib
@@ -152,16 +153,19 @@ def test_batch_pool_gives_serial_bytes(tmp_path, monkeypatch):
 
 
 def test_batch_threads_give_serial_bytes(tmp_path, monkeypatch):
-    # one run's walk fails; its failure record must not depend on which
-    # thread walked it
+    # one run fails; its failure record must not depend on which thread
+    # walked it.  Direct walks cannot fail, so its analysis does: runs are
+    # analyzed here, in index order, so call 37 of each batch is run 37
     failing = mc.derive_seed(99, 37)
+    analyzed = itertools.count()
 
-    def simulate(params, steps, seed, **kwargs):
-        if seed == failing:
+    def analyze(traj, tail_fraction):
+        if next(analyzed) % 100 == 37:
             raise errors.CapacityError("walk failed")
-        return walk_simulate(params, steps, seed, **kwargs)
+        return mc_analyze(traj, tail_fraction)
 
-    monkeypatch.setattr(mc, "simulate", simulate)
+    mc_analyze = mc._analyze
+    monkeypatch.setattr(mc, "_analyze", analyze)
     monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
     outs = []
     for workers in ("1", "2", "4"):
@@ -390,9 +394,9 @@ def test_config_value_equals_flag(tmp_path, monkeypatch, capsys, command,
 def test_batch_fallback_matches_kernel(capsys, monkeypatch):
     # the batch from kernel walks and from the oracle stepper's
     outs = []
-    for walker in (None, oracles.simulate):
+    for walker in (None, oracles.simulate_many):
         if walker is not None:
-            monkeypatch.setattr(mc, "simulate", walker)
+            monkeypatch.setattr(mc, "simulate_many", walker)
         assert run(["batch", "--alpha", "2", "--beta", "1", "--steps",
                     "2000", "--runs", "3", "--seed", "8"]) == 0
         outs.append(capsys.readouterr().out)

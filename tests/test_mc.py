@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stuckwalk import _kernel, analysis, mc
+from stuckwalk import _kernel, analysis, mc, walk
 from stuckwalk.analysis import detect_localization
 from stuckwalk.rng import derive_seed
 from stuckwalk.spectrum import Params
-from stuckwalk.walk import simulate
+from stuckwalk.walk import simulate, simulate_many
 
 P21 = Params.make(2.0, 1.0)
 
@@ -184,14 +184,14 @@ def test_walkers_claim_each_run_once(monkeypatch):
     # walked or in the summaries
     seeds = []
 
-    def counting_simulate(params, steps, seed, **kwargs):
-        seeds.append(seed)
-        return simulate(params, steps, seed, **kwargs)
+    def counting_simulate_many(params, steps, chunk, **kwargs):
+        seeds.extend(chunk)
+        return simulate_many(params, steps, chunk, **kwargs)
 
     cfg = small_config(runs=120, steps=1000)
     serial = mc.run_batch(cfg)
     monkeypatch.setattr(mc.os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(mc, "simulate", counting_simulate)
+    monkeypatch.setattr(mc, "simulate_many", counting_simulate_many)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -204,20 +204,21 @@ def test_walkers_claim_each_run_once(monkeypatch):
 
 
 def test_walker_error_surfaces(monkeypatch):
-    # an error other than StuckWalkError in another thread's walk stops the
-    # batch: the calling thread waits in its first walk until it is raised
+    # an error other than StuckWalkError in another thread's chunk stops
+    # the batch: the calling thread waits in its first chunk until it is
+    # raised
     caller = threading.current_thread()
     raised = threading.Event()
 
-    def failing_simulate(*args, **kwargs):
+    def failing_simulate_many(*args, **kwargs):
         if threading.current_thread() is caller:
             raised.wait(timeout=30)
-            return simulate(*args, **kwargs)
+            return simulate_many(*args, **kwargs)
         raised.set()
         raise RuntimeError("walker failed")
 
     monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(mc, "simulate", failing_simulate)
+    monkeypatch.setattr(mc, "simulate_many", failing_simulate_many)
     with pytest.raises(RuntimeError, match="walker failed"):
         mc.run_batch(small_config(runs=50, workers=2))
     assert raised.is_set()
@@ -226,21 +227,23 @@ def test_walker_error_surfaces(monkeypatch):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_walker_error_stops_claims(monkeypatch, workers):
     # at 2 workers the recorder runs the first walker to its end before the
-    # calling thread walks: neither may walk a run after the error
+    # calling thread walks: neither may walk a chunk after the error
     calls = []
 
-    def failing_simulate(*args, **kwargs):
+    def failing_simulate_many(*args, **kwargs):
         calls.append(args[2])
         if len(calls) == 3:
             raise RuntimeError("walker failed")
-        return simulate(*args, **kwargs)
+        return simulate_many(*args, **kwargs)
 
     monkeypatch.setattr(threading, "Thread", RecordingThread)
     monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(mc, "simulate", failing_simulate)
+    monkeypatch.setattr(mc, "simulate_many", failing_simulate_many)
     with pytest.raises(RuntimeError, match="walker failed"):
         mc.run_batch(small_config(runs=8, workers=workers))
-    assert calls == [derive_seed(555, i) for i in range(3)]
+    chunk = max(1, 8 // (4 * workers))
+    assert calls == [[derive_seed(555, i) for i in range(j, j + chunk)]
+                     for j in range(0, 3 * chunk, chunk)]
 
 
 def test_threads_drop_each_walk_once_analyzed(monkeypatch):
@@ -249,10 +252,10 @@ def test_threads_drop_each_walk_once_analyzed(monkeypatch):
     walks = []
     live = []
 
-    def recording_simulate(*args, **kwargs):
-        traj = simulate(*args, **kwargs)
-        walks.append(weakref.ref(traj))
-        return traj
+    def recording_simulate_many(*args, **kwargs):
+        trajs = simulate_many(*args, **kwargs)
+        walks.extend(weakref.ref(traj) for traj in trajs)
+        return trajs
 
     def recording_analyze(traj, tail_fraction):
         live.append(sum(ref() is not None for ref in walks))
@@ -261,11 +264,37 @@ def test_threads_drop_each_walk_once_analyzed(monkeypatch):
     analyze = mc._analyze
     monkeypatch.setattr(threading, "Thread", RecordingThread)
     monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(mc, "simulate", recording_simulate)
+    monkeypatch.setattr(mc, "simulate_many", recording_simulate_many)
     monkeypatch.setattr(mc, "_analyze", recording_analyze)
     res = mc.run_batch(small_config(runs=20, workers=2))
     assert res.aggregate.runs == 20
     assert live == list(range(20, 0, -1))
+
+
+def test_direct_batch_calls_the_kernel_once_per_chunk_and_stop(monkeypatch):
+    # 200 runs on 2 walkers: 8 chunks of 25 runs, each advanced to its
+    # two stops in one call apiece, plus one call per round of walks
+    # re-placed in a wider window; one call per run and stop would be 400
+    kernels = _kernel.load()
+    calls, placements = [], []
+    many, place = kernels.stuck_walk_many, walk._KernelWalk._place
+
+    def counting_many(*args):
+        calls.append(args[2])
+        return many(*args)
+
+    def counting_place(self, lt, size):
+        placements.append(size)
+        place(self, lt, size)
+
+    monkeypatch.setattr(kernels, "stuck_walk_many", counting_many)
+    monkeypatch.setattr(walk._KernelWalk, "_place", counting_place)
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
+    res = mc.run_batch(small_config(runs=200, steps=5000, workers=2))
+    assert res.aggregate.runs == 200
+    chunks = 200 // 25
+    replaced = len(placements) - 200            # the first placements
+    assert len(calls) <= 2 * chunks + replaced
 
 
 def test_batch_compiles_the_kernels_once(tmp_path, monkeypatch):

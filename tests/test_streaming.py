@@ -160,16 +160,19 @@ def test_batch_first_step_matches_path():
 
 
 def test_kernel_returns_early_at_window_edge():
-    kernel = _kernel.load().stuck_walk_steps
-    lt = np.zeros(4, dtype=np.int64)             # edges -1..2
+    kernel = _kernel.load().stuck_walk_many
     # pos, lo, hi, first, last, then key, counter[4], buffer[4] and used
-    # all 0: the buffer's four zero draws give u = 0, always right
-    state = np.array([0, 0, 0, -1, 2] + [0] * 10, dtype=np.int64)
-    taken = kernel(2.0, 2.0, lt.ctypes.data + 8, 10, state.ctypes.data, None)
+    # all 0: the buffer's four zero draws give u = 0, always right; then
+    # the local times of edges -1..2
+    buf = np.array([0, 0, 0, -1, 2] + [0] * 10 + [0] * 4, dtype=np.int64)
+    states = np.array([buf.ctypes.data], dtype=np.int64)
+    outs = np.zeros(1, dtype=np.int64)              # NULL: no path
+    n = np.array([10], dtype=np.int64)
+    kernel(2.0, 2.0, 1, states.ctypes.data, outs.ctypes.data, n.ctypes.data)
     # after one step hi = 1 and the next step would read edge 3
-    assert taken == 1
-    assert state.tolist() == [1, 0, 1, -1, 2] + [0] * 9 + [1]
-    assert lt.tolist() == [0, 0, 1, 0]
+    assert n.tolist() == [1]
+    assert buf[:15].tolist() == [1, 0, 1, -1, 2] + [0] * 9 + [1]
+    assert buf[15:].tolist() == [0, 0, 1, 0]
 
 
 def test_path_free_memory_does_not_grow_with_steps():

@@ -116,7 +116,8 @@ def test_kernel_prototypes_match_argtypes():
                 for ret, name, params in definitions
                 if ret.split()[0] != "static"]
     assert [name for _, name, _ in exported] == [
-        "stuck_step_prob", "stuck_walk_steps", "stuck_rubin_races",
+        "stuck_step_prob", "stuck_walk_steps", "stuck_walk_many",
+        "stuck_rubin_races",
         "stuck_sampler_step", "stuck_matched_crossings",
         "stuck_std_exponentials"]
     for ret, name, params in exported:

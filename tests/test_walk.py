@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -186,8 +187,9 @@ def test_kernel_draws_numpys_philox_stream(alpha, beta, seed, steps, marks):
     # random(steps), and the walk is the Python stepper's
     params = Params.make(alpha, beta)
     marks = sorted({k % (steps + 1) for k in marks})
-    walker = walk._KernelWalk(_kernel.load(), params, steps, seed, True)
-    records = walk._drive(walker, steps, marks)
+    group = walk._KernelGroup(_kernel.load(), params, steps, [seed], True)
+    records = walk._drive(group, steps, marks)
+    [walker] = group.walks
     gen = oracles.philox(seed)
     gen.random(steps)
     words = np.asarray(walker.state)[5:].view(np.uint64).tolist()
@@ -195,8 +197,36 @@ def test_kernel_draws_numpys_philox_stream(alpha, beta, seed, steps, marks):
     assert words[0] == seed % 2 ** 64
     ref = oracles.simulate(params, steps, seed, stops=marks)
     assert walker.path() == ref.positions
-    assert ([records[k].snapshot() for k in marks]
+    assert ([records[k][0].snapshot() for k in marks]
             == [ref.stops[k].snapshot() for k in marks])
+
+
+@given(alpha=st.sampled_from([2.0, 0.8, 0.45, 0.36]),
+       beta=st.floats(min_value=0.01, max_value=30.0),
+       steps=st.sampled_from([1, 4999, 16383, 16384, 16385, 40001])
+       | st.integers(min_value=0, max_value=3000),
+       seeds=st.lists(st.integers(min_value=0, max_value=2 ** 64 - 1),
+                      min_size=1, max_size=6, unique=True),
+       period=st.sampled_from([0, 977, 16384, None]))
+@settings(max_examples=40, deadline=None)
+def test_kernel_group_matches_reference(alpha, beta, steps, seeds, period):
+    # a 4-edge first window makes the walks of one group outgrow their
+    # windows at different steps, so most calls after the first advance
+    # only some of them; each walk is still its seed's reference walk
+    every = max(1, steps // 50) if period is None else period
+    marks = list(range(every, steps + 1, every)) if every else []
+    params = Params.make(alpha, beta)
+    with mock.patch.object(walk, "_WINDOW0", 4):
+        group = walk._KernelGroup(_kernel.load(), params, steps, seeds, True)
+        records = walk._drive(group, steps, marks)
+    for i, (seed, walker) in enumerate(zip(seeds, group.walks)):
+        ref = oracles.ReferenceWalk(params, seed, True)
+        ref_records = walk._drive(ref, steps, marks)
+        assert walker.path() == ref.path()
+        assert ([records[k][i].snapshot() for k in marks]
+                == [ref_records[k].snapshot() for k in marks])
+        words = np.asarray(walker.state)[5:].view(np.uint64).tolist()
+        assert words == oracles.philox_words(ref.gen)
 
 
 @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1, -1, 2 ** 64 + 3])
@@ -205,7 +235,8 @@ def test_philox_record_is_a_fresh_generator(seed):
     # and a fresh kernel walk holds them
     words = rng.philox_record(seed).tolist()
     assert words == oracles.philox_words(oracles.philox(seed))
-    walker = walk._KernelWalk(_kernel.load(), P21, 0, seed, False)
+    group = walk._KernelGroup(_kernel.load(), P21, 0, [seed], False)
+    [walker] = group.walks
     assert np.asarray(walker.state)[5:].view(np.uint64).tolist() == words
 
 
@@ -242,6 +273,8 @@ def test_cli_fails_without_a_working_compiler(empty_cache, tmp_path,
     assert line.startswith("stuckwalk: error: ")
     assert (os.path.realpath(bin_dir / _kernel.COMPILER)
             if compiler == "broken" else repr(_kernel.COMPILER)) in line
+    # and the compiler's own last word on why
+    assert compiler != "broken" or line.endswith(" broken")
     assert not empty_cache.exists() or list(empty_cache.iterdir()) == []
 
 
@@ -262,7 +295,7 @@ def test_fallback_gives_same_bytes(tmp_path, monkeypatch):
     # the CLI's bytes from kernel walks and from the oracle stepper's
     compiled = _cli_bytes(tmp_path, "kernel")
     monkeypatch.setattr(cli, "simulate", oracles.simulate)
-    monkeypatch.setattr(mc, "simulate", oracles.simulate)
+    monkeypatch.setattr(mc, "simulate_many", oracles.simulate_many)
     assert _cli_bytes(tmp_path, "fallback") == compiled
 
 
