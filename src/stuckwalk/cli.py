@@ -421,8 +421,10 @@ def parse_and_dispatch(argv=None) -> int:
         return _COMMANDS[args.subcommand][0](parser, _resolve(parser, args))
     except SystemExit as exc:  # argparse, or parser.error in a handler
         return exc.code if isinstance(exc.code, int) else 2
-    except (StuckWalkError, OSError, ValueError) as exc:
-        print(f"{PROG}: error: {exc}", file=sys.stderr)
+    except (StuckWalkError, OSError, ValueError, OverflowError,
+            MemoryError) as exc:
+        print(f"{PROG}: error: {str(exc) or type(exc).__name__}",
+              file=sys.stderr)
         return 1
 
 

@@ -3,13 +3,13 @@
 Every run gets its own seed derived from (master_seed, run_index) by a
 fixed avalanche mix, so the batch output is a pure function of its config:
 identical across platforms, worker counts, and scheduling orders.
-A batch first walks every run, path-free, to the Stops its analysis
-reads, in chunks of consecutive runs: on threads, each chunk of
-``direct`` walks one ``walk.simulate_many`` group (one kernel call per
-chunk and stop), or in processes, ``rubin`` walks (which race in Python)
-one ``walk.simulate`` per run.  It then analyzes and aggregates the runs
-in index order with integer counters, never order-sensitive
-floating-point accumulation.
+A batch splits its runs into chunks of consecutive runs, and the worker
+that claims a chunk walks it, path-free, to the Stops its analysis reads,
+then analyzes it: on threads, a ``direct`` chunk as one
+``walk.simulate_many`` group (one kernel call per chunk and stop), or in
+processes, ``rubin`` walks (which race in Python) one ``walk.simulate``
+per run.  The records are joined in index order and aggregated with
+integer counters, never order-sensitive floating-point accumulation.
 """
 
 import os
@@ -61,11 +61,16 @@ def run_one(params: Params, steps: int, seed: int, engine: str,
             tail_fraction: float, stops=()):
     """Walk and analyze one run; returns (summary, trajectory).  The
     trajectory keeps no path, only the Stops after each step count of
-    ``stops``, at the tail start and at the end."""
+    ``stops`` and those its analysis reads."""
     traj = simulate(params, steps, seed,
-                    stops=(*stops, tail_start(steps, tail_fraction), steps),
+                    stops=(*stops, *_stops(steps, tail_fraction)),
                     keep_path=False, engine=engine)
     return _analyze(traj, tail_fraction), traj
+
+
+def _stops(steps: int, tail_fraction: float):
+    """The step counts whose Stops a run's analysis reads."""
+    return tail_start(steps, tail_fraction), steps
 
 
 def _analyze(traj, tail_fraction: float):
@@ -75,31 +80,27 @@ def _analyze(traj, tail_fraction: float):
     return summary
 
 
-def _walk_run(config: BatchConfig, index: int):
-    """Run ``index`` of a ``rubin`` batch walked to the Stops its analysis
-    reads, or that walk's failure.  Top-level so it pickles."""
-    try:
-        return simulate(config.params, config.steps,
-                        derive_seed(config.master_seed, index),
-                        stops=_stops(config), keep_path=False,
-                        engine=config.engine)
-    except StuckWalkError as exc:
-        return f"{type(exc).__name__}: {exc}"
-
-
-def _walk_chunk(config: BatchConfig, indices: range) -> list:
-    """Runs ``indices`` of a batch walked to the Stops their analysis
-    reads: ``direct`` walks as one kernel group, which cannot fail, and
-    ``rubin`` walks one by one through ``_walk_run``."""
-    if config.engine == "rubin":
-        return [_walk_run(config, i) for i in indices]
-    return simulate_many(config.params, config.steps,
-                         [derive_seed(config.master_seed, i) for i in indices],
-                         stops=_stops(config), keep_path=False)
-
-
-def _stops(config: BatchConfig):
-    return tail_start(config.steps, config.tail_fraction), config.steps
+def _run_chunk(config: BatchConfig, indices: range) -> list:
+    """Runs ``indices`` of a batch walked and analyzed, as ``_run_one``
+    records: ``direct`` walks as one kernel group, which cannot fail, and
+    ``rubin`` walks one by one, a walk's ``StuckWalkError`` kept in its
+    place.  Top-level so it pickles."""
+    seeds = [derive_seed(config.master_seed, i) for i in indices]
+    stops = _stops(config.steps, config.tail_fraction)
+    if config.engine == "direct":
+        walks = simulate_many(config.params, config.steps, seeds,
+                              stops=stops, keep_path=False)
+    else:
+        walks = []
+        for seed in seeds:
+            try:
+                walks.append(simulate(config.params, config.steps, seed,
+                                      stops=stops, keep_path=False,
+                                      engine=config.engine))
+            except StuckWalkError as exc:
+                walks.append(exc)
+    walks.reverse()                     # each walk is dropped once analyzed
+    return [_run_one(config, i, walks.pop()) for i in indices]
 
 
 def _run_one(config: BatchConfig, index: int, traj):
@@ -107,26 +108,25 @@ def _run_one(config: BatchConfig, index: int, traj):
     walk's failure, as (index, seed, summary, None, failure).  perfbench
     reads the failure at index 4."""
     seed = derive_seed(config.master_seed, index)
-    if isinstance(traj, str):
-        return index, seed, None, None, traj
     try:
+        if isinstance(traj, StuckWalkError):
+            raise traj
         return index, seed, _analyze(traj, config.tail_fraction), None, None
     except StuckWalkError as exc:
         return index, seed, None, None, f"{type(exc).__name__}: {exc}"
 
 
 def run_batch(config: BatchConfig) -> BatchResult:
-    """Walk the runs on at most min(workers, runs, cpus) threads, or
-    processes for ``rubin`` walks, then analyze them here in index order.
-
-    Walkers claim chunks of ``max(1, runs // (4 * workers))`` consecutive
-    runs; a thread walks a ``direct`` chunk as one kernel group, so it
-    crosses into C once per chunk and stop.  Per-run failures are
-    recorded with their seed for replay; the batch itself fails only if
-    more than 1% of runs fail.
-    """
+    """Run the batch in chunks of ``max(1, runs // (4 * workers))``
+    consecutive runs on at most min(workers, runs, cpus) threads, or
+    processes for ``rubin`` walks; the worker that claims a chunk walks
+    and analyzes it.  Per-run failures are recorded with their seed for
+    replay, in index order; the batch itself fails only if more than 1%
+    of runs fail."""
     workers = min(config.workers, config.runs, os.cpu_count() or 1)
     chunk = max(1, config.runs // (4 * workers))
+    chunks = [range(start, min(start + chunk, config.runs))
+              for start in range(0, config.runs, chunk)]
     # build the kernels once, here: load() holds no lock, and a missing
     # compiler then fails before any walker starts
     _kernel.load()
@@ -135,21 +135,19 @@ def run_batch(config: BatchConfig) -> BatchResult:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            walks = dict(enumerate(pool.map(
-                _walk_run, [config] * config.runs, range(config.runs),
-                chunksize=chunk)))
+            records = list(pool.map(_run_chunk, [config] * len(chunks),
+                                    chunks))
     else:
         # the kernel call releases the GIL; one walker starts no thread
-        walks, errors = {}, []
+        records, errors = [None] * len(chunks), []
         # next() is atomic under the GIL
-        claims = iter(range(0, config.runs, chunk))
+        claims = iter(enumerate(chunks))
         def walk():
-            for start in claims:
+            for k, indices in claims:
                 if errors:
                     break
-                indices = range(start, min(start + chunk, config.runs))
                 try:
-                    walks.update(zip(indices, _walk_chunk(config, indices)))
+                    records[k] = _run_chunk(config, indices)
                 except BaseException as exc:
                     errors.append(exc)
 
@@ -161,9 +159,7 @@ def run_batch(config: BatchConfig) -> BatchResult:
             thread.join()
         if errors:
             raise errors[0]
-    # each walk is dropped once analyzed
-    raw = [_run_one(config, i, walks.pop(i)) for i in range(config.runs)]
-
+    raw = [record for part in records for record in part]
     summaries = [summary for _, _, summary, _, _ in raw]
     failures = [{"run": index, "seed": seed, "reason": reason}
                 for index, seed, _, _, reason in raw if reason is not None]

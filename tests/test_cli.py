@@ -1,6 +1,5 @@
 import concurrent.futures
 import hashlib
-import itertools
 import json
 import os
 import pathlib
@@ -154,17 +153,23 @@ def test_batch_pool_gives_serial_bytes(tmp_path, monkeypatch):
 
 def test_batch_threads_give_serial_bytes(tmp_path, monkeypatch):
     # one run fails; its failure record must not depend on which thread
-    # walked it.  Direct walks cannot fail, so its analysis does: runs are
-    # analyzed here, in index order, so call 37 of each batch is run 37
+    # walked it.  Direct walks cannot fail, so its analysis does: the
+    # analysis of run 37's walk, whichever chunk and thread it is in
     failing = mc.derive_seed(99, 37)
-    analyzed = itertools.count()
+    doomed = []                         # the walks of run 37
+
+    def walk_many(params, steps, seeds, **kwargs):
+        trajs = mc_simulate_many(params, steps, seeds, **kwargs)
+        doomed.extend(t for seed, t in zip(seeds, trajs) if seed == failing)
+        return trajs
 
     def analyze(traj, tail_fraction):
-        if next(analyzed) % 100 == 37:
+        if any(traj is t for t in doomed):
             raise errors.CapacityError("walk failed")
         return mc_analyze(traj, tail_fraction)
 
-    mc_analyze = mc._analyze
+    mc_simulate_many, mc_analyze = mc.simulate_many, mc._analyze
+    monkeypatch.setattr(mc, "simulate_many", walk_many)
     monkeypatch.setattr(mc, "_analyze", analyze)
     monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
     outs = []
@@ -499,6 +504,36 @@ def test_size_options_below_one_are_errors(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"stuckwalk: error: {message}, got" in captured.err
+
+
+@pytest.mark.parametrize("command", ["batch", "simulate"])
+def test_oversized_steps_are_one_error_line(capsys, command):
+    # 1e20 steps overflow the walk's 64-bit counters before any step
+    argv = [command, "--alpha", "2", "--beta", "1", "--steps",
+            "100000000000000000000", "--seed", "1"]
+    assert run(argv + (["--runs", "1"] if command == "batch" else [])) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("stuckwalk: error: ")
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 298. GiB"), "Unable to allocate 298. GiB"),
+    (MemoryError(), "MemoryError")])
+def test_out_of_memory_is_one_error_line(capsys, monkeypatch, exc, message):
+    # linsys --K 200000 --lk2 0 would ask numpy for a 298 GiB matrix; the
+    # patched solver raises what numpy raises without allocating
+    from stuckwalk import linsys
+
+    def solve_direct(*args):
+        raise exc
+
+    monkeypatch.setattr(linsys, "solve_direct", solve_direct)
+    assert run(["linsys", "--alpha", "2", "--K", "200000", "--lk2", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"stuckwalk: error: {message}\n"
 
 
 @pytest.mark.parametrize("tail, message", [

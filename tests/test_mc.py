@@ -247,8 +247,9 @@ def test_walker_error_stops_claims(monkeypatch, workers):
 
 
 def test_threads_drop_each_walk_once_analyzed(monkeypatch):
-    # the batch holds each run's walk or its summary, never all walks and
-    # all summaries: when run i is analyzed, runs before it hold no walk
+    # a walker holds one chunk's walks at a time, never the whole batch's,
+    # and drops each once analyzed: when a run is analyzed, only it and
+    # the runs after it in its chunk of 2 hold a walk
     walks = []
     live = []
 
@@ -268,7 +269,7 @@ def test_threads_drop_each_walk_once_analyzed(monkeypatch):
     monkeypatch.setattr(mc, "_analyze", recording_analyze)
     res = mc.run_batch(small_config(runs=20, workers=2))
     assert res.aggregate.runs == 20
-    assert live == list(range(20, 0, -1))
+    assert live == [2, 1] * 10
 
 
 def test_direct_batch_calls_the_kernel_once_per_chunk_and_stop(monkeypatch):
@@ -323,6 +324,39 @@ def test_rubin_engine_batch():
     res = mc.run_batch(cfg)
     assert res.aggregate.runs == 4
     assert not res.failures
+
+
+def test_rubin_walk_failure_is_one_record(tmp_path, monkeypatch):
+    # a rubin walk that fails is that run's failure record, whether the
+    # calling thread or the pool walks it; the recording pool maps the
+    # chunks here, so the patched walk reaches it and no process starts
+    from stuckwalk.cli import parse_and_dispatch
+    from stuckwalk.errors import ConstructionFailure
+
+    failing = derive_seed(99, 37)
+
+    def failing_simulate(params, steps, seed, **kwargs):
+        if seed == failing:
+            raise ConstructionFailure("clock tie")
+        return simulate(params, steps, seed, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(mc, "simulate", failing_simulate)
+    outs = []
+    for workers in ("1", "2"):
+        path = tmp_path / f"agg{workers}.json"
+        assert parse_and_dispatch(
+            ["batch", "--engine", "rubin", "--alpha", "2", "--beta", "1",
+             "--steps", "1000", "--runs", "100", "--seed", "99",
+             "--workers", workers, "--out", str(path)]) == 0
+        outs.append(path.read_bytes())
+    assert RecordingPool.sizes == [2]
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["failures"] == [
+        {"run": 37, "seed": failing, "reason": "ConstructionFailure: clock tie"}]
 
 
 # ------------------------------------------------------------ run_one
