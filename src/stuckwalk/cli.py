@@ -5,10 +5,14 @@ master seed, and the PRNG identifier.  Randomized subcommands require an
 explicit --seed: there are no wall-clock defaults, so fixed invocations
 are byte-reproducible.
 
+The parser is built on first use and shared by every later call of
+``parse_and_dispatch`` in the process.
+
 Exit codes: 0 success, 1 runtime error, 2 usage error.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -18,7 +22,7 @@ from . import __version__
 from .errors import StuckWalkError
 from .rng import PRNG_ID
 from .spectrum import Params, alpha_threshold
-from .walk import ENGINES, Trajectory, simulate
+from .walk import ENGINES, MAX_STEPS, Trajectory, simulate
 
 PROG = "stuckwalk"
 
@@ -168,6 +172,8 @@ def cmd_simulate(parser, cfg):
     engine, every, out = cfg["engine"], cfg["snapshot_every"], cfg["out"]
     if every < 0:
         raise ValueError(f"snapshot_every must be >= 0, got {every}")
+    if cfg["steps"] > MAX_STEPS:
+        raise ValueError(f"steps must be <= {MAX_STEPS}, got {cfg['steps']}")
     if every and not out:
         parser.error("--snapshot-every needs --out: the snapshots go to "
                      "<out>.snapshots.json")
@@ -392,7 +398,11 @@ _COMMANDS = {  # name -> (handler, help); the options are in OPTIONS
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on first use and shared by
+    every later call in the process: ``parse_args`` leaves it unchanged,
+    and a handler only calls its ``error``."""
     parser = argparse.ArgumentParser(
         prog=PROG,
         description="simulation and verification toolkit for stuck walks")

@@ -22,7 +22,7 @@ from .analysis import (MIN_TRAJECTORY, batch_stats, compare_profile,
 from .errors import StuckWalkError
 from .rng import derive_seed
 from .spectrum import Params
-from .walk import ENGINES, simulate, simulate_many
+from .walk import ENGINES, MAX_STEPS, simulate, simulate_many
 
 __all__ = ["BatchConfig", "derive_seed", "run_batch", "run_one"]
 
@@ -43,6 +43,9 @@ class BatchConfig:
         if self.steps < MIN_TRAJECTORY:
             raise ValueError(
                 f"steps must be >= {MIN_TRAJECTORY}, got {self.steps}")
+        if self.steps > MAX_STEPS:
+            raise ValueError(
+                f"steps must be <= {MAX_STEPS}, got {self.steps}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.engine not in ENGINES:

@@ -24,6 +24,10 @@ from .spectrum import Params
 
 ENGINES = ("direct", "rubin")
 
+# the most steps one walk takes: the kernel counts steps in int64, and a
+# kept path holds steps + 1 positions
+MAX_STEPS = 2**63 - 2
+
 _SAT = 40.0  # |2 beta Delta| beyond which the logistic saturates in double
 
 

@@ -1,3 +1,4 @@
+import argparse
 import concurrent.futures
 import hashlib
 import json
@@ -508,7 +509,8 @@ def test_size_options_below_one_are_errors(capsys, argv, message):
 
 @pytest.mark.parametrize("command", ["batch", "simulate"])
 def test_oversized_steps_are_one_error_line(capsys, command):
-    # 1e20 steps overflow the walk's 64-bit counters before any step
+    # 1e20 steps overflow the walk's 64-bit counters, so they are refused
+    # before any step
     argv = [command, "--alpha", "2", "--beta", "1", "--steps",
             "100000000000000000000", "--seed", "1"]
     assert run(argv + (["--runs", "1"] if command == "batch" else [])) == 1
@@ -516,6 +518,7 @@ def test_oversized_steps_are_one_error_line(capsys, command):
     assert captured.out == ""
     assert captured.err.startswith("stuckwalk: error: ")
     assert len(captured.err.splitlines()) == 1
+    assert "steps must be <= " in captured.err
 
 
 @pytest.mark.parametrize("exc, message", [
@@ -670,3 +673,61 @@ def test_python_m_cli_runs_the_cli(tmp_path, capsys):
         capture_output=True, cwd=tmp_path, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    # the first call builds the parser; a later call adds no argument
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counting(self, *args, **kwargs):
+        added.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    counts = []
+    for _ in range(2):
+        assert run(["thresholds", "--max-L", "2"]) == 0
+        counts.append(len(added))
+    assert counts[0] > 0
+    assert counts[1] == counts[0]
+
+
+_BATCH = {"alpha": "2", "beta": "1", "steps": "2000", "runs": "6",
+          "seed": "99", "workers": "2"}
+_CALLS = [  # argv, run in this order in one process
+    ["batch", "--workers", "two"],      # usage error
+    ["--version"],
+    ["batch", *[f"--{k}={v}" for k, v in _BATCH.items()], "--out", "b.json"],
+    ["batch", "--config", "batch.cfg"],  # the same options, from the file
+    ["verify", "--suite", "linsys", "--out", "v.json"],
+    ["simulate", "--alpha", "2", "--beta", "1", "--steps", "1000", "--seed",
+     "7", "--out", "w.csv"],
+]
+
+
+def test_in_process_calls_share_no_state(tmp_path, monkeypatch, capsys):
+    # each call gives what it gives on a parser of its own, though every
+    # call after the first reuses the first call's parser
+    def outcomes(fresh):
+        results = []
+        for i, argv in enumerate(_CALLS):
+            work = tmp_path / ("fresh" if fresh else "shared") / str(i)
+            work.mkdir(parents=True)
+            (work / "batch.cfg").write_text("".join(
+                f"{k} = {v}\n" for k, v in _BATCH.items()) + "out = b.json\n")
+            monkeypatch.chdir(work)
+            if fresh:
+                cli.build_parser.cache_clear()
+            rc = run(argv)
+            captured = capsys.readouterr()
+            results.append((rc, captured.out, captured.err, {
+                p.name: p.read_bytes() for p in sorted(work.iterdir())}))
+        return results
+
+    shared, fresh = outcomes(False), outcomes(True)
+    assert [r[0] for r in shared] == [2, 0, 0, 0, 0, 0]
+    assert shared[2][3]["b.json"] == shared[3][3]["b.json"]
+    for call, one, other in zip(_CALLS, shared, fresh):
+        assert one == other, call

@@ -73,6 +73,10 @@ def test_config_validation():
         small_config(tail_fraction=1.5)
     with pytest.raises(ValueError, match="holds no step"):
         small_config(tail_fraction=1e-4)
+    # the step bound is checked, never walked
+    small_config(steps=walk.MAX_STEPS)
+    with pytest.raises(ValueError, match="steps must be <= "):
+        small_config(steps=walk.MAX_STEPS + 1)
 
 
 def test_single_run_equals_pipeline():

@@ -213,6 +213,14 @@ def test_verify_runs_without_numpy_random(tmp_path, monkeypatch, capsys):
                                           monkeypatch, capsys)
 
 
+def test_cli_import_builds_no_parser(tmp_path):
+    # the parser is built on first use, so importing the CLI does not
+    # pay for it
+    _run_fresh("import stuckwalk.cli\n"
+               "assert stuckwalk.cli.build_parser.cache_info().currsize == 0\n",
+               tmp_path)
+
+
 def test_batch_modules_import_no_numpy(tmp_path):
     # numpy is about 170 ms of a cold start; one top-level import of it
     # on the batch path would put that back on every batch
