@@ -6,7 +6,9 @@ explicit --seed: there are no wall-clock defaults, so fixed invocations
 are byte-reproducible.
 
 The parser is built on first use and shared by every later call of
-``parse_and_dispatch`` in the process.
+``parse_and_dispatch`` in the process; the ``stuckwalk`` command makes
+one call per process, so only in-process callers (the tests, perfbench)
+build it less often.
 
 Exit codes: 0 success, 1 runtime error, 2 usage error.
 """
@@ -22,7 +24,7 @@ from . import __version__
 from .errors import StuckWalkError
 from .rng import PRNG_ID
 from .spectrum import Params, alpha_threshold
-from .walk import ENGINES, MAX_STEPS, Trajectory, simulate
+from .walk import ENGINES, Trajectory, simulate
 
 PROG = "stuckwalk"
 
@@ -172,8 +174,6 @@ def cmd_simulate(parser, cfg):
     engine, every, out = cfg["engine"], cfg["snapshot_every"], cfg["out"]
     if every < 0:
         raise ValueError(f"snapshot_every must be >= 0, got {every}")
-    if cfg["steps"] > MAX_STEPS:
-        raise ValueError(f"steps must be <= {MAX_STEPS}, got {cfg['steps']}")
     if every and not out:
         parser.error("--snapshot-every needs --out: the snapshots go to "
                      "<out>.snapshots.json")

@@ -24,8 +24,8 @@ from .spectrum import Params
 
 ENGINES = ("direct", "rubin")
 
-# the most steps one walk takes: the kernel counts steps in int64, and a
-# kept path holds steps + 1 positions
+# the most steps one kernel walk takes: the kernel counts steps in int64,
+# and a kept path holds steps + 1 positions
 MAX_STEPS = 2**63 - 2
 
 _SAT = 40.0  # |2 beta Delta| beyond which the logistic saturates in double
@@ -264,7 +264,10 @@ def simulate_many(params: Params, steps: int, seeds, stops=(),
     ``simulate(params, steps, seed, stops, keep_path)`` gives it, walked
     as one group: one kernel call per stop for all of them, and one more
     per round of walks that outgrew their window.  Raises OSError if the
-    kernel cannot be built."""
+    kernel cannot be built, and ValueError, before any allocation, if
+    ``steps`` exceeds ``MAX_STEPS``."""
+    if steps > MAX_STEPS:
+        raise ValueError(f"steps must be <= {MAX_STEPS}, got {steps}")
     group = _KernelGroup(_kernel.load(), params, steps, seeds, keep_path)
     marks = sorted(set(stops))
     records = _drive(group, steps, marks)

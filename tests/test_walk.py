@@ -95,6 +95,15 @@ def test_simulate_rejects_negative_arguments(capsys):
     assert "snapshot_every must be >= 0, got -5" in capsys.readouterr().err
 
 
+def test_kernel_walks_refuse_steps_past_the_bound():
+    # checked before the kernel's arrays are sized, so nothing is walked
+    # or allocated
+    with pytest.raises(ValueError, match="steps must be <= "):
+        walk.simulate(P21, walk.MAX_STEPS + 1, seed=1)
+    with pytest.raises(ValueError, match="steps must be <= "):
+        walk.simulate_many(P21, walk.MAX_STEPS + 1, [1, 2])
+
+
 def test_simulate_rejects_unknown_engine():
     with pytest.raises(ValueError, match="unknown engine 'bogus'"):
         walk.simulate(P21, 10, seed=1, engine="bogus")
