@@ -1,10 +1,10 @@
 """Compiled kernels for the direct walk, the keyed clock race and the
 embedded-path sampler, built on first use.
 
-``stuck_walk_steps`` steps the walk with the arithmetic of
-``walk.step_prob_right``: the same evaluation order of the local stream,
-the same saturation branches and libm ``exp``, bar the steps a table
-fixes.  It draws its uniforms itself from a port of numpy's
+``stuck_walk_steps`` steps right with the probability
+``stuck_step_prob``, the package's one step rule, which
+``walk.exact_path_law`` calls too; a table fixes most steps without
+``exp``.  It draws its uniforms itself from a port of numpy's
 Philox4x64-10, so its stream is the bytes of numpy's
 ``Generator(Philox(key=seed)).random``; the port multiplies in
 ``__uint128_t``, so the compiler must have that type (gcc or clang on a
@@ -30,11 +30,10 @@ sampler's ``log``, ``exp`` and ``log1p`` stay in numpy, whose SIMD
 versions differ from libm in the last bit on a few percent of inputs.
 ``stuck_matched_crossings`` matches the crossings of ``rubin.couple``'s
 two walks in integer arithmetic: one counting pass over each walk.
-``stuck_step_prob`` is the walk's step probability, for tests.  All seven
-are compiled with the system C compiler into
+All seven are compiled with the system C compiler into
 ``$XDG_CACHE_HOME/stuckwalk`` (default ``~/.cache``) as one library and
 loaded with ``ctypes``; the tests hold each one to a Python or numpy
-twin that gives the same bytes.
+twin that gives the same bytes, kept in ``tests/oracles.py``.
 ``-ffp-contract=off`` forbids fused multiply-adds, which would change the
 bits of Delta, of the clock means and of the ziggurat's wedge test;
 ``-ffast-math`` and ``-march=native`` must never be added for the same

@@ -9,13 +9,12 @@ Every Stop is recorded by a walker under ``_drive``: a group of
 ``"direct"`` walks in the compiled kernel (see ``_kernel``), which
 ``simulate_many`` advances to each stop in one call for the whole group
 and ``simulate`` runs as a group of one, the ``"rubin"`` engine's
-``rubin.RubinEngine``, or the ``WalkState`` bookkeeping replaying a kept
-path.  ``WalkState`` also serves the exact path-law oracle.
+``rubin.RubinEngine``, or ``_PathWalk`` replaying a kept path.  The step
+rule is the kernel's alone: ``exact_path_law`` weighs its steps with it.
 """
 
 from array import array
 from dataclasses import dataclass, field
-from math import exp
 
 from . import _kernel
 from .errors import CapacityError
@@ -27,55 +26,6 @@ ENGINES = ("direct", "rubin")
 # the most steps one kernel walk takes: the kernel counts steps in int64,
 # and a kept path holds steps + 1 positions
 MAX_STEPS = 2**63 - 2
-
-_SAT = 40.0  # |2 beta Delta| beyond which the logistic saturates in double
-
-
-def logistic_prob(x: float) -> float:
-    """1 / (1 + exp(-x)), saturating instead of overflowing."""
-    if x > _SAT:
-        return 1.0
-    if x < -_SAT:
-        return 0.0
-    return 1.0 / (1.0 + exp(-x))
-
-
-@dataclass
-class WalkState:
-    """State of one walk: ``edge_lt[j]`` is the local time on edge
-    {j-1, j}, and [min_site, max_site] the visited range."""
-
-    alpha: float
-    beta: float
-    pos: int = 0
-    edge_lt: dict = field(default_factory=dict)
-    min_site: int = 0
-    max_site: int = 0
-
-    def lt(self, j: int) -> int:
-        return self.edge_lt.get(j, 0)
-
-    def apply_move(self, direction: int) -> None:
-        """Move one step (+1 or -1) and update the counters in O(1)."""
-        y = self.pos
-        edge = y + (1 if direction > 0 else 0)  # {j-1, j} with j = edge
-        self.edge_lt[edge] = self.edge_lt.get(edge, 0) + 1
-        self.pos = y + direction
-        if self.pos < self.min_site:
-            self.min_site = self.pos
-        elif self.pos > self.max_site:
-            self.max_site = self.pos
-
-
-def local_stream(state: WalkState, j: int) -> float:
-    """Delta(j) from the current local times; absent edges count 0."""
-    lt = state.edge_lt.get
-    return (-state.alpha * lt(j - 1, 0) + lt(j, 0) - lt(j + 1, 0)
-            + state.alpha * lt(j + 2, 0))
-
-
-def step_prob_right(state: WalkState) -> float:
-    return logistic_prob(2.0 * state.beta * local_stream(state, state.pos))
 
 
 @dataclass
@@ -103,8 +53,8 @@ class Stop:
 @dataclass
 class Trajectory:
     """One run.  ``positions`` is the path X_0..X_n, or None when the run
-    kept no path; ``stops`` maps step counts to the Stops recorded during
-    the run."""
+    kept no path, and then ``steps`` gives n; ``stops`` maps step counts to
+    the Stops recorded during the run."""
 
     positions: list
     params: Params
@@ -112,8 +62,16 @@ class Trajectory:
     steps: int = None
 
     def __post_init__(self):
-        if self.steps is None:
-            self.steps = len(self.positions) - 1
+        if self.positions is not None:
+            n = len(self.positions) - 1
+            if n < 0:
+                raise ValueError("positions must hold X_0, got an empty path")
+            if self.steps not in (None, n):
+                raise ValueError(f"steps must be len(positions) - 1 = {n}, "
+                                 f"got {self.steps}")
+            self.steps = n
+        elif self.steps is None or self.steps < 0:
+            raise ValueError(f"steps must be >= 0, got {self.steps}")
 
     def stops_at(self, ks) -> list:
         """The Stops after each step count in ``ks``: the recorded ones,
@@ -218,28 +176,32 @@ class _KernelGroup:
 
 
 class _PathWalk:
-    """The ``WalkState`` bookkeeping replaying a kept path from its first
-    position, which need not be 0; no step is drawn, alpha goes unread."""
+    """A kept path replayed from its first position, which need not be 0:
+    the edge local times ``lt`` (edge {j-1, j} at key j) of its first
+    ``done`` steps; no step is drawn."""
 
     def __init__(self, positions):
-        x0 = positions[0]
-        self.state = WalkState(0.0, 0.0, pos=x0, min_site=x0, max_site=x0)
-        self.positions, self.done = positions, 0
+        self.positions, self.done, self.lt = positions, 0, {}
 
     def advance(self, n):
-        path, state = self.positions, self.state
+        path, lt = self.positions, self.lt
         for i in range(self.done, self.done + n):
-            if abs(move := path[i + 1] - path[i]) != 1:
-                raise ValueError(f"path step {i + 1} goes from {path[i]} "
-                                 f"to {path[i + 1]}, not by +-1")
-            state.apply_move(move)
+            a, b = path[i], path[i + 1]
+            if b == a + 1:
+                lt[b] = lt.get(b, 0) + 1
+            elif b == a - 1:
+                lt[a] = lt.get(a, 0) + 1
+            else:
+                raise ValueError(f"path step {i + 1} goes from {a} "
+                                 f"to {b}, not by +-1")
         self.done += n
 
     def record(self, step_no):
-        s = self.state
-        lo, hi = s.min_site, s.max_site
-        return Stop(step_no, s.pos, lo, hi,
-                    array("q", [s.lt(j) for j in range(lo, hi + 2)]))
+        lt, pos = self.lt, self.positions[self.done]
+        # a +-1 path over the sites lo..hi has crossed edges lo+1..hi
+        lo, hi = (min(lt) - 1, max(lt)) if lt else (pos, pos)
+        return Stop(step_no, pos, lo, hi,
+                    array("q", [lt.get(j, 0) for j in range(lo, hi + 2)]))
 
 
 def _drive(walker, steps, marks):
@@ -307,32 +269,41 @@ def exact_path_law(params: Params, horizon: int) -> dict:
     """Exact law of the first ``horizon`` steps by full enumeration.
 
     Keys are position tuples (X_1, ..., X_h); values are path probabilities
-    (products of the step probabilities), summing to 1.
+    (products of the kernel's step probabilities ``stuck_step_prob``),
+    summing to 1.  Raises OSError if the kernel cannot be built.
     """
+    from operator import index
+
+    try:
+        horizon = index(horizon)
+    except TypeError:
+        raise ValueError(f"horizon must be an integer, got "
+                         f"{horizon!r}") from None
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     if horizon > MAX_EXACT_HORIZON:
         raise CapacityError(
             f"exact enumeration supports horizon <= {MAX_EXACT_HORIZON}, got {horizon}")
+    step_prob = _kernel.load().stuck_step_prob
+    alpha, tb = params.alpha, 2.0 * params.beta
+    # edges -h-1..h+2, all a walk of h steps reads: edge j at lt[j + h + 1]
+    lt = array("q", bytes(8 * (2 * horizon + 4)))
+    edge0 = lt.buffer_info()[0] + 8 * (horizon + 1)
     law = {}
-    state = WalkState(alpha=params.alpha, beta=params.beta)
-    path = []
 
-    def recurse(prob):
+    def recurse(path, pos, prob):
         if len(path) == horizon:
-            law[tuple(path)] = prob
+            law[path] = prob
             return
-        p_right = step_prob_right(state)
-        y = state.pos
-        for direction, p in ((1, p_right), (-1, 1.0 - p_right)):
-            state.apply_move(direction)
-            path.append(state.pos)
-            recurse(prob * p)
-            path.pop()
-            state.pos = y
-            state.edge_lt[y + (direction > 0)] -= 1
+        p_right = step_prob(alpha, tb, edge0 + 8 * pos)
+        left = pos + horizon + 1        # where lt holds the edge {pos-1, pos}
+        for y, edge, p in ((pos + 1, left + 1, p_right),
+                           (pos - 1, left, 1.0 - p_right)):
+            lt[edge] += 1
+            recurse(path + (y,), y, prob * p)
+            lt[edge] -= 1
 
-    recurse(1.0)
+    recurse((), 0, 1.0)
     return law
 
 

@@ -1,11 +1,16 @@
 """Python and numpy twins of the compiled kernels, kept as test oracles.
 
-Each twin computes, from the same seed, the bytes its kernel computes:
+Each twin computes the bytes its kernel computes, from the same seed
+where it draws:
 
+* ``step_prob_right`` (with ``local_stream``, ``logistic_prob`` and the
+  ``WalkState`` bookkeeping) is the kernel's ``stuck_step_prob``;
 * ``ReferenceWalk`` (with ``step``) is one walk of ``walk._KernelGroup``'s
   ``stuck_walk_many``, over ``philox(seed).random`` in blocks of
   ``BLOCK``; ``simulate`` drives it as ``walk.simulate`` drives the
   kernel, and ``simulate_many`` as ``walk.simulate_many`` does;
+* ``exact_path_law`` is ``walk.exact_path_law``, each step weighed by
+  ``step_prob_right`` instead of ``stuck_step_prob``;
 * ``draw_blocks`` is ``rubin._draw_blocks``' ``stuck_std_exponentials``,
   with one numpy Generator per row;
 * ``lockstep_codes`` is ``rubin._kernel_codes``' ``stuck_sampler_step``,
@@ -19,17 +24,17 @@ Each twin computes, from the same seed, the bytes its kernel computes:
 
 import copy
 from array import array
-from math import log
+from dataclasses import dataclass, field
+from math import exp, log
 
 import numpy as np
 from numpy.random import Generator, Philox
 
-from stuckwalk.errors import ConstructionFailure
+from stuckwalk.errors import CapacityError, ConstructionFailure
 from stuckwalk.rng import keyed_uniform
 from stuckwalk.rubin import (_EXHAUSTED_SAMPLER, _BLOCK, CoupleReport,
                              RubinEngine, WeightSpec)
-from stuckwalk.walk import Stop, Trajectory, WalkState, _drive, \
-    step_prob_right
+from stuckwalk.walk import MAX_EXACT_HORIZON, Stop, Trajectory, _drive
 
 BLOCK = 1 << 14  # uniforms per Philox call of the Python stepper
 _MASK64 = (1 << 64) - 1
@@ -56,6 +61,55 @@ def keyed_std_exponential(seed: int, *words: int) -> float:
 
 
 # ------------------------------------------------------------ walk
+
+_SAT = 40.0  # |2 beta Delta| beyond which the logistic saturates in double
+
+
+def logistic_prob(x: float) -> float:
+    """1 / (1 + exp(-x)), saturating instead of overflowing."""
+    if x > _SAT:
+        return 1.0
+    if x < -_SAT:
+        return 0.0
+    return 1.0 / (1.0 + exp(-x))
+
+
+@dataclass
+class WalkState:
+    """State of one walk: ``edge_lt[j]`` is the local time on edge
+    {j-1, j}, and [min_site, max_site] the visited range."""
+
+    alpha: float
+    beta: float
+    pos: int = 0
+    edge_lt: dict = field(default_factory=dict)
+    min_site: int = 0
+    max_site: int = 0
+
+    def lt(self, j: int) -> int:
+        return self.edge_lt.get(j, 0)
+
+    def apply_move(self, direction: int) -> None:
+        """Move one step (+1 or -1) and update the counters in O(1)."""
+        y = self.pos
+        edge = y + (1 if direction > 0 else 0)  # {j-1, j} with j = edge
+        self.edge_lt[edge] = self.edge_lt.get(edge, 0) + 1
+        self.pos = y + direction
+        if self.pos < self.min_site:
+            self.min_site = self.pos
+        elif self.pos > self.max_site:
+            self.max_site = self.pos
+
+
+def local_stream(state: WalkState, j: int) -> float:
+    """Delta(j) from the current local times; absent edges count 0."""
+    lt = state.edge_lt.get
+    return (-state.alpha * lt(j - 1, 0) + lt(j, 0) - lt(j + 1, 0)
+            + state.alpha * lt(j + 2, 0))
+
+
+def step_prob_right(state: WalkState) -> float:
+    return logistic_prob(2.0 * state.beta * local_stream(state, state.pos))
 
 
 def step(state: WalkState, u: float) -> WalkState:
@@ -109,6 +163,39 @@ def simulate_many(params, steps, seeds, stops=(), keep_path=True):
     """``walk.simulate_many``, one ``simulate`` per seed."""
     return [simulate(params, steps, seed, stops, keep_path)
             for seed in seeds]
+
+
+def exact_path_law(params, horizon: int) -> dict:
+    """Exact law of the first ``horizon`` steps by full enumeration.
+
+    Keys are position tuples (X_1, ..., X_h); values are path probabilities
+    (products of the step probabilities), summing to 1.
+    """
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    if horizon > MAX_EXACT_HORIZON:
+        raise CapacityError(
+            f"exact enumeration supports horizon <= {MAX_EXACT_HORIZON}, got {horizon}")
+    law = {}
+    state = WalkState(alpha=params.alpha, beta=params.beta)
+    path = []
+
+    def recurse(prob):
+        if len(path) == horizon:
+            law[tuple(path)] = prob
+            return
+        p_right = step_prob_right(state)
+        y = state.pos
+        for direction, p in ((1, p_right), (-1, 1.0 - p_right)):
+            state.apply_move(direction)
+            path.append(state.pos)
+            recurse(prob * p)
+            path.pop()
+            state.pos = y
+            state.edge_lt[y + (direction > 0)] -= 1
+
+    recurse(1.0)
+    return law
 
 
 # ------------------------------------------------------------ sampler

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stuckwalk import _kernel, analysis, mc, walk
 from stuckwalk.spectrum import Params
@@ -126,9 +126,16 @@ def test_tiny_window_grows_many_times():
         assert sa.lt.tolist() == sb.lt.tolist()
 
 
-def test_stops_from_path_match_recorded_stops():
-    stops = (0, 1, 999, 1000, 4096)
-    traj = walk.simulate(Params.make(0.8, 1.0), 4096, 5, stops=stops)
+@given(alpha=st.sampled_from([2.0, 0.8, 0.45, 0.36]),
+       beta=st.sampled_from([0.05, 1.0, 3.0, 20.0 - 2.0 ** -41]),
+       seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
+       marks=st.lists(st.integers(min_value=0, max_value=4096), min_size=1,
+                      max_size=6))
+@example(alpha=0.8, beta=1.0, seed=5, marks=[0, 1, 999, 1000, 4096])
+@settings(max_examples=40, deadline=None)
+def test_stops_from_path_match_recorded_stops(alpha, beta, seed, marks):
+    stops = sorted(set(marks))
+    traj = walk.simulate(Params.make(alpha, beta), 4096, seed, stops=stops)
     recorded = [traj.stops[k] for k in stops]
     assert all(a is b for a, b in zip(traj.stops_at(stops), recorded))
     derived = walk.Trajectory(positions=traj.positions,
@@ -137,6 +144,23 @@ def test_stops_from_path_match_recorded_stops():
         assert (got.step, got.pos, got.lo, got.hi) == (want.step, want.pos,
                                                        want.lo, want.hi)
         assert got.lt.tolist() == want.lt.tolist()
+
+
+@pytest.mark.parametrize("shift", [-40, 3])
+def test_stops_from_a_shifted_path_match_recount(shift):
+    # a path that starts off 0 replays from its own first position
+    traj = walk.simulate(Params.make(0.8, 1.0), 3000, 7)
+    positions = [x + shift for x in traj.positions]
+    marks = [0, 1, 1500, 3000]
+    derived = walk.Trajectory(positions=positions,
+                              params=traj.params).stops_at(marks)
+    for k, stop in zip(marks, derived):
+        head = positions[:k + 1]
+        assert (stop.step, stop.pos, stop.lo, stop.hi) == (
+            k, head[-1], min(head), max(head))
+        assert {j: c for j, c in zip(range(stop.lo, stop.hi + 2),
+                                     stop.lt.tolist()) if c} \
+            == walk.recount_local_times(head)
 
 
 def test_path_free_trajectory_needs_its_stops():

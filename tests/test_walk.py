@@ -23,7 +23,7 @@ P205 = Params.make(2.0, 0.5)
 
 def make_state(positions, alpha=2.0, beta=1.0):
     """Replay a position sequence through the incremental state."""
-    state = walk.WalkState(alpha=alpha, beta=beta)
+    state = oracles.WalkState(alpha=alpha, beta=beta)
     for prev, cur in zip(positions, positions[1:]):
         state.apply_move(cur - prev)
     return state
@@ -33,47 +33,47 @@ def make_state(positions, alpha=2.0, beta=1.0):
 
 
 def test_local_stream_fresh_state_zero():
-    state = walk.WalkState(alpha=2.0, beta=1.0)
+    state = oracles.WalkState(alpha=2.0, beta=1.0)
     for j in (-3, 0, 1, 7):
-        assert walk.local_stream(state, j) == 0.0
+        assert oracles.local_stream(state, j) == 0.0
 
 
 def test_local_stream_after_one_right_step():
     state = make_state([0, 1])
-    assert walk.local_stream(state, 1) == pytest.approx(1.0)
+    assert oracles.local_stream(state, 1) == pytest.approx(1.0)
 
 
 def test_local_stream_after_two_right_steps():
     state = make_state([0, 1, 2])
     # l(1)=l(2)=1: Delta(2) = -2*1 + 1 = -1
-    assert walk.local_stream(state, 2) == pytest.approx(-1.0)
+    assert oracles.local_stream(state, 2) == pytest.approx(-1.0)
 
 
 # ------------------------------------------------------------ step prob
 
 
 def test_step_prob_initial_half():
-    state = walk.WalkState(alpha=2.0, beta=1.0)
-    assert walk.step_prob_right(state) == 0.5
+    state = oracles.WalkState(alpha=2.0, beta=1.0)
+    assert oracles.step_prob_right(state) == 0.5
 
 
 def test_step_prob_after_one_step():
     state = make_state([0, 1])
-    assert walk.step_prob_right(state) == pytest.approx(
+    assert oracles.step_prob_right(state) == pytest.approx(
         1.0 / (1.0 + math.exp(-2.0)), abs=1e-12)
 
 
 def test_step_prob_saturates_without_overflow():
-    assert walk.logistic_prob(2.0e6) == 1.0
-    assert walk.logistic_prob(-2.0e6) == 0.0
-    assert walk.logistic_prob(-1e9) == 0.0
+    assert oracles.logistic_prob(2.0e6) == 1.0
+    assert oracles.logistic_prob(-2.0e6) == 0.0
+    assert oracles.logistic_prob(-1e9) == 0.0
 
 
 def test_step_moves_right_below_threshold():
-    state = walk.WalkState(alpha=2.0, beta=1.0)
+    state = oracles.WalkState(alpha=2.0, beta=1.0)
     oracles.step(state, 0.3)
     assert state.pos == 1
-    oracles.step(walk.WalkState(alpha=2.0, beta=1.0), 0.7)
+    oracles.step(oracles.WalkState(alpha=2.0, beta=1.0), 0.7)
 
 
 # ------------------------------------------------------------ simulate
@@ -158,9 +158,9 @@ def test_kernel_matches_reference(alpha, beta, steps, seed, period):
 @settings(max_examples=300, deadline=None)
 def test_kernel_step_probability_is_bit_identical(alpha, beta, lts):
     # stuck_step_prob is the p that stuck_walk_steps compares u with
-    state = walk.WalkState(alpha=alpha, beta=beta,
-                           edge_lt=dict(zip((-1, 0, 1, 2), lts)))
-    p = walk.step_prob_right(state)
+    state = oracles.WalkState(alpha=alpha, beta=beta,
+                              edge_lt=dict(zip((-1, 0, 1, 2), lts)))
+    p = oracles.step_prob_right(state)
     kernels = _kernel.load()
     lt = np.array([0, 0, *lts, 0, 0], dtype=np.int64)   # edges -3..4
     got = kernels.stuck_step_prob(alpha, 2.0 * beta, lt.ctypes.data + 8 * 3)
@@ -424,3 +424,30 @@ def test_empirical_matches_exact_law():
 def test_exact_law_rejects_negative_horizon():
     with pytest.raises(ValueError):
         walk.exact_path_law(P21, -1)
+
+
+@given(alpha=st.sampled_from([2.0, 0.8, 0.45, 0.36]),
+       beta=st.sampled_from([0.05, 1.0, 3.0, 20.0 - 2.0 ** -41]),
+       horizon=st.integers(min_value=0, max_value=10))
+@settings(max_examples=40, deadline=None)
+def test_exact_law_matches_oracle(alpha, beta, horizon):
+    # the kernel-stepped law is the Python stepper's, key order and bits
+    params = Params.make(alpha, beta)
+    got = walk.exact_path_law(params, horizon)
+    want = oracles.exact_path_law(params, horizon)
+    assert list(got) == list(want)
+    assert [p.hex() for p in got.values()] == [p.hex() for p in want.values()]
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: walk.Trajectory(None, P21, {}), "steps"),
+    (lambda: walk.Trajectory(None, P21, {}, steps=-1), "steps"),
+    (lambda: walk.Trajectory([], P21), "positions"),
+    (lambda: walk.Trajectory([0, 1, 0], P21, steps=5), "steps"),
+    (lambda: walk.exact_path_law(P21, 2.5), "horizon"),
+    (lambda: walk.exact_path_law(P21, "3"), "horizon"),
+], ids=["path-free-without-steps", "path-free-negative-steps", "empty-path",
+        "steps-off-path", "float-horizon", "str-horizon"])
+def test_malformed_walk_input_is_a_value_error(make, name):
+    with pytest.raises(ValueError, match=f"^{name} must "):
+        make()
