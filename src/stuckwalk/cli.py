@@ -293,21 +293,25 @@ def _verify_linsys(report, cfg):
 
 
 def _verify_walk(report, cfg):
-    from .walk import exact_path_law, recount_local_times
+    from .walk import exact_path_law
 
     params = Params.make(2.0, 1.0)
     law = exact_path_law(params, 8)
     total_err = abs(sum(law.values()) - 1.0)
     steps = 5000
-    traj = simulate(params, steps, cfg["seed"])
-    lt = recount_local_times(traj.positions)
+    traj = simulate(params, steps, cfg["seed"], stops=(steps,))
+    stop = traj.stops[steps]
+    # the kernel's Stop must be that of its path's replay
+    try:
+        ok = stop == Trajectory(traj.positions, params).stops_at([steps])[0]
+    except ValueError:      # a path step that is not +-1
+        ok = False
     # edge {j-1, j} is crossed an odd number of times exactly when it
-    # separates the start 0 from the endpoint X_n
-    x = traj.positions[-1]
-    lo, hi = min(0, x), max(0, x)
-    ok = (sum(lt.values()) == steps
-          and all((lt.get(j, 0) % 2 == 1) == (lo < j <= hi)
-                  for j in set(lt) | set(range(lo + 1, hi + 1))))
+    # separates the start 0 from X_n; the Stop's edges lo..hi+1 hold them
+    lo, hi = min(0, stop.pos), max(0, stop.pos)
+    ok = (ok and sum(stop.lt) == steps and stop.lo <= lo and hi <= stop.hi
+          and all((c % 2 == 1) == (lo < j <= hi)
+                  for j, c in enumerate(stop.lt, stop.lo)))
     report["walk_law_total_error"] = total_err
     report["walk_local_times_ok"] = ok
     return total_err < 1e-12 and ok

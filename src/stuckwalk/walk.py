@@ -9,8 +9,9 @@ Every Stop is recorded by a walker under ``_drive``: a group of
 ``"direct"`` walks in the compiled kernel (see ``_kernel``), which
 ``simulate_many`` advances to each stop in one call for the whole group
 and ``simulate`` runs as a group of one, the ``"rubin"`` engine's
-``rubin.RubinEngine``, or ``_PathWalk`` replaying a kept path.  The step
-rule is the kernel's alone: ``exact_path_law`` weighs its steps with it.
+``rubin.RubinEngine``, or ``_PathWalk`` replaying a kept path, the one
+code here that counts local times off a path.  The step rule is the
+kernel's alone: ``exact_path_law`` weighs its steps with it.
 """
 
 from array import array
@@ -54,7 +55,7 @@ class Stop:
 class Trajectory:
     """One run.  ``positions`` is the path X_0..X_n, or None when the run
     kept no path, and then ``steps`` gives n; ``stops`` maps step counts to
-    the Stops recorded during the run."""
+    the Stops recorded during the run, each under its own ``Stop.step``."""
 
     positions: list
     params: Params
@@ -72,6 +73,11 @@ class Trajectory:
             self.steps = n
         elif self.steps is None or self.steps < 0:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
+        for k, stop in self.stops.items():
+            if stop.step != k or not 0 <= k <= self.steps:
+                raise ValueError(f"stops must be filed under their own step "
+                                 f"in [0, {self.steps}], got the step "
+                                 f"{stop.step} stop at key {k}")
 
     def stops_at(self, ks) -> list:
         """The Stops after each step count in ``ks``: the recorded ones,
@@ -305,15 +311,3 @@ def exact_path_law(params: Params, horizon: int) -> dict:
 
     recurse((), 0, 1.0)
     return law
-
-
-# --- debug oracle --------------------------------------------------------
-
-def recount_local_times(positions) -> dict:
-    """Edge local times recomputed from scratch (oracle for the hot loop)."""
-    lt = {}
-    for a, b in zip(positions, positions[1:]):
-        j = max(a, b)
-        lt[j] = lt.get(j, 0) + 1
-    return lt
-

@@ -11,6 +11,8 @@ where it draws:
   kernel, and ``simulate_many`` as ``walk.simulate_many`` does;
 * ``exact_path_law`` is ``walk.exact_path_law``, each step weighed by
   ``step_prob_right`` instead of ``stuck_step_prob``;
+* ``recount_local_times`` is the path oracle: ``walk._PathWalk``'s edge
+  local times of a kept path, recounted from scratch;
 * ``draw_blocks`` is ``rubin._draw_blocks``' ``stuck_std_exponentials``,
   with one numpy Generator per row;
 * ``lockstep_codes`` is ``rubin._kernel_codes``' ``stuck_sampler_step``,
@@ -196,6 +198,17 @@ def exact_path_law(params, horizon: int) -> dict:
 
     recurse(1.0)
     return law
+
+
+# --- debug oracle --------------------------------------------------------
+
+def recount_local_times(positions) -> dict:
+    """Edge local times recomputed from scratch (oracle for the hot loop)."""
+    lt = {}
+    for a, b in zip(positions, positions[1:]):
+        j = max(a, b)
+        lt[j] = lt.get(j, 0) + 1
+    return lt
 
 
 # ------------------------------------------------------------ sampler

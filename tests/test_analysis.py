@@ -11,6 +11,8 @@ from stuckwalk.errors import NoTheory, TooShort
 from stuckwalk.linsys import solve_closed
 from stuckwalk.spectrum import Params, alpha_threshold
 
+import oracles
+
 P21 = Params.make(2.0, 1.0)
 P081 = Params.make(0.8, 1.0)
 
@@ -113,7 +115,7 @@ def drifting_path(seed, legs):
 def recount_summary(positions, params, tail_fraction):
     """The tail summary recounted from the path: visits and window from a
     Counter over the tail positions, crossings from max(X_m, X_m+1), the
-    streams from ``walk.recount_local_times``."""
+    streams from ``oracles.recount_local_times``."""
     steps = len(positions) - 1
     t0 = steps - int(steps * tail_fraction)
     visits = Counter(positions[t0:])
@@ -123,7 +125,7 @@ def recount_summary(positions, params, tail_fraction):
     crossed = Counter(max(x, y) for x, y in zip(positions[t0:],
                                                 positions[t0 + 1:]))
     inner = [crossed[j] for j in range(a + 1, b + 1)]
-    lt = Counter(walk.recount_local_times(positions))
+    lt = Counter(oracles.recount_local_times(positions))
     al = params.alpha
     rates = {j: abs(-al * lt[j - 1] + lt[j] - lt[j + 1] + al * lt[j + 2])
              / steps for j in range(a + 1, b)}

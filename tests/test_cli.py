@@ -252,6 +252,35 @@ def test_verify_walk_suite(tmp_path, capsys):
     assert json.loads(out.read_text())["walk_local_times_ok"] is True
 
 
+def bump_interior_edge(traj):
+    # +2 keeps the edge's parity
+    for stop in traj.stops.values():
+        stop.lt[1] += 2
+
+
+def stretch_a_right_step(traj):
+    # the first +1 step becomes +3; every later step is kept
+    path = traj.positions
+    k = next(i for i in range(traj.steps) if path[i + 1] == path[i] + 1)
+    path[k + 1:] = [x + 2 for x in path[k + 1:]]
+
+
+@pytest.mark.parametrize("corrupt", [bump_interior_edge,
+                                     stretch_a_right_step])
+def test_verify_walk_suite_fails_on_bad_kernel_output(tmp_path, capsys,
+                                                     monkeypatch, corrupt):
+    def simulate(*args, **kwargs):
+        traj = walk_simulate(*args, **kwargs)
+        corrupt(traj)
+        return traj
+
+    monkeypatch.setattr(cli, "simulate", simulate)
+    out = tmp_path / "v.json"
+    assert run(["verify", "--suite", "walk", "--out", str(out)]) == 1
+    assert capsys.readouterr().out == "walk: FAIL\n"
+    assert json.loads(out.read_text())["walk_local_times_ok"] is False
+
+
 @pytest.mark.parametrize("command, text, named", [
     ("linsys", "alpha = 2\nalpah = 2\nK = 1\n", "unknown config key 'alpah'"),
     ("linsys", "alpha = 2\nK = 1.5\n", "K = '1.5' is not a valid int"),

@@ -32,7 +32,7 @@ def summary_from_path(traj, tail_fraction):
     tail_edges = edges[t0:].tolist()
     inner = [tail_edges.count(j) for j in range(a + 1, b + 1)]
     total = sum(inner)
-    lt = walk.recount_local_times(traj.positions)
+    lt = oracles.recount_local_times(traj.positions)
     alpha = traj.params.alpha
     stream_rate = {
         str(j): abs(-alpha * lt.get(j - 1, 0) + lt.get(j, 0)
@@ -146,6 +146,45 @@ def test_stops_from_path_match_recorded_stops(alpha, beta, seed, marks):
         assert got.lt.tolist() == want.lt.tolist()
 
 
+def check_start_invariants(stop):
+    """The checks a Stop must pass to start a walk: its range [lo, hi]
+    holds 0 and its position, edges lo and hi+1 are uncrossed and edges
+    lo+1..hi crossed, an edge is crossed an odd number of times exactly
+    when it lies between 0 and the position, and the local times sum to
+    the step count."""
+    lt, lo, hi = stop.lt.tolist(), stop.lo, stop.hi
+    a, b = min(0, stop.pos), max(0, stop.pos)
+    assert len(lt) == hi - lo + 2
+    assert lo <= a and b <= hi
+    assert lt[0] == lt[-1] == 0 and all(c > 0 for c in lt[1:-1])
+    assert all((c % 2 == 1) == (a < j <= b) for j, c in enumerate(lt, lo))
+    assert sum(lt) == stop.step
+
+
+@given(alpha=st.sampled_from([2.0, 0.8, 0.45, 0.36]),
+       beta=st.sampled_from([0.05, 0.3, 1.0, 4.0]),
+       seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
+       marks=st.lists(st.integers(min_value=0, max_value=3000), min_size=1,
+                      max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_recorded_stops_pass_the_start_checks(alpha, beta, seed, marks):
+    # a kernel group, a rubin walk of a few hundred jumps (beta <= 1) and
+    # the replay of a kept kernel path
+    params, marks = Params.make(alpha, beta), sorted(set(marks))
+    walks = walk.simulate_many(params, 3000, [seed, seed ^ 1], stops=marks,
+                               keep_path=False)
+    stops = [t.stops[k] for t in walks for k in marks]
+    if beta <= 1.0:
+        jumps = [k // 10 for k in marks]
+        stops += walk.simulate(params, 300, seed, stops=jumps,
+                               keep_path=False,
+                               engine="rubin").stops_at(jumps)
+    kept = walk.simulate(params, 3000, seed)
+    stops += walk.Trajectory(kept.positions, params).stops_at(marks)
+    for stop in stops:
+        check_start_invariants(stop)
+
+
 @pytest.mark.parametrize("shift", [-40, 3])
 def test_stops_from_a_shifted_path_match_recount(shift):
     # a path that starts off 0 replays from its own first position
@@ -160,7 +199,7 @@ def test_stops_from_a_shifted_path_match_recount(shift):
             k, head[-1], min(head), max(head))
         assert {j: c for j, c in zip(range(stop.lo, stop.hi + 2),
                                      stop.lt.tolist()) if c} \
-            == walk.recount_local_times(head)
+            == oracles.recount_local_times(head)
 
 
 def test_path_free_trajectory_needs_its_stops():

@@ -243,6 +243,18 @@ def test_analyze_runs_without_numpy(tmp_path):
     assert (tmp_path / "s.json").stat().st_size > 0
 
 
+def test_verify_walk_runs_without_numpy(tmp_path):
+    # the walk suite checks the kernel's Stop against the Python replay
+    # of its path, and the law against 1 in the kernel: no numpy
+    _run_fresh(
+        "import sys\n"
+        "from stuckwalk.cli import parse_and_dispatch\n"
+        "assert parse_and_dispatch(['verify', '--suite', 'walk', "
+        "'--out', 'v.json']) == 0\n"
+        "assert 'numpy' not in sys.modules\n", tmp_path)
+    assert (tmp_path / "v.json").stat().st_size > 0
+
+
 def test_kernel_batch_runs_without_numpy(tmp_path):
     # nor a process pool (its walkers are threads) nor OpenSSL (the
     # kernel library's cache name needs no sha256)

@@ -73,7 +73,9 @@ def test_step_moves_right_below_threshold():
     state = oracles.WalkState(alpha=2.0, beta=1.0)
     oracles.step(state, 0.3)
     assert state.pos == 1
-    oracles.step(oracles.WalkState(alpha=2.0, beta=1.0), 0.7)
+    # p = 0.5 from a fresh state: u = 0.7 >= p moves left
+    assert oracles.step(oracles.WalkState(alpha=2.0, beta=1.0),
+                        0.7).pos == -1
 
 
 # ------------------------------------------------------------ simulate
@@ -349,13 +351,13 @@ def test_incremental_matches_recount():
     traj = walk.simulate(P21, 10000, seed=11)
     state = make_state(traj.positions)
     assert dict(state.edge_lt) == {
-        j: c for j, c in walk.recount_local_times(traj.positions).items()
-        if c}
+        j: c for j, c in oracles.recount_local_times(
+            traj.positions).items() if c}
 
 
 def test_local_time_conservation():
     traj = walk.simulate(P205, 4321, seed=8)
-    lt = walk.recount_local_times(traj.positions)
+    lt = oracles.recount_local_times(traj.positions)
     assert sum(lt.values()) == 4321
 
 
@@ -439,15 +441,31 @@ def test_exact_law_matches_oracle(alpha, beta, horizon):
     assert [p.hex() for p in got.values()] == [p.hex() for p in want.values()]
 
 
+def stop_at(k):
+    return walk.simulate(P21, k, 1, stops=(k,), keep_path=False).stops[k]
+
+
+def swapped_stops():
+    # each Stop of a 2000-step walk filed under the other's step count
+    s = walk.simulate(P21, 2000, 1, stops=(1000, 2000),
+                      keep_path=False).stops
+    return {1000: s[2000], 2000: s[1000]}
+
+
 @pytest.mark.parametrize("make, name", [
     (lambda: walk.Trajectory(None, P21, {}), "steps"),
     (lambda: walk.Trajectory(None, P21, {}, steps=-1), "steps"),
     (lambda: walk.Trajectory([], P21), "positions"),
     (lambda: walk.Trajectory([0, 1, 0], P21, steps=5), "steps"),
+    (lambda: walk.Trajectory(None, P21, swapped_stops(), steps=2000),
+     "stops"),
+    (lambda: walk.Trajectory(None, P21, {5000: stop_at(5000)}, steps=2000),
+     "stops"),
     (lambda: walk.exact_path_law(P21, 2.5), "horizon"),
     (lambda: walk.exact_path_law(P21, "3"), "horizon"),
 ], ids=["path-free-without-steps", "path-free-negative-steps", "empty-path",
-        "steps-off-path", "float-horizon", "str-horizon"])
+        "steps-off-path", "swapped-stop-keys", "stop-past-steps",
+        "float-horizon", "str-horizon"])
 def test_malformed_walk_input_is_a_value_error(make, name):
     with pytest.raises(ValueError, match=f"^{name} must "):
         make()
