@@ -1,4 +1,4 @@
-"""Compiled kernels for the direct walk, the keyed clock race and the
+"""Compiled kernels for the direct walk, the clock race and the
 embedded-path sampler, built on first use.
 
 ``stuck_walk_steps`` steps right with the probability
@@ -18,12 +18,19 @@ GIL, once per chunk of runs and stop, not twice per run.
 ``log1p``, and numpy's tables ``ke_double``, ``we_double`` and
 ``fe_double`` as literals.  Those were copied from the ``.rodata`` of
 numpy's ``libnpyrandom.a`` and must never be recomputed: no
-recomputation gives back all their bits.  ``stuck_rubin_races`` repeats
-``rubin.RubinEngine.race_step`` over clocks keyed by
-``rng.keyed_uniform``, for the positions, clock indices and
-residuals only: the same splitmix64 chain, the same ``log_f`` and
-``log_w`` evaluation order, and libm ``log``, ``log1p`` and ``exp``,
-which Python's ``math`` calls too.
+recomputation gives back all their bits.  ``stuck_rubin_races`` is the
+package's one clock race: every ``rubin`` walk runs in it, in a window
+of sites that the caller moves, and it returns at a requested jump so
+that it can resume.  It takes two clock sources: sequential clocks, the
+logged draws of ``rubin._draw_blocks`` taken in order of first use
+(``simulate_rubin`` and ``simulate(..., engine="rubin")``), and clocks
+keyed by ``rng.keyed_uniform`` (``rubin.couple``).  It repeats the race
+step of the Python engine kept in ``tests/oracles.py`` operation for
+operation: plus clock armed before minus clock, the same splitmix64
+chain, the same ``log_f`` and ``log_w`` evaluation order, the same
+``_logaddexp`` order for the pending and consumed times (kept only when
+the caller passes their buffer), and libm ``log``, ``log1p`` and
+``exp``, which Python's ``math`` calls too.
 ``stuck_sampler_step`` does the race bookkeeping of
 ``rubin.sample_embedded_paths`` with only ``+``, ``-`` and ``*``: the
 sampler's ``log``, ``exp`` and ``log1p`` stay in numpy, whose SIMD
@@ -235,7 +242,8 @@ static uint64_t splitmix64(uint64_t x)
     return z ^ (z >> 31);
 }
 
-/* rubin.WeightSpec.log_f for clock i of oriented edge (y, d) */
+/* log f_pm(y, i) of the rubin docstring, for clock i of oriented edge
+   (y, d) */
 static double log_f(double alpha, double beta, int64_t i, int64_t y,
                     int64_t d)
 {
@@ -244,48 +252,65 @@ static double log_f(double alpha, double beta, int64_t i, int64_t y,
                          + (1.0 + alpha) * (double)(d * y < 0));
 }
 
-/* Run up to n races of RubinEngine over the clocks keyed by seed, raw
-   value -log(keyed_uniform(seed, y, 3 + d, i)) for clock i of oriented
-   edge (y, d), but exp(log_u) for clock 0 of (hold, +1), from site 0 with
-   no clock armed, and return the number run.  The kernel fills both
-   buffers; what they hold on entry does not matter.  Sites -n-2..n+2
-   sit at z[0..2n+4], and the clock of oriented edge (y, d) at
-   e = 2*(y+n+2) + (d > 0) of index and log_res:
-       ints   = fail[2], path[n+1], z[2n+5], index[4n+10]
-       floats = log_res[4n+10]
-   path[k] is the position after k races; a NaN log_res marks an unarmed
-   clock, as None does in RubinEngine.  The clocks' pending and consumed
-   times, which RubinEngine keeps for the T_y report, are not kept.  On an
-   exact tie (fail[0] = 1) or an exhausted loser residual (fail[0] = 2)
-   the loop stops at that race, with the site in fail[1]. */
+/* rubin._logaddexp: log(exp(a) + exp(b)) in its order of operations */
+static double logaddexp(double a, double b)
+{
+    if (a == -INFINITY || b == -INFINITY)
+        return a == -INFINITY ? b : a;
+    return a < b ? b + log1p(exp(a - b)) : a + log1p(exp(b - a));
+}
+
+/* Run up to n more races of the rubin walk kept in ints, floats and
+   times, and return the number run.  A window of W sites first..last
+   holds a record per site, site x at slot x - first, clock - then +:
+       ints   = {pos, lo, hi, first, last, fail, site, left,
+                 W x {z, index-, index+}}
+       floats = W x {log_res-, log_res+}
+       times  = W x {log_pend-, log_pend+, log_cons-, log_cons+},
+                or NULL: not kept
+   pos, lo, hi (the visited range) and left are written back.  A walk
+   starts at 0 with z and index 0, log_res NaN (unarmed) and log_pend
+   and log_cons -inf.  A race at y reads z at y-1..y+1: the walk stops
+   before a race whose neighbours are not in the window, and the caller
+   moves the window.  A race arms its unarmed clocks, plus clock first,
+   clock i of (y, d) with log_f plus a logged raw value.  With draws NULL
+   the clocks are keyed: -log(keyed_uniform(seed, y, 3 + d, i)), but
+   exp(log_u) for clock 0 of (hold, +1).  Otherwise the raw values are
+   read in order from draws, left of them, and the walk stops when it
+   needs one more, perhaps with only its plus clock armed, for the
+   caller to pass the next.  The race and the pending and consumed times
+   follow the Python engine's race_step.  On an exact tie (fail = 1) or
+   an exhausted loser residual (fail = 2) the walk stops at that race,
+   its site in site.  out[k] receives the position after race k unless
+   out is NULL. */
 int64_t stuck_rubin_races(double alpha, double beta, uint64_t seed,
                           int64_t hold, double log_u, int64_t n,
-                          int64_t *ints, double *floats)
+                          int64_t *ints, double *floats, double *times,
+                          const double *draws, int64_t *out)
 {
-    const int64_t off = n + 2, edges = 4 * n + 10;
+    const int64_t first = ints[3], last = ints[4];
     const double lw = 4.0 * beta * alpha;
     const uint64_t h0 = splitmix64(seed);
-    int64_t *fail = ints, *path = ints + 2, *z = path + n + 1;
-    int64_t *index = z + 2 * off + 1;
-    double *log_res = floats;
-    int64_t pos = 0, k;
-    path[0] = 0;
-    for (k = 0; k <= 2 * off; k++)
-        z[k] = 0;
-    for (k = 0; k < edges; k++) {
-        index[k] = 0;
-        log_res[k] = NAN;
-    }
-    for (k = 0; k < n; k++) {
-        const int64_t y = pos, em = 2 * (y + off), ep = em + 1;
-        int64_t d, win, lose;
-        double ring_p, ring_m, log_e, ring_l, frac;
-        for (d = -1; d <= 1; d += 2) {
-            const int64_t e = d > 0 ? ep : em, i = index[e];
-            double draw;
-            if (!isnan(log_res[e]))
+    /* the records of site x at 3x, 2x and 4x */
+    int64_t *site = ints + 8 - 3 * first;
+    double *log_res = floats - 2 * first;
+    double *t = times ? times - 4 * first : NULL;
+    int64_t pos = ints[0], lo = ints[1], hi = ints[2], left = ints[7], k;
+    for (k = 0; k < n && first < pos && pos < last; k++) {
+        const int64_t y = pos;
+        int64_t d, c;
+        double ring_p, ring_m, log_e, frac;
+        for (d = 1; d >= -1; d -= 2) {
+            const int64_t i = site[3 * y + 1 + (d > 0)];
+            double draw, *res = log_res + 2 * y + (d > 0);
+            if (!isnan(*res))
                 continue;
-            if (d > 0 && i == 0 && y == hold) {
+            if (draws && left == 0)
+                break;
+            if (draws) {
+                draw = *draws++;
+                left -= 1;
+            } else if (d > 0 && i == 0 && y == hold) {
                 draw = log_u;
             } else {
                 uint64_t h = splitmix64(h0 ^ (uint64_t)y);
@@ -294,33 +319,43 @@ int64_t stuck_rubin_races(double alpha, double beta, uint64_t seed,
                 double u = (double)(h >> 11) * 0x1p-53;
                 draw = log(-log(u > 0.0 ? u : 0x1p-53));
             }
-            log_res[e] = log_f(alpha, beta, i, y, d) + draw;
+            *res = log_f(alpha, beta, i, y, d) + draw;
         }
-        ring_p = log_res[ep] - lw * (double)z[y + 1 + off];
-        ring_m = log_res[em] - lw * (double)z[y - 1 + off];
-        if (ring_p == ring_m) {
-            fail[0] = 1;
-            fail[1] = y;
+        if (d >= -1)            /* a clock is unarmed: no draw left */
+            break;
+        ring_p = log_res[2 * y + 1] - lw * (double)site[3 * (y + 1)];
+        ring_m = log_res[2 * y] - lw * (double)site[3 * (y - 1)];
+        /* exp(log_e - ring_l): rounding to nearest is symmetric, so
+           -fabs(ring_p - ring_m) is the winner's ring minus the loser's
+           bit for bit */
+        frac = exp(-fabs(ring_p - ring_m));
+        if (ring_p == ring_m || frac >= 1.0) {
+            ints[5] = ring_p == ring_m ? 1 : 2;
+            ints[6] = y;
             break;
         }
-        if (ring_p < ring_m) {
-            d = 1, win = ep, lose = em, log_e = ring_p, ring_l = ring_m;
-        } else {
-            d = -1, win = em, lose = ep, log_e = ring_m, ring_l = ring_p;
+        c = ring_p < ring_m;    /* the winner: 1 plus, 0 minus */
+        log_e = c ? ring_p : ring_m;
+        log_res[2 * y + !c] += log1p(-frac);
+        if (times) {
+            double *pend = t + 4 * y, *cons = pend + 2;
+            pend[!c] = logaddexp(pend[!c], log_e);
+            cons[c] = logaddexp(cons[c], logaddexp(pend[c], log_e));
+            pend[c] = -INFINITY;
         }
-        frac = exp(log_e - ring_l);
-        if (frac >= 1.0) {
-            fail[0] = 2;
-            fail[1] = y;
-            break;
-        }
-        log_res[lose] += log1p(-frac);
-        log_res[win] = NAN;
-        index[win] += 1;
-        pos = y + d;
-        z[pos + off] += 1;
-        path[k + 1] = pos;
+        log_res[2 * y + c] = NAN;
+        site[3 * y + 1 + c] += 1;
+        pos = y + 2 * c - 1;
+        site[3 * pos] += 1;
+        lo = pos < lo ? pos : lo;
+        hi = pos > hi ? pos : hi;
+        if (out)
+            out[k] = pos;
     }
+    ints[0] = pos;
+    ints[1] = lo;
+    ints[2] = hi;
+    ints[7] = left;
     return k;
 }
 
@@ -852,7 +887,7 @@ def load():
     kernels.stuck_walk_many.argtypes = [f64, f64, i64, ptr, ptr, ptr]
     kernels.stuck_walk_many.restype = None
     kernels.stuck_rubin_races.argtypes = [f64, f64, ctypes.c_uint64, i64,
-                                          f64, i64, ptr, ptr]
+                                          f64, i64, ptr, ptr, ptr, ptr, ptr]
     kernels.stuck_rubin_races.restype = i64
     kernels.stuck_sampler_step.argtypes = [f64, f64, i64, i64, i64, ptr,
                                            i64, ptr, ptr]

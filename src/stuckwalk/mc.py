@@ -5,11 +5,13 @@ fixed avalanche mix, so the batch output is a pure function of its config:
 identical across platforms, worker counts, and scheduling orders.
 A batch splits its runs into chunks of consecutive runs, and the worker
 that claims a chunk walks it, path-free, to the Stops its analysis reads,
-then analyzes it: on threads, a ``direct`` chunk as one
-``walk.simulate_many`` group (one kernel call per chunk and stop), or in
-processes, ``rubin`` walks (which race in Python) one ``walk.simulate``
-per run.  The records are joined in index order and aggregated with
-integer counters, never order-sensitive floating-point accumulation.
+then analyzes it.  The workers are threads, and every walk runs in a
+compiled kernel whose calls release the GIL: a ``direct`` chunk as one
+``walk.simulate_many`` group (one kernel call per chunk and stop), a
+``rubin`` chunk one ``walk.simulate`` per run, raced in
+``stuck_rubin_races``.  The records are joined in index order and
+aggregated with integer counters, never order-sensitive floating-point
+accumulation.
 """
 
 import os
@@ -87,7 +89,7 @@ def _run_chunk(config: BatchConfig, indices: range) -> list:
     """Runs ``indices`` of a batch walked and analyzed, as ``_run_one``
     records: ``direct`` walks as one kernel group, which cannot fail, and
     ``rubin`` walks one by one, a walk's ``StuckWalkError`` kept in its
-    place.  Top-level so it pickles."""
+    place."""
     seeds = [derive_seed(config.master_seed, i) for i in indices]
     stops = _stops(config.steps, config.tail_fraction)
     if config.engine == "direct":
@@ -121,11 +123,10 @@ def _run_one(config: BatchConfig, index: int, traj):
 
 def run_batch(config: BatchConfig) -> BatchResult:
     """Run the batch in chunks of ``max(1, runs // (4 * workers))``
-    consecutive runs on at most min(workers, runs, cpus) threads, or
-    processes for ``rubin`` walks; the worker that claims a chunk walks
-    and analyzes it.  Per-run failures are recorded with their seed for
-    replay, in index order; the batch itself fails only if more than 1%
-    of runs fail."""
+    consecutive runs on at most min(workers, runs, cpus) threads; the
+    thread that claims a chunk walks and analyzes it.  Per-run failures
+    are recorded with their seed for replay, in index order; the batch
+    itself fails only if more than 1% of runs fail."""
     workers = min(config.workers, config.runs, os.cpu_count() or 1)
     chunk = max(1, config.runs // (4 * workers))
     chunks = [range(start, min(start + chunk, config.runs))
@@ -133,35 +134,27 @@ def run_batch(config: BatchConfig) -> BatchResult:
     # build the kernels once, here: load() holds no lock, and a missing
     # compiler then fails before any walker starts
     _kernel.load()
-    if workers > 1 and config.engine == "rubin":
-        # here, so that a direct batch imports no process machinery
-        from concurrent.futures import ProcessPoolExecutor
+    # the kernel calls release the GIL; one walker starts no thread
+    records, errors = [None] * len(chunks), []
+    # next() is atomic under the GIL
+    claims = iter(enumerate(chunks))
+    def walk():
+        for k, indices in claims:
+            if errors:
+                break
+            try:
+                records[k] = _run_chunk(config, indices)
+            except BaseException as exc:
+                errors.append(exc)
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_chunk, [config] * len(chunks),
-                                    chunks))
-    else:
-        # the kernel call releases the GIL; one walker starts no thread
-        records, errors = [None] * len(chunks), []
-        # next() is atomic under the GIL
-        claims = iter(enumerate(chunks))
-        def walk():
-            for k, indices in claims:
-                if errors:
-                    break
-                try:
-                    records[k] = _run_chunk(config, indices)
-                except BaseException as exc:
-                    errors.append(exc)
-
-        threads = [threading.Thread(target=walk) for _ in range(workers - 1)]
-        for thread in threads:
-            thread.start()
-        walk()
-        for thread in threads:
-            thread.join()
-        if errors:
-            raise errors[0]
+    threads = [threading.Thread(target=walk) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    walk()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
     raw = [record for part in records for record in part]
     summaries = [summary for _, _, summary, _, _ in raw]
     failures = [{"run": index, "seed": seed, "reason": reason}

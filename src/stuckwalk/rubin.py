@@ -15,11 +15,19 @@ All residuals and ring times live in the log domain: w overflows double
 precision after a few dozen visits, while log-domain depletion keeps
 ~1e-12 relative precision.  A numerically non-positive loser residual (or
 an exact tie) raises ConstructionFailure rather than silently clamping.
+
+Every walk races in the compiled ``stuck_rubin_races`` (see ``_kernel``),
+driven by ``_RaceWalk``, over one of two clock sources: sequential clocks
+drawn from one Philox stream in order of first use (``simulate_rubin``
+and ``walk.simulate(..., engine="rubin")``), or stateless clocks keyed by
+(site, direction, clock index) (``couple``).  The Python race it repeats
+is kept in ``tests/oracles.py`` as its reference.
 """
 
 from array import array
 from dataclasses import dataclass
-from math import exp, expm1, inf, isfinite, log, log1p
+from math import exp, expm1, inf, isfinite, isnan, log, log1p, nan
+from operator import add
 
 import numpy as np
 
@@ -47,135 +55,6 @@ def _safe_exp(x: float) -> float:
         return inf
 
 
-class WeightSpec:
-    """The clock-mean functions f_pm and the race weight w, in log domain:
-    the two-factor rewrite of the jump law.
-
-    ``y`` and ``n`` may be integer arrays (the vectorized sampler); the
-    compiled race kernel repeats both formulas in the same order.
-    """
-
-    def __init__(self, alpha, beta):
-        self.alpha = alpha
-        self.beta = beta
-
-    def log_f(self, y, direction: int, n):
-        a, b = self.alpha, self.beta
-        target_origin = (y + direction) == 0
-        behind = (direction * y) < 0
-        return 2.0 * b * (2.0 * (1.0 + a) * n - a * target_origin
-                          + (1.0 + a) * behind)
-
-    def log_w(self, n):
-        return 4.0 * self.beta * self.alpha * n
-
-
-class SequentialClockSource:
-    """Clock draws taken in order of first use from one Philox stream: the
-    logged draws of ``_draw_blocks`` as one row of a count of runs no walk
-    reaches, read a block of 4096 at a time in one reused buffer."""
-
-    def __init__(self, seed: int):
-        self._blocks = _draw_blocks(_kernel.load(), seed, 1, 1 << 62, 4096)
-        self._buf, self._i = (), 0
-
-    def log_std_exponential(self, y, direction, k) -> float:
-        if self._i == len(self._buf):
-            self._buf, self._i = memoryview(next(self._blocks)[0]), 0
-        v = self._buf[self._i]
-        self._i += 1
-        return v
-
-
-@dataclass
-class Clock:
-    """Per-oriented-edge clock state.
-
-    Consumed real time lives in the log domain (log_consumed = log T_y+-):
-    clock means grow like exp(4 beta (1+alpha) k) with the clock index, so
-    the raw accumulators overflow doubles long before interesting horizons.
-    """
-
-    index: int = 0
-    log_residual: float = None
-    log_pending: float = -inf   # accrued sitting time not yet committed;
-    # -inf whenever the clock is unarmed: fresh, or its last race won
-    log_consumed: float = -inf  # log of the T accumulator
-
-
-class RubinEngine:
-    """A ``walk._drive`` walker in continuous time over a clock source;
-    ``clocks`` maps each oriented edge (y, direction) raced on to its Clock."""
-
-    def __init__(self, params: Params, clock_source, keep_path=True):
-        self.weights = WeightSpec(params.alpha, params.beta)
-        self.source = clock_source
-        self.pos = 0
-        self.jumps = 0
-        self.positions = [0] if keep_path else None
-        self.visits = {}  # Z: visit counts, start at 0 excluded
-        self.clocks = {}
-
-    def _armed(self, y: int, direction: int) -> Clock:
-        c = self.clocks.get((y, direction))
-        if c is None:
-            c = self.clocks[(y, direction)] = Clock()
-        if c.log_residual is None:
-            k = c.index
-            c.log_residual = (self.weights.log_f(y, direction, k)
-                              + self.source.log_std_exponential(y, direction, k))
-        return c
-
-    def race_step(self):
-        """Run one race at the current site; returns (direction, log of
-        the elapsed time)."""
-        y = self.pos
-        z = self.visits.get
-        cp = self._armed(y, 1)
-        cm = self._armed(y, -1)
-        ring_p = cp.log_residual - self.weights.log_w(z(y + 1, 0))
-        ring_m = cm.log_residual - self.weights.log_w(z(y - 1, 0))
-        if ring_p == ring_m:
-            raise _failure(_TIE, y, self.jumps)
-        if ring_p < ring_m:
-            direction, winner, loser, log_e, ring_l = 1, cp, cm, ring_p, ring_m
-        else:
-            direction, winner, loser, log_e, ring_l = -1, cm, cp, ring_m, ring_p
-        # deplete the loser: its raw amount shrinks by the consumed fraction
-        frac = exp(log_e - ring_l)
-        if frac >= 1.0:
-            raise _failure(_EXHAUSTED, y, self.jumps)
-        loser.log_residual += log1p(-frac)
-        loser.log_pending = _logaddexp(loser.log_pending, log_e)
-        winner.log_consumed = _logaddexp(
-            winner.log_consumed, _logaddexp(winner.log_pending, log_e))
-        winner.log_pending = -inf
-        winner.log_residual = None
-        winner.index += 1
-        self.pos = y + direction
-        self.visits[self.pos] = z(self.pos, 0) + 1
-        self.jumps += 1
-        if self.positions is not None:
-            self.positions.append(self.pos)
-        return direction, log_e
-
-    def advance(self, n):
-        for _ in range(n):
-            self.race_step()
-
-    def record(self, step):
-        """The Stop after ``step`` jumps: edge {j-1, j} was crossed once
-        per ring of clock (j-1, +1) or (j, -1), counted by their index."""
-        sites, c = self.visits.keys() | {0}, self.clocks
-        lo, hi = min(sites), max(sites)
-        return Stop(step, self.pos, lo, hi, array("q", [
-            getattr(c.get((j - 1, 1)), "index", 0)
-            + getattr(c.get((j, -1)), "index", 0) for j in range(lo, hi + 2)]))
-
-    def path(self):
-        return self.positions
-
-
 _TIE, _EXHAUSTED = "exact clock tie", "loser residual exhausted"
 
 
@@ -183,58 +62,119 @@ def _failure(what: str, site: int, jumps: int) -> ConstructionFailure:
     return ConstructionFailure(f"{what} at site {site} after {jumps} jumps")
 
 
-def race_kernel(kernels, params: Params, seed: int, hold_out: int, u: float,
-                jumps: int):
-    """RubinEngine's race loop in the compiled kernel (``kernels`` from
-    ``_kernel.load()``), over stateless clocks keyed by (site, direction,
-    clock index): clock k of oriented edge (y, d) has the raw value
-    ``-log(rng.keyed_uniform(seed, y, 3 + d, k))``, but ``u`` for clock 0
-    of (hold_out, +1).  Two walks that differ only in ``u`` race on one
-    clock collection.
+_WORDS = 8      # pos, lo, hi, first, last, fail, site, left
+_WINDOW0 = 64   # sites in a race's first window
+# (offset, words per site) of the window in each of the three buffers
+_LAYOUT = ((_WORDS, 3), (0, 2), (0, 4))
 
-    Returns (path, index, log_residual), views of the kernel's two
-    buffers (layout in _kernel.SOURCE): the int64 positions after 0..jumps
-    races, then the clocks of sites -jumps-2..jumps+2 as (sites, 2)
-    arrays, row y + jumps + 2, column 0 for the minus clock and 1 for the
-    plus clock; NaN marks an unarmed residual, as None does in
-    RubinEngine.  Raises the ConstructionFailure RubinEngine would raise.
+
+class _RaceWalk:
+    """A rubin walk of at most ``jumps`` jumps raced in
+    ``stuck_rubin_races``, behind the ``walk._drive`` interface.  Its state
+    words and per-site records of visit counts and clock indices sit in an
+    ``array("q")``, its clocks' log residuals in an ``array("d")`` and, if
+    ``timed``, their pending and consumed times in another (layout in
+    _kernel.SOURCE), over a window of sites that doubles, recentred on the
+    visited range, whenever the walker reaches its edge: memory grows with
+    the range, not the jump count.
+
+    The clocks are the logged draws of ``_draw_blocks(kernels, seed, 1,
+    1 << 62, 4096)`` (a count of runs no walk reaches) in order of first
+    use, or, with ``held = (hold_out, u)``, keyed: clock k of oriented edge
+    (y, d) has the raw value ``-log(rng.keyed_uniform(seed, y, 3 + d,
+    k))``, but ``u`` for clock 0 of (hold_out, +1), so two walks that
+    differ only in ``u`` race on one clock collection.
     """
-    edges = 4 * jumps + 10
-    # the kernel fills both buffers
-    ints = np.empty(2 + (jumps + 1) + (2 * jumps + 5) + edges,
-                    dtype=np.int64)
-    floats = np.empty(edges)
-    # a site the walk cannot reach stands in for any far hold_out, which
-    # might not fit an int64
-    hold = hold_out if abs(hold_out) <= jumps + 2 else jumps + 2
-    done = kernels.stuck_rubin_races(
-        params.alpha, params.beta, seed % 2 ** 64, hold, log(u), jumps,
-        ints.ctypes.data, floats.ctypes.data)
-    if done < jumps:
-        raise _failure((_TIE, _EXHAUSTED)[ints[0] - 1], int(ints[1]), done)
-    return (ints[2:jumps + 3], ints[-edges:].reshape(-1, 2),
-            floats.reshape(-1, 2))
+
+    def __init__(self, params, seed, jumps, keep_path=True, timed=False,
+                 held=None):
+        kernels = _kernel.load()
+        self.kernel = kernels.stuck_rubin_races
+        hold, u = held or (0, 1.0)
+        # a site the walk cannot reach stands in for any far hold_out,
+        # which might not fit an int64
+        self.args = (params.alpha, params.beta, seed % 2 ** 64,
+                     max(-jumps - 2, min(hold, jumps + 2)), log(u))
+        self.blocks = None if held else _draw_blocks(kernels, seed, 1,
+                                                     1 << 62, 4096)
+        self.timed, self.done, self.draws_end = timed, 0, 0
+        self.bufs = [array("q", bytes(8 * _WORDS)), None, None]
+        self._place(_WINDOW0)
+        self.out = array("q", [0]) * (jumps + 1) if keep_path else None
+
+    def _place(self, size):
+        """Move the walk into new buffers with a window of ``size`` sites
+        centred on lo-1..hi+1, holding the records of the sites lo..hi."""
+        ints, floats, _ = self.bufs
+        _, lo, hi, first, _ = ints[:5]
+        start = lo - 1 - (size - (hi - lo + 3)) // 2
+        new = [ints[:_WORDS] + array("q", bytes(24 * size)),
+               array("d", [nan]) * (2 * size),
+               array("d", [-inf]) * (4 * size) if self.timed else None]
+        if floats is not None:          # not a fresh walk
+            a, b, n = lo - first, lo - start, hi - lo + 1
+            for buf, old, (at, per) in zip(new, self.bufs, _LAYOUT):
+                if old is not None:
+                    buf[at + per * b:at + per * (b + n)] = \
+                        old[at + per * a:at + per * (a + n)]
+        new[0][3], new[0][4] = start, start + size - 1
+        self.bufs = new
+        self.at = [None if b is None else b.buffer_info()[0] for b in new]
+
+    def advance(self, n):
+        while n:
+            ints = self.bufs[0]
+            if self.blocks is not None and not ints[7]:
+                draws = next(self.blocks)
+                ints[7] = draws.shape[1]
+                self.draws_end = draws.ctypes.data + 8 * ints[7]
+            draws = None if self.blocks is None \
+                else self.draws_end - 8 * ints[7]
+            out = None if self.out is None \
+                else self.out.buffer_info()[0] + 8 * (self.done + 1)
+            k = self.kernel(*self.args, n, *self.at, draws, out)
+            self.done += k
+            n -= k
+            if ints[5]:
+                raise _failure((_TIE, _EXHAUSTED)[ints[5] - 1], ints[6],
+                               self.done)
+            pos, _, _, first, last = ints[:5]
+            if not first < pos < last:
+                self._place(2 * (last - first + 1))
+
+    def _records(self, part):
+        """Buffer ``part``'s records of the sites lo..hi, as one list."""
+        _, lo, hi, first, _ = self.bufs[0][:5]
+        at, per = _LAYOUT[part]
+        return self.bufs[part][at + per * (lo - first):
+                               at + per * (hi - first + 1)].tolist()
+
+    def record(self, step_no):
+        """The Stop after ``step_no`` jumps: edge {j-1, j} was crossed
+        once per ring of clock (j-1, +1) or (j, -1), counted by their
+        index."""
+        pos, lo, hi = self.bufs[0][:3]
+        sites = self._records(0)
+        return Stop(step_no, pos, lo, hi, array("q", map(
+            add, sites[1::3] + [0], [0] + sites[2::3])))
+
+    def consumed(self):
+        """{(y, direction): log T_y+-} for each site y raced at least once,
+        which keeps one clock armed from its first race on."""
+        lo, hi = self.bufs[0][1:3]
+        res, times, out = self._records(1), self._records(2), {}
+        for k, y in enumerate(range(lo, hi + 1)):
+            if not (isnan(res[2 * k]) and isnan(res[2 * k + 1])):
+                out[(y, -1)], out[(y, 1)] = times[4 * k + 2:4 * k + 4]
+        return out
+
+    def path(self):
+        return None if self.out is None else self.out.tolist()
 
 
-def simulate_rubin(params: Params, jumps: int, seed: int):
-    """Full construction for a fixed number of jumps over sequential
-    clocks.
-
-    Returns (Trajectory of the embedded walk, T_y report).  The report
-    maps each site with a clock to its consumed times T_y+ and T_y-
-    (``t_plus``, ``t_minus`` and their logs) and to ``tail_fraction``, the
-    share of T_y+ + T_y- accumulated during the last 10% of the jumps; a
-    vanishing value signals the geometric decay of clock rates at that
-    site (finite-sum trend, no almost-sure claim).
-    """
-    if jumps < 0:
-        raise ValueError(f"jumps must be >= 0, got {jumps}")
-    engine = RubinEngine(params, SequentialClockSource(seed))
-    mark = (9 * jumps) // 10
-    engine.advance(mark)
-    at_mark = {key: c.log_consumed for key, c in engine.clocks.items()}
-    engine.advance(jumps - mark)
-    at_end = {key: c.log_consumed for key, c in engine.clocks.items()}
+def _ty_report(at_mark: dict, at_end: dict) -> dict:
+    """The T_y report of ``simulate_rubin`` from the log consumed times
+    {(y, direction): log T_y+-} at the 9/10 mark and at the end."""
     ty = {}
     for y in sorted({y for y, _ in at_end}):
         lp, lm = at_end.get((y, 1), -inf), at_end.get((y, -1), -inf)
@@ -250,7 +190,29 @@ def simulate_rubin(params: Params, jumps: int, seed: int):
             frac = max(0.0, -expm1(log_mark - log_total))
         ty[y] = {"t_plus": _safe_exp(lp), "t_minus": _safe_exp(lm),
                  "log_t_plus": lp, "log_t_minus": lm, "tail_fraction": frac}
-    return Trajectory(positions=engine.positions, params=params), ty
+    return ty
+
+
+def simulate_rubin(params: Params, jumps: int, seed: int):
+    """Full construction for a fixed number of jumps over sequential
+    clocks, raced in the kernel.
+
+    Returns (Trajectory of the embedded walk, T_y report).  The report
+    maps each site raced at least once to its consumed times T_y+ and
+    T_y- (``t_plus``, ``t_minus`` and their logs) and to
+    ``tail_fraction``, the share of T_y+ + T_y- accumulated during the
+    last 10% of the jumps; a vanishing value signals the geometric decay
+    of clock rates at that site (finite-sum trend, no almost-sure claim).
+    """
+    if jumps < 0:
+        raise ValueError(f"jumps must be >= 0, got {jumps}")
+    race = _RaceWalk(params, seed, jumps, timed=True)
+    mark = (9 * jumps) // 10
+    race.advance(mark)
+    at_mark = race.consumed()
+    race.advance(jumps - mark)
+    return (Trajectory(positions=race.path(), params=params),
+            _ty_report(at_mark, race.consumed()))
 
 
 @dataclass
@@ -267,17 +229,18 @@ class CoupleReport:
 
 
 def _kernel_matched_crossings(kernels, path1, path2):
-    """(compared, violations) for two int64 position arrays of walks of
-    equal length from site 0, counted by ``stuck_matched_crossings``: the
-    crossings matched by edge and rank, and how many of them break
-    Z1(z+1) >= Z2(z+1) or Z1(z) <= Z2(z), Z the visit counts just after
-    the crossing, counted after the start."""
+    """(compared, violations) for two ``array("q")`` position paths of
+    walks of equal length from site 0, counted by
+    ``stuck_matched_crossings``: the crossings matched by edge and rank,
+    and how many of them break Z1(z+1) >= Z2(z+1) or Z1(z) <= Z2(z), Z the
+    visit counts just after the crossing, counted after the start."""
     n = len(path1) - 1
     # the layout is in _kernel.SOURCE
-    work = np.empty(8 * n + 4, dtype=np.int64)
+    work = array("q", bytes(8 * (8 * n + 4)))
     compared = kernels.stuck_matched_crossings(
-        path1.ctypes.data, path2.ctypes.data, n, work.ctypes.data)
-    return compared, int(work[0])
+        path1.buffer_info()[0], path2.buffer_info()[0], n,
+        work.buffer_info()[0])
+    return compared, work[0]
 
 
 def couple(hold_out: int, u1: float, u2: float, shared_seed: int,
@@ -289,8 +252,8 @@ def couple(hold_out: int, u1: float, u2: float, shared_seed: int,
     matched i-th crossing of every non-oriented edge {z, z+1} the visit
     counts must satisfy Z1(z+1) >= Z2(z+1) and Z1(z) <= Z2(z).
 
-    The walks run in the compiled race kernel, and their crossings are
-    matched in a second one.
+    The walks race in the compiled race kernel over keyed clocks, and
+    their crossings are matched in a second kernel.
     """
     if jumps < 0:
         raise ValueError(f"jumps must be >= 0, got {jumps}")
@@ -298,10 +261,12 @@ def couple(hold_out: int, u1: float, u2: float, shared_seed: int,
         if not (isfinite(u) and u > 0.0):
             raise ValueError(f"held-out clock values must be finite and "
                              f"> 0, got {u}")
-    kernels = _kernel.load()
-    paths = [race_kernel(kernels, params, shared_seed, hold_out, u,
-                         jumps)[0] for u in (u1, u2)]
-    compared, violations = _kernel_matched_crossings(kernels, *paths)
+    paths = []
+    for u in (u1, u2):
+        race = _RaceWalk(params, shared_seed, jumps, held=(hold_out, u))
+        race.advance(jumps)
+        paths.append(race.out)
+    compared, violations = _kernel_matched_crossings(_kernel.load(), *paths)
     paths = [p.tolist() for p in paths]
     return CoupleReport(site=hold_out, u1=u1, u2=u2,
                         positions1=paths[0], positions2=paths[1],
@@ -395,10 +360,10 @@ def sample_embedded_paths(params: Params, horizon: int, runs: int,
                           seed: int) -> dict:
     """Empirical law of the embedded walk's first ``horizon`` jumps.
 
-    ``runs`` independent trajectories, same construction as RubinEngine;
-    returns {position tuple: count} in ascending order of path code.  Used
-    for the distributional-equivalence check against the exact discrete
-    path law.
+    ``runs`` independent trajectories, same construction as
+    ``simulate_rubin``; returns {position tuple: count} in ascending order
+    of path code.  Used for the distributional-equivalence check against
+    the exact discrete path law.
 
     The runs go in blocks of ``_BLOCK``: each block takes its slice of
     the ``2·horizon`` rows of Philox draws from ``_draw_blocks`` and races
@@ -436,7 +401,7 @@ def _draw_blocks(kernels, seed: int, rows: int, runs: int, block: int):
     row as one call would fill it, yielded as
     its (rows, m) slices of columns in order, m = ``block`` but in the
     last slice.  Each slice is a view of one buffer that the next
-    overwrites.  The sampler and ``SequentialClockSource`` take their
+    overwrites.  The sampler and ``_RaceWalk`` take their
     Philox exponentials only from here.
 
     A first pass runs a generator through rows 0..rows-2 only to keep its

@@ -9,7 +9,8 @@ Every Stop is recorded by a walker under ``_drive``: a group of
 ``"direct"`` walks in the compiled kernel (see ``_kernel``), which
 ``simulate_many`` advances to each stop in one call for the whole group
 and ``simulate`` runs as a group of one, the ``"rubin"`` engine's
-``rubin.RubinEngine``, or ``_PathWalk`` replaying a kept path, the one
+``rubin._RaceWalk``, which races sequential clocks in the kernel's
+``stuck_rubin_races``, or ``_PathWalk`` replaying a kept path, the one
 code here that counts local times off a path.  The step rule is the
 kernel's alone: ``exact_path_law`` weighs its steps with it.
 """
@@ -255,14 +256,14 @@ def simulate(params: Params, steps: int, seed: int, stops=(),
     A ``"direct"`` walk is the one-seed group of ``simulate_many``, run
     in the compiled kernel of ``_kernel`` (OSError if it cannot be
     built).  A ``"rubin"`` walk of ``steps`` jumps is that of
-    ``rubin.simulate_rubin``.
+    ``rubin.simulate_rubin``, raced in the same kernel library.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
     if engine == "direct":
         return simulate_many(params, steps, [seed], stops, keep_path)[0]
-    from .rubin import RubinEngine, SequentialClockSource
-    walker = RubinEngine(params, SequentialClockSource(seed), keep_path)
+    from .rubin import _RaceWalk
+    walker = _RaceWalk(params, seed, steps, keep_path)
     records = _drive(walker, steps, sorted(set(stops)))
     return Trajectory(positions=walker.path(), params=params,
                       stops=records, steps=steps)

@@ -17,9 +17,12 @@ where it draws:
   with one numpy Generator per row;
 * ``lockstep_codes`` is ``rubin._kernel_codes``' ``stuck_sampler_step``,
   the block's runs advanced in lockstep in numpy;
-* ``KeyedClockSource`` under ``rubin.RubinEngine`` is
-  ``rubin.race_kernel``'s ``stuck_rubin_races``, and ``couple`` is
-  ``rubin.couple`` run that way;
+* ``RubinEngine`` (with ``Clock``, and ``WeightSpec``, the kernels'
+  ``log_f`` and ``log_w``) is ``rubin._RaceWalk``'s ``stuck_rubin_races``:
+  over ``SequentialClockSource`` it is a sequential-clock walk, and
+  ``simulate_rubin`` is ``rubin.simulate_rubin`` raced that way; over
+  ``KeyedClockSource`` it is a keyed-clock walk, and ``couple`` is
+  ``rubin.couple`` raced that way;
 * ``matched_crossings`` is ``rubin._kernel_matched_crossings``'
   ``stuck_matched_crossings``.
 """
@@ -27,15 +30,18 @@ where it draws:
 import copy
 from array import array
 from dataclasses import dataclass, field
-from math import exp, log
+from math import exp, inf, log, log1p
 
 import numpy as np
 from numpy.random import Generator, Philox
 
+from stuckwalk import _kernel
 from stuckwalk.errors import CapacityError, ConstructionFailure
 from stuckwalk.rng import keyed_uniform
-from stuckwalk.rubin import (_EXHAUSTED_SAMPLER, _BLOCK, CoupleReport,
-                             RubinEngine, WeightSpec)
+from stuckwalk.rubin import (_EXHAUSTED, _EXHAUSTED_SAMPLER, _BLOCK, _TIE,
+                             CoupleReport, _draw_blocks, _failure,
+                             _logaddexp, _ty_report)
+from stuckwalk.spectrum import Params
 from stuckwalk.walk import MAX_EXACT_HORIZON, Stop, Trajectory, _drive
 
 BLOCK = 1 << 14  # uniforms per Philox call of the Python stepper
@@ -209,6 +215,153 @@ def recount_local_times(positions) -> dict:
         j = max(a, b)
         lt[j] = lt.get(j, 0) + 1
     return lt
+
+
+# ------------------------------------------------------------ race
+
+
+class WeightSpec:
+    """The clock-mean functions f_pm and the race weight w, in log domain:
+    the two-factor rewrite of the jump law.
+
+    ``y`` and ``n`` may be integer arrays, as ``lockstep_codes`` passes
+    them; the compiled kernels repeat both formulas in the same order.
+    """
+
+    def __init__(self, alpha, beta):
+        self.alpha = alpha
+        self.beta = beta
+
+    def log_f(self, y, direction: int, n):
+        a, b = self.alpha, self.beta
+        target_origin = (y + direction) == 0
+        behind = (direction * y) < 0
+        return 2.0 * b * (2.0 * (1.0 + a) * n - a * target_origin
+                          + (1.0 + a) * behind)
+
+    def log_w(self, n):
+        return 4.0 * self.beta * self.alpha * n
+
+
+class SequentialClockSource:
+    """Clock draws taken in order of first use from one Philox stream: the
+    logged draws of ``_draw_blocks`` as one row of a count of runs no walk
+    reaches, read a block of 4096 at a time in one reused buffer."""
+
+    def __init__(self, seed: int):
+        self._blocks = _draw_blocks(_kernel.load(), seed, 1, 1 << 62, 4096)
+        self._buf, self._i = (), 0
+
+    def log_std_exponential(self, y, direction, k) -> float:
+        if self._i == len(self._buf):
+            self._buf, self._i = memoryview(next(self._blocks)[0]), 0
+        v = self._buf[self._i]
+        self._i += 1
+        return v
+
+
+@dataclass
+class Clock:
+    """Per-oriented-edge clock state.
+
+    Consumed real time lives in the log domain (log_consumed = log T_y+-):
+    clock means grow like exp(4 beta (1+alpha) k) with the clock index, so
+    the raw accumulators overflow doubles long before interesting horizons.
+    """
+
+    index: int = 0
+    log_residual: float = None
+    log_pending: float = -inf   # accrued sitting time not yet committed;
+    # -inf whenever the clock is unarmed: fresh, or its last race won
+    log_consumed: float = -inf  # log of the T accumulator
+
+
+class RubinEngine:
+    """A ``walk._drive`` walker in continuous time over a clock source;
+    ``clocks`` maps each oriented edge (y, direction) raced on to its Clock."""
+
+    def __init__(self, params: Params, clock_source, keep_path=True):
+        self.weights = WeightSpec(params.alpha, params.beta)
+        self.source = clock_source
+        self.pos = 0
+        self.jumps = 0
+        self.positions = [0] if keep_path else None
+        self.visits = {}  # Z: visit counts, start at 0 excluded
+        self.clocks = {}
+
+    def _armed(self, y: int, direction: int) -> Clock:
+        c = self.clocks.get((y, direction))
+        if c is None:
+            c = self.clocks[(y, direction)] = Clock()
+        if c.log_residual is None:
+            k = c.index
+            c.log_residual = (self.weights.log_f(y, direction, k)
+                              + self.source.log_std_exponential(y, direction, k))
+        return c
+
+    def race_step(self):
+        """Run one race at the current site; returns (direction, log of
+        the elapsed time)."""
+        y = self.pos
+        z = self.visits.get
+        cp = self._armed(y, 1)
+        cm = self._armed(y, -1)
+        ring_p = cp.log_residual - self.weights.log_w(z(y + 1, 0))
+        ring_m = cm.log_residual - self.weights.log_w(z(y - 1, 0))
+        if ring_p == ring_m:
+            raise _failure(_TIE, y, self.jumps)
+        if ring_p < ring_m:
+            direction, winner, loser, log_e, ring_l = 1, cp, cm, ring_p, ring_m
+        else:
+            direction, winner, loser, log_e, ring_l = -1, cm, cp, ring_m, ring_p
+        # deplete the loser: its raw amount shrinks by the consumed fraction
+        frac = exp(log_e - ring_l)
+        if frac >= 1.0:
+            raise _failure(_EXHAUSTED, y, self.jumps)
+        loser.log_residual += log1p(-frac)
+        loser.log_pending = _logaddexp(loser.log_pending, log_e)
+        winner.log_consumed = _logaddexp(
+            winner.log_consumed, _logaddexp(winner.log_pending, log_e))
+        winner.log_pending = -inf
+        winner.log_residual = None
+        winner.index += 1
+        self.pos = y + direction
+        self.visits[self.pos] = z(self.pos, 0) + 1
+        self.jumps += 1
+        if self.positions is not None:
+            self.positions.append(self.pos)
+        return direction, log_e
+
+    def advance(self, n):
+        for _ in range(n):
+            self.race_step()
+
+    def record(self, step):
+        """The Stop after ``step`` jumps: edge {j-1, j} was crossed once
+        per ring of clock (j-1, +1) or (j, -1), counted by their index."""
+        sites, c = self.visits.keys() | {0}, self.clocks
+        lo, hi = min(sites), max(sites)
+        return Stop(step, self.pos, lo, hi, array("q", [
+            getattr(c.get((j - 1, 1)), "index", 0)
+            + getattr(c.get((j, -1)), "index", 0) for j in range(lo, hi + 2)]))
+
+    def path(self):
+        return self.positions
+
+
+def simulate_rubin(params, jumps: int, seed: int):
+    """``rubin.simulate_rubin`` raced by ``RubinEngine`` over
+    ``SequentialClockSource``, its report built by ``rubin._ty_report``."""
+    if jumps < 0:
+        raise ValueError(f"jumps must be >= 0, got {jumps}")
+    engine = RubinEngine(params, SequentialClockSource(seed))
+    mark = (9 * jumps) // 10
+    engine.advance(mark)
+    at_mark = {key: c.log_consumed for key, c in engine.clocks.items()}
+    engine.advance(jumps - mark)
+    at_end = {key: c.log_consumed for key, c in engine.clocks.items()}
+    return (Trajectory(positions=engine.positions, params=params),
+            _ty_report(at_mark, at_end))
 
 
 # ------------------------------------------------------------ sampler

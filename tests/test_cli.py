@@ -139,7 +139,8 @@ def test_batch_worker_invariance(tmp_path, monkeypatch):
 
 
 def test_batch_pool_gives_serial_bytes(tmp_path, monkeypatch):
-    # rubin walks race in Python, so their batches run in a process pool
+    # rubin walks race in the kernel on the batch's pool of walker
+    # threads, as direct walks do
     monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
     outs = []
     for workers in ("2", "1"):

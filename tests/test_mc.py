@@ -1,4 +1,3 @@
-import concurrent.futures
 import hashlib
 import json
 import sys
@@ -120,39 +119,6 @@ def test_first_step_balance():
     assert abs(frac - 0.5) <= 3 * 0.5 / np.sqrt(cfg.runs)
 
 
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size, maps serially
-    and starts no process."""
-    sizes = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables, chunksize=1):
-        return map(fn, *iterables)
-
-
-@pytest.mark.parametrize("runs, cpus, size", [(1, 2, None), (3, 2, 2),
-                                              (3, 16, 3)])
-def test_pool_size_is_capped(monkeypatch, runs, cpus, size):
-    # a huge --workers must not fork that many processes; rubin walks,
-    # which race in Python, are the ones that pool
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        RecordingPool)
-    monkeypatch.setattr(mc.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(RecordingPool, "sizes", [])
-    res = mc.run_batch(small_config(runs=runs, workers=100000,
-                                    engine="rubin"))
-    assert RecordingPool.sizes == ([] if size is None else [size])
-    assert res.aggregate.runs == runs
-
-
 class RecordingThread:
     """Stands in for threading.Thread: counts the walkers made and runs
     each one's target when it starts, so no thread starts."""
@@ -169,15 +135,24 @@ class RecordingThread:
         pass
 
 
-@pytest.mark.parametrize("runs, cpus, workers, threads", [
-    (1, 2, 100000, 0), (3, 2, 100000, 1), (3, 16, 100000, 2),
-    (8, 16, 1, 0), (8, 16, 3, 2)])
-def test_walker_count_is_capped(monkeypatch, runs, cpus, workers, threads):
-    # the calling thread walks too, so min(workers, runs, cpus) - 1 threads
+_WALKERS = [(1, 2, 100000, 0), (3, 2, 100000, 1), (3, 16, 100000, 2),
+            (8, 16, 1, 0), (8, 16, 3, 2)]
+
+
+@pytest.mark.parametrize("runs, cpus, workers, threads, engine", [
+    pytest.param(*case, "direct", id="-".join(map(str, case)))
+    for case in _WALKERS] + [
+    pytest.param(*case, "rubin", id="rubin-" + "-".join(map(str, case)))
+    for case in _WALKERS[:3]])
+def test_walker_count_is_capped(monkeypatch, runs, cpus, workers, threads,
+                                engine):
+    # the calling thread walks too, so min(workers, runs, cpus) - 1
+    # threads, for either engine: a huge --workers starts no more
     monkeypatch.setattr(threading, "Thread", RecordingThread)
     monkeypatch.setattr(mc.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(RecordingThread, "made", 0)
-    res = mc.run_batch(small_config(runs=runs, workers=workers))
+    res = mc.run_batch(small_config(runs=runs, workers=workers,
+                                    engine=engine))
     assert RecordingThread.made == threads
     assert res.aggregate.runs == runs
 
@@ -332,21 +307,24 @@ def test_rubin_engine_batch():
 
 def test_rubin_walk_failure_is_one_record(tmp_path, monkeypatch):
     # a rubin walk that fails is that run's failure record, whether the
-    # calling thread or the pool walks it; the recording pool maps the
-    # chunks here, so the patched walk reaches it and no process starts
+    # calling thread or the second walker thread walks it
     from stuckwalk.cli import parse_and_dispatch
     from stuckwalk.errors import ConstructionFailure
 
     failing = derive_seed(99, 37)
+    made = []
 
     def failing_simulate(params, steps, seed, **kwargs):
         if seed == failing:
             raise ConstructionFailure("clock tie")
         return simulate(params, steps, seed, **kwargs)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        RecordingPool)
-    monkeypatch.setattr(RecordingPool, "sizes", [])
+    class CountingThread(threading.Thread):
+        def __init__(self, target):
+            made.append(target)
+            super().__init__(target=target)
+
+    monkeypatch.setattr(threading, "Thread", CountingThread)
     monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(mc, "simulate", failing_simulate)
     outs = []
@@ -357,7 +335,7 @@ def test_rubin_walk_failure_is_one_record(tmp_path, monkeypatch):
              "--steps", "1000", "--runs", "100", "--seed", "99",
              "--workers", workers, "--out", str(path)]) == 0
         outs.append(path.read_bytes())
-    assert RecordingPool.sizes == [2]
+    assert len(made) == 1               # the 2-worker batch's second walker
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["failures"] == [
         {"run": 37, "seed": failing, "reason": "ConstructionFailure: clock tie"}]

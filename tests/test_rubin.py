@@ -1,5 +1,6 @@
 import hashlib
 import math
+from array import array
 import tracemalloc
 
 import numpy as np
@@ -22,7 +23,7 @@ P205 = Params.make(2.0, 0.5)
 
 
 def test_weight_spec_defaults():
-    ws = rubin.WeightSpec(P21.alpha, P21.beta)
+    ws = oracles.WeightSpec(P21.alpha, P21.beta)
     # at the origin both first clocks have mean 1
     assert ws.log_f(0, 1, 0) == 0.0
     assert ws.log_f(0, -1, 0) == 0.0
@@ -41,7 +42,7 @@ def test_weight_spec_defaults():
 def test_weight_identity_joint_replay():
     # log w(Z_k(y+1)) - log f+(y, N_k(y, y+1)) must equal
     # 2 beta (-l_k(y+1) + alpha l_k(y+2)) at every visited state
-    ws = rubin.WeightSpec(P21.alpha, P21.beta)
+    ws = oracles.WeightSpec(P21.alpha, P21.beta)
     traj, _ = rubin.simulate_rubin(P21, 2000, seed=31)
     pos = traj.positions
     a, b = 2.0, 1.0
@@ -67,7 +68,7 @@ def test_weight_identity_joint_replay():
 
 def _keyed_engine(overrides, seed=77, params=P21):
     src = oracles.KeyedClockSource(seed, overrides=overrides)
-    return rubin.RubinEngine(params, src)
+    return oracles.RubinEngine(params, src)
 
 
 def test_race_documented_example():
@@ -91,14 +92,12 @@ def test_race_first_step_symmetric():
     n = 20000
     right = 0
     for i in range(n):
-        eng = rubin.RubinEngine(P21, rubin.SequentialClockSource(i))
-        d, _ = eng.race_step()
-        right += d == 1
+        right += walk.simulate(P21, 1, i, engine="rubin").positions[1] == 1
     assert right / n == pytest.approx(0.5, abs=0.011)
 
 
 def test_residual_decreases_across_suspensions():
-    eng = rubin.RubinEngine(P21, rubin.SequentialClockSource(123))
+    eng = oracles.RubinEngine(P21, oracles.SequentialClockSource(123))
     seen = {}
     for _ in range(500):
         y = eng.pos
@@ -162,7 +161,7 @@ def test_sequential_clocks_are_the_logged_philox_stream(seed):
     # three block boundaries
     n = 3 * 4096 + 17
     want = np.log(philox(seed).standard_exponential(n)).tolist()
-    src = rubin.SequentialClockSource(seed)
+    src = oracles.SequentialClockSource(seed)
     got = [src.log_std_exponential(0, 1, 0) for _ in range(n)]
     assert [v.hex() for v in got] == [v.hex() for v in want]
 
@@ -232,7 +231,7 @@ def test_path_free_rubin_memory_does_not_grow_with_jumps():
 
 def test_ty_accounting_identity():
     # T_y+- equals the log-sum of the race durations committed to it
-    eng = rubin.RubinEngine(P21, rubin.SequentialClockSource(41))
+    eng = oracles.RubinEngine(P21, oracles.SequentialClockSource(41))
     races = []  # (site, winner, log_e)
     for _ in range(3000):
         y = eng.pos
@@ -397,7 +396,7 @@ def test_sampler_exhausted_residual_raises(monkeypatch, compiled):
     with pytest.raises(ConstructionFailure,
                        match="^loser residual exhausted at site -1 after "
                              "1 jumps$"):
-        rubin.RubinEngine(params, oracles.KeyedClockSource(
+        oracles.RubinEngine(params, oracles.KeyedClockSource(
             1, overrides=clocks)).advance(3)
     with pytest.raises(ConstructionFailure, match="^loser residual "
                        "exhausted in vectorized sampler$"):
@@ -538,8 +537,7 @@ def test_matched_crossings_equal_loop(steps, bias, seed):
 @example(steps=[], bias=None, seed=0)
 @settings(max_examples=100, deadline=None)
 def test_kernel_matched_crossings_equal_numpy(steps, bias, seed):
-    paths = [np.array(p, dtype=np.int64)
-             for p in _independent_walks(steps, bias, seed)]
+    paths = [array("q", p) for p in _independent_walks(steps, bias, seed)]
     assert rubin._kernel_matched_crossings(_kernel.load(), *paths) \
         == oracles.matched_crossings(*paths)
 
@@ -547,7 +545,7 @@ def test_kernel_matched_crossings_equal_numpy(steps, bias, seed):
 def test_kernel_matched_crossings_count_violations():
     kernels, total = _kernel.load(), [0, 0]
     for seed in range(20):
-        paths = [np.array(p, dtype=np.int64) for p in _independent_walks(
+        paths = [array("q", p) for p in _independent_walks(
             [None] * 300, 0.5, seed)]
         got = rubin._kernel_matched_crossings(kernels, *paths)
         assert got == oracles.matched_crossings(*paths)
@@ -579,10 +577,28 @@ def test_couple_fallback_gives_same_report():
 
 def _engine_race(params, seed, hold_out, u, jumps):
     src = oracles.KeyedClockSource(seed, overrides={(hold_out, 1, 0): u})
-    eng = rubin.RubinEngine(params, src)
+    eng = oracles.RubinEngine(params, src)
     for _ in range(jumps):
         eng.race_step()
     return eng
+
+
+def _kernel_race(params, seed, hold_out, u, jumps):
+    # the first window of 64 sites, so far walks move it
+    race = rubin._RaceWalk(params, seed, jumps, held=(hold_out, u))
+    race.advance(jumps)
+    return race
+
+
+def _window_clocks(race):
+    """{(y, d): (index, log_residual.hex())} of every clock in the kernel
+    race's window, 'nan' for an unarmed one."""
+    ints, floats = race.bufs[:2]
+    first, last = ints[3:5]
+    index = ints[rubin._WORDS:].tolist()
+    return {(y, d): (index[3 * s + 1 + (d > 0)],
+                     floats[2 * s + (d > 0)].hex())
+            for s, y in enumerate(range(first, last + 1)) for d in (-1, 1)}
 
 
 @given(alpha=st.sampled_from([2.0, 0.8, 0.45, 0.36]),
@@ -591,28 +607,26 @@ def _engine_race(params, seed, hold_out, u, jumps):
        u=st.floats(min_value=1e-300, max_value=50.0),
        seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
        jumps=st.integers(min_value=0, max_value=500))
+@example(alpha=0.8, beta=0.01, hold_out=0, u=0.5, seed=3, jumps=500)
 @settings(max_examples=60, deadline=None)
 def test_race_kernel_matches_engine(alpha, beta, hold_out, u, seed, jumps):
+    # keyed clocks: the same path, clock indices and residuals
     params = Params.make(alpha, beta)
-    kernels = _kernel.load()
     try:
         eng = _engine_race(params, seed, hold_out, u, jumps)
     except ConstructionFailure as exc:
         with pytest.raises(ConstructionFailure) as got:
-            rubin.race_kernel(kernels, params, seed, hold_out, u, jumps)
+            _kernel_race(params, seed, hold_out, u, jumps)
         assert str(got.value) == str(exc)
         return
-    path, index, log_residual = rubin.race_kernel(
-        kernels, params, seed, hold_out, u, jumps)
-    assert path.tolist() == eng.positions
-    want_index = np.zeros_like(index)
-    want_residual = np.full_like(log_residual, math.nan)
-    for (y, d), c in eng.clocks.items():
-        want_index[y + jumps + 2, int(d > 0)] = c.index
-        if c.log_residual is not None:
-            want_residual[y + jumps + 2, int(d > 0)] = c.log_residual
-    assert np.array_equal(index, want_index)
-    assert log_residual.tobytes() == want_residual.tobytes()
+    race = _kernel_race(params, seed, hold_out, u, jumps)
+    assert race.path() == eng.positions
+    got = _window_clocks(race)
+    want = {key: (0, math.nan.hex()) for key in got}
+    for key, c in eng.clocks.items():
+        residual = math.nan if c.log_residual is None else c.log_residual
+        want[key] = (c.index, residual.hex())
+    assert got == want
 
 
 def test_race_kernel_tie_matches_engine():
@@ -622,6 +636,93 @@ def test_race_kernel_tie_matches_engine():
     with pytest.raises(ConstructionFailure) as want:
         _engine_race(P21, seed, 0, u, 5)
     with pytest.raises(ConstructionFailure) as got:
-        rubin.race_kernel(_kernel.load(), P21, seed, 0, u, 5)
+        _kernel_race(P21, seed, 0, u, 5)
     assert str(got.value) == str(want.value) \
         == "exact clock tie at site 0 after 0 jumps"
+
+
+def _hex_report(ty):
+    return [(y, [(k, v.hex()) for k, v in r.items()]) for y, r in ty.items()]
+
+
+def _oracle_walk(params, jumps, seed, marks):
+    """The sequential-clock walk of ``oracles.RubinEngine``: its path and
+    its Stops at ``marks``."""
+    eng = oracles.RubinEngine(params, oracles.SequentialClockSource(seed))
+    stops = walk._drive(eng, jumps, marks)
+    return eng.path(), stops
+
+
+@given(alpha=st.sampled_from([2.0, 0.8]),
+       beta=st.floats(min_value=1e-9, max_value=1.0),
+       seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
+       jumps=st.integers(min_value=0, max_value=2000),
+       fractions=st.lists(st.floats(min_value=0.0, max_value=1.0),
+                          max_size=3))
+@example(alpha=0.8, beta=1e-9, seed=5, jumps=2000, fractions=[0.5])
+@example(alpha=2.0, beta=1.0, seed=2 ** 64 - 1, jumps=4097, fractions=[])
+@settings(max_examples=40, deadline=None)
+def test_sequential_race_matches_engine(alpha, beta, seed, jumps,
+                                        fractions):
+    # sequential clocks: the kernel route and the Python engine give the
+    # same path, Stops, T_y report bit for bit, or failure message.  The
+    # examples move the window (beta 1e-9 wanders) and cross a block of
+    # 4096 draws
+    params = Params.make(alpha, beta)
+    marks = sorted({0, jumps, *(int(f * jumps) for f in fractions)})
+    try:
+        want_path, want_stops = _oracle_walk(params, jumps, seed, marks)
+        want_traj, want_ty = oracles.simulate_rubin(params, jumps, seed)
+    except ConstructionFailure as exc:
+        with pytest.raises(ConstructionFailure) as got:
+            walk.simulate(params, jumps, seed, stops=marks, engine="rubin")
+        assert str(got.value) == str(exc)
+        with pytest.raises(ConstructionFailure) as got:
+            rubin.simulate_rubin(params, jumps, seed)
+        assert str(got.value) == str(exc)
+        return
+    traj = walk.simulate(params, jumps, seed, stops=marks, engine="rubin")
+    free = walk.simulate(params, jumps, seed, stops=marks, keep_path=False,
+                         engine="rubin")
+    assert traj.positions == want_path
+    assert traj.stops == free.stops == want_stops
+    got_traj, got_ty = rubin.simulate_rubin(params, jumps, seed)
+    assert got_traj.positions == want_traj.positions == want_path
+    assert _hex_report(got_ty) == _hex_report(want_ty)
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_sequential_race_resumes_between_blocks(monkeypatch, block):
+    # blocks of one or three draws stop the kernel at every draw or
+    # every third, between a race's two armings too: the same walk and
+    # report as blocks of 4096
+    params = Params.make(0.8, 1.0)
+    want_traj, want_ty = rubin.simulate_rubin(params, 3000, 7)
+    draw_blocks = rubin._draw_blocks
+    monkeypatch.setattr(rubin, "_draw_blocks",
+                        lambda kernels, seed, rows, runs, _:
+                        draw_blocks(kernels, seed, rows, runs, block))
+    traj, ty = rubin.simulate_rubin(params, 3000, 7)
+    assert traj.positions == want_traj.positions
+    assert _hex_report(ty) == _hex_report(want_ty)
+
+
+@pytest.mark.parametrize("beta, values, message", [
+    # both first clocks at the origin have log_f = 0
+    (1.0, [], "exact clock tie at site 0 after 0 jumps"),
+    # as in test_sampler_exhausted_residual_raises: plus clock 2 against
+    # minus clock 1 goes left, and at site -1 exp(log_e - ring_l) rounds
+    # to 1
+    (1e-20, [2.0], "loser residual exhausted at site -1 after 1 jumps")])
+def test_sequential_race_failures_match_engine(monkeypatch, beta, values,
+                                               message):
+    # the draws are the logs of ``values``, then of 1: the same failure
+    # from the kernel route and the Python engine
+    draws = np.log(np.array([values + [1.0] * (8 - len(values))]))
+    for module in (rubin, oracles):
+        monkeypatch.setattr(module, "_draw_blocks",
+                            lambda *args: iter([draws.copy()]))
+    params = Params.make(2.0, beta)
+    for route in (oracles.simulate_rubin, rubin.simulate_rubin):
+        with pytest.raises(ConstructionFailure, match=f"^{message}$"):
+            route(params, 5, seed=1)

@@ -270,3 +270,18 @@ def test_kernel_batch_runs_without_numpy(tmp_path):
         "'_hashlib'):\n"
         "    assert name not in sys.modules, name\n", tmp_path)
     assert (tmp_path / "agg.json").stat().st_size > 0
+
+
+def test_rubin_batch_starts_no_process_pool(tmp_path):
+    # rubin walks race in the kernel on the batch's walker threads, as
+    # direct walks do: two cores and two workers load no process machinery
+    _run_fresh(
+        "import os, sys\n"
+        "os.cpu_count = lambda: 2\n"
+        "from stuckwalk.cli import parse_and_dispatch\n"
+        "assert parse_and_dispatch(['batch', '--alpha', '2', '--beta', '1', "
+        "'--steps', '2000', '--runs', '4', '--seed', '5', '--engine', "
+        "'rubin', '--workers', '2', '--out', 'agg.json']) == 0\n"
+        "for name in ('concurrent.futures', 'multiprocessing'):\n"
+        "    assert name not in sys.modules, name\n", tmp_path)
+    assert (tmp_path / "agg.json").stat().st_size > 0
